@@ -17,13 +17,12 @@ def main():
     trace = geometry.boundary_trace(dom, 1024)
     summary = geometry.geometry_summary(dom, trace)
     mesh = fem.generate_mesh(dom, 32, 128)
-    quad = fem.domain_quadrature(mesh)
     x0 = np.asarray(dom.center, dtype=float)
 
     print("%8s %14s %14s" % ("degree", "mu0 upper", "mubar upper"))
     for deg in range(2, args.max_degree + 1, 2):
-        mu0 = spectral.harmonic_rayleigh_min(mesh, "point", deg, x0=x0, quad=quad)
-        mubar = spectral.harmonic_rayleigh_min(mesh, "mean_zero", deg, quad=quad)
+        mu0 = spectral.harmonic_rayleigh_min(mesh, "point", deg, x0=x0)
+        mubar = spectral.harmonic_rayleigh_min(mesh, "mean_zero", deg)
         print("%8d %14.8f %14.8f" % (deg, mu0, mubar))
 
     mu2 = args.mu2 if args.mu2 is not None else spectral.mu2_lower_convex(summary.diameter)

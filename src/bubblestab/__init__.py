@@ -6,133 +6,9 @@ integral identities relating the Cauchy-Schwarz deficit to boundary data,
 estimates harmonic Poincare constants, and checks explicit quantitative
 stability bounds (inner/outer touching ball gap against mean curvature
 deviation) with fully traced constants.
+
+The package root re-exports nothing; import the modules, e.g.
+``from bubblestab import fem, stability``.
 """
-from .geometry import (
-    BoundaryTrace,
-    DomainError,
-    GeometrySummary,
-    StarDomain,
-    boundary_trace,
-    geometry_summary,
-    minkowski_residual,
-    rho_bounds,
-    touching_radii,
-)
-from .oracles import (
-    AnnulusSpec,
-    FSupResult,
-    GradientBounds,
-    annulus_torsion,
-    ball_torsion,
-    f_kappa,
-    f_sup,
-    fd_laplacian_residual,
-    gradient_bounds,
-    quadratic_q,
-    radial_ode_oracle,
-)
-from .fem import (
-    MeshError,
-    SolverError,
-    TorsionField,
-    TriMesh,
-    boundary_normal_derivative,
-    domain_quadrature,
-    dump_solution,
-    eval_at_points,
-    generate_mesh,
-    harmonic_deficit_field,
-    solve_torsion,
-)
-from .identities import (
-    DeficitReport,
-    IdentityReport,
-    SerrinChecks,
-    cs_deficit,
-    identity_suite,
-    serrin_checks,
-)
-from .spectral import (
-    SpectralEstimate,
-    harmonic_rayleigh_min,
-    mu0_lower_bound,
-    mu2_lower_convex,
-    spectral_estimate,
-    unit_ball_volume,
-)
-from .stability import (
-    AggregateBall,
-    BRANCHES,
-    DeviationNorms,
-    DomainAnalysis,
-    StabilityParams,
-    StabilityReport,
-    THEOREMS,
-    aggregate_report,
-    analyze_domain,
-    assemble_constants,
-    check_stability,
-    deviation_norms,
-    inclusion_margins,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateBall",
-    "AnnulusSpec",
-    "BRANCHES",
-    "BoundaryTrace",
-    "DeficitReport",
-    "DeviationNorms",
-    "DomainAnalysis",
-    "DomainError",
-    "FSupResult",
-    "GeometrySummary",
-    "GradientBounds",
-    "IdentityReport",
-    "MeshError",
-    "SerrinChecks",
-    "SolverError",
-    "SpectralEstimate",
-    "StabilityParams",
-    "StabilityReport",
-    "StarDomain",
-    "THEOREMS",
-    "TorsionField",
-    "TriMesh",
-    "aggregate_report",
-    "analyze_domain",
-    "annulus_torsion",
-    "assemble_constants",
-    "ball_torsion",
-    "boundary_normal_derivative",
-    "boundary_trace",
-    "check_stability",
-    "cs_deficit",
-    "deviation_norms",
-    "domain_quadrature",
-    "dump_solution",
-    "eval_at_points",
-    "f_kappa",
-    "f_sup",
-    "fd_laplacian_residual",
-    "generate_mesh",
-    "geometry_summary",
-    "gradient_bounds",
-    "harmonic_deficit_field",
-    "harmonic_rayleigh_min",
-    "identity_suite",
-    "inclusion_margins",
-    "minkowski_residual",
-    "mu0_lower_bound",
-    "mu2_lower_convex",
-    "quadratic_q",
-    "radial_ode_oracle",
-    "rho_bounds",
-    "serrin_checks",
-    "solve_torsion",
-    "spectral_estimate",
-    "touching_radii",
-    "unit_ball_volume",
-]

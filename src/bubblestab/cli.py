@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import fem, geometry, identities, oracles, spectral, stability
+from . import fem, geometry, identities, oracles, stability
 
 
 class ConfigError(Exception):
@@ -283,7 +283,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                 rows.append({"t": t, "error": "%s: %s" % (type(exc).__name__, exc)})
             failed = True
             continue
-        dev = stability.deviation_norms(analysis.trace, analysis.field, analysis.summary)
+        dev = analysis.deviation
         for rep in analysis.reports:
             rows.append(
                 {
@@ -327,27 +327,14 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
 
 def cmd_spectral(cfg: dict, out_dir: str) -> int:
     domain = _domain_from_config(cfg)
-    params = _params_from_config(cfg)
-    n_trace = cfg["params"]["n_trace"]
-    trace = geometry.boundary_trace(domain, n_trace)
-    summary = geometry.geometry_summary(domain, trace)
-    mesh = fem.generate_mesh(domain, cfg["mesh"]["n_radial"], cfg["mesh"]["n_angular"])
-    if params.x0_policy == "min_point":
-        x0 = fem.solve_torsion(mesh).min_points[0]
-    else:
-        x0 = summary.center_of_mass
-    if float(np.min(trace.curvatures)) > 0.0:
-        mu2 = spectral.mu2_lower_convex(summary.diameter)
-    else:
-        mu2 = params.mu2
-    est = spectral.spectral_estimate(
-        mesh,
-        r_interior=summary.r_interior,
-        area=summary.area,
-        degree=params.basis_degree,
-        x0=x0,
-        mu2=mu2,
-    )
+    est = stability.analyze_domain(
+        domain,
+        n_radial=cfg["mesh"]["n_radial"],
+        n_angular=cfg["mesh"]["n_angular"],
+        n_trace=cfg["params"]["n_trace"],
+        theorems=(),
+        params=_params_from_config(cfg),
+    ).spectral
     _write_json(_out_path(out_dir, "spectral.json"), est)
     print(
         "spectral: mu0_upper=%s mubar_upper=%s mu0_lower=%s"

@@ -11,12 +11,13 @@ conjugate gradients on a scipy CSR matrix.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import StarDomain
+from .geometry import DIM, StarDomain
 
 
 class MeshError(ValueError):
@@ -109,6 +110,28 @@ _DN_AT_QP = _dshape(_QP)        # (7, 6, 2)
 _DN_AT_NODES = _dshape(_REF_NODES)  # (6, 6, 2)
 
 
+def _jacobians(coords: np.ndarray, dn: np.ndarray):
+    """detJ, invJ of the element maps at one reference point per element.
+
+    coords has shape (m, 6, 2); dn has shape (6, 2) for a shared reference
+    point or (m, 6, 2) for one point per element.
+    """
+    if dn.ndim == 2:
+        jac = np.einsum("tkc,kd->tcd", coords, dn)
+    else:
+        jac = np.einsum("tkc,tkd->tcd", coords, dn)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    if np.any(det <= 0.0):
+        raise MeshError("non-positive Jacobian in element map")
+    inv = np.empty_like(jac)
+    inv[:, 0, 0] = jac[:, 1, 1]
+    inv[:, 0, 1] = -jac[:, 0, 1]
+    inv[:, 1, 0] = -jac[:, 1, 0]
+    inv[:, 1, 1] = jac[:, 0, 0]
+    inv /= det[:, None, None]
+    return det, inv
+
+
 # -- mesh --------------------------------------------------------------------
 
 
@@ -119,7 +142,9 @@ class TriMesh:
     vertices[0] is the center; vertex 1 + (j-1)*n_angular + i sits at radial
     fraction radial_fractions[j-1] of rho(theta_i).  boundary_edges pair with
     boundary_thetas giving the theta parameters of each edge's endpoints.
-    h is the longest edge.
+    h is the longest edge.  ``space`` is the P2 node table with its
+    quadrature, built on first use and shared by every solve and integral on
+    this mesh.
     """
 
     vertices: np.ndarray
@@ -131,6 +156,10 @@ class TriMesh:
     n_angular: int
     radial_fractions: np.ndarray
     domain: StarDomain
+
+    @functools.cached_property
+    def space(self) -> "_P2Space":
+        return _P2Space(self)
 
 
 def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int, grading: float = 1.2) -> TriMesh:
@@ -212,10 +241,16 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int, grading: fl
 
 
 class _P2Space:
-    """Node table for P2 elements; boundary midside nodes sit on the curve."""
+    """Node table for P2 elements; boundary midside nodes sit on the curve.
+
+    qp_xy (nt, 7, 2) and qp_w (nt, 7) are the curved-cell quadrature points
+    and weights; they are read-only because every solve on the mesh shares
+    them.
+    """
 
     def __init__(self, mesh: TriMesh):
-        self.mesh = mesh
+        # no back reference to mesh: mesh.space -> space -> mesh would be a
+        # cycle, keeping every dead mesh's arrays alive until a gc pass
         tris = mesh.triangles
         nv = mesh.vertices.shape[0]
         nt = tris.shape[0]
@@ -266,25 +301,13 @@ class _P2Space:
         self.dirichlet = dirichlet
         self.coords = node_xy[tri_nodes]          # (nt, 6, 2)
 
-    def jacobians(self, dn: np.ndarray):
-        """J, detJ, invJ at one reference point for every element.
-
-        dn has shape (6, 2) or (nt, 6, 2) for per-element reference points.
-        """
-        if dn.ndim == 2:
-            jac = np.einsum("tkc,kd->tcd", self.coords, dn)
-        else:
-            jac = np.einsum("tkc,tkd->tcd", self.coords, dn)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        if np.any(det <= 0.0):
-            raise MeshError("non-positive Jacobian in element map")
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1]
-        inv[:, 0, 1] = -jac[:, 0, 1]
-        inv[:, 1, 0] = -jac[:, 1, 0]
-        inv[:, 1, 1] = jac[:, 0, 0]
-        inv /= det[:, None, None]
-        return jac, det, inv
+        self.qp_xy = np.einsum("tkc,qk->tqc", self.coords, _N_AT_QP)
+        self.qp_w = np.empty((nt, 7))
+        for qi in range(7):
+            det, _ = _jacobians(self.coords, _DN_AT_QP[qi])
+            self.qp_w[:, qi] = 0.5 * _QW[qi] * det
+        self.qp_xy.setflags(write=False)
+        self.qp_w.setflags(write=False)
 
     def ref_point_on_boundary(self, sector: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Reference coords of the boundary point at edge fraction tau."""
@@ -358,26 +381,23 @@ class TorsionField:
 
 
 def _element_fields(space: _P2Space, u_full: np.ndarray):
-    """Per-quadrature-point u, gradient, Hessian, positions, weights."""
+    """Per-quadrature-point u, gradient, Hessian."""
     coords = space.coords
     u_el = u_full[space.tri_nodes]
     nt = coords.shape[0]
     href = np.einsum("tk,kde->tde", u_el, _D2N)          # reference Hessian, constant
     cmap = np.einsum("tkc,kde->tcde", coords, _D2N)      # map curvature terms
-    qp_xy = np.einsum("tkc,qk->tqc", coords, _N_AT_QP)
     qp_u = np.einsum("tk,qk->tq", u_el, _N_AT_QP)
-    qp_w = np.empty((nt, 7))
     qp_g = np.empty((nt, 7, 2))
     qp_h = np.empty((nt, 7, 2, 2))
     for qi in range(7):
-        _, det, inv = space.jacobians(_DN_AT_QP[qi])
-        qp_w[:, qi] = 0.5 * _QW[qi] * det
+        _, inv = _jacobians(coords, _DN_AT_QP[qi])
         gref = np.einsum("tk,kd->td", u_el, _DN_AT_QP[qi])
         g = np.einsum("td,tdc->tc", gref, inv)
         qp_g[:, qi] = g
         tmp = href - np.einsum("tc,tcde->tde", g, cmap)
         qp_h[:, qi] = np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
-    return qp_xy, qp_w, qp_u, qp_g, qp_h, href, cmap, u_el
+    return qp_u, qp_g, qp_h, href, cmap, u_el
 
 
 def _recover_nodal(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np.ndarray, areas: np.ndarray):
@@ -387,7 +407,7 @@ def _recover_nodal(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np
     hess = np.zeros((nn, 2, 2))
     wsum = np.zeros(nn)
     for k in range(6):
-        _, _, inv = space.jacobians(_DN_AT_NODES[k])
+        _, inv = _jacobians(space.coords, _DN_AT_NODES[k])
         gref = np.einsum("tk,kd->td", u_el, _DN_AT_NODES[k])
         g = np.einsum("td,tdc->tc", gref, inv)
         tmp = href - np.einsum("tc,tcde->tde", g, cmap)
@@ -409,9 +429,9 @@ def _outward_normals(domain: StarDomain, theta: np.ndarray) -> np.ndarray:
     return np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
 
 
-def _boundary_gradient(space: _P2Space, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Gradient of the FE solution at boundary parameters theta (one-sided)."""
-    mesh = space.mesh
+    space = mesh.space
     thetas = np.asarray(thetas, dtype=float)
     two_pi = 2.0 * np.pi
     wrapped = np.mod(thetas, two_pi)
@@ -425,14 +445,7 @@ def _boundary_gradient(space: _P2Space, u_full: np.ndarray, thetas: np.ndarray) 
     coords = space.coords[els]
     u_el = u_full[space.tri_nodes[els]]
     dn = _dshape(refs)                                  # (m, 6, 2)
-    jac = np.einsum("mkc,mkd->mcd", coords, dn)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
+    _, inv = _jacobians(coords, dn)
     gref = np.einsum("mk,mkd->md", u_el, dn)
     return np.einsum("md,mdc->mc", gref, inv)
 
@@ -516,16 +529,17 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
     The iteration cap defaults to 50 sqrt(ndof).  Raises SolverError when the
     cap is reached before the relative residual drops below rtol.
     """
-    space = _P2Space(mesh)
+    space = mesh.space
     nt = space.tri_nodes.shape[0]
 
     ke = np.zeros((nt, 6, 6))
     fe = np.zeros((nt, 6))
     for qi in range(7):
-        _, det, inv = space.jacobians(_DN_AT_QP[qi])
+        _, inv = _jacobians(space.coords, _DN_AT_QP[qi])
         gp = np.einsum("kd,tdc->tkc", _DN_AT_QP[qi], inv)
-        ke += 0.5 * _QW[qi] * det[:, None, None] * np.einsum("tkc,tlc->tkl", gp, gp)
-        fe += 0.5 * _QW[qi] * det[:, None] * (-2.0) * _N_AT_QP[qi][None, :]
+        w = space.qp_w[:, qi]
+        ke += w[:, None, None] * np.einsum("tkc,tlc->tkl", gp, gp)
+        fe += w[:, None] * (-DIM) * _N_AT_QP[qi][None, :]
 
     rows = np.broadcast_to(space.tri_nodes[:, :, None], (nt, 6, 6)).ravel()
     cols = np.broadcast_to(space.tri_nodes[:, None, :], (nt, 6, 6)).ravel()
@@ -543,8 +557,8 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
     u_full = np.zeros(space.n_nodes)
     u_full[interior] = x
 
-    qp_xy, qp_w, qp_u, qp_g, qp_h, href, cmap, u_el = _element_fields(space, u_full)
-    areas = np.sum(qp_w, axis=1)
+    qp_u, qp_g, qp_h, href, cmap, u_el = _element_fields(space, u_full)
+    areas = np.sum(space.qp_w, axis=1)
     grad, hess = _recover_nodal(space, u_el, href, cmap, areas)
 
     # boundary node parameters: edge endpoints and curved midsides
@@ -552,7 +566,7 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
     th0 = mesh.boundary_thetas[:, 0]
     th1 = mesh.boundary_thetas[:, 1]
     bn_thetas = np.sort(np.concatenate([th0, 0.5 * (th0 + th1)]))
-    bgrad = _boundary_gradient(space, u_full, bn_thetas)
+    bgrad = _boundary_gradient(mesh, u_full, bn_thetas)
     u_nu = np.einsum("mc,mc->m", bgrad, _outward_normals(mesh.domain, bn_thetas))
 
     m_const = max(
@@ -572,9 +586,9 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
         min_points=_min_points(space, u_full),
         residual_norm=relres,
         iterations=iters,
-        area=float(np.sum(qp_w)),
-        qp_points=qp_xy,
-        qp_weights=qp_w,
+        area=float(np.sum(space.qp_w)),
+        qp_points=space.qp_xy,
+        qp_weights=space.qp_w,
         qp_u=qp_u,
         qp_grad=qp_g,
         qp_hess=qp_h,
@@ -584,27 +598,9 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
 
 def boundary_normal_derivative(field: TorsionField, thetas: np.ndarray) -> np.ndarray:
     """u_nu at arbitrary boundary parameters (analytic outward normals)."""
-    g = _boundary_gradient(field.space, field.u, thetas)
+    g = _boundary_gradient(field.mesh, field.u, thetas)
     nu = _outward_normals(field.mesh.domain, np.asarray(thetas, dtype=float))
     return np.einsum("mc,mc->m", g, nu)
-
-
-def harmonic_deficit_field(field: TorsionField, z, a: float):
-    """Nodal h = q - u for q = (|x - z|^2 - a)/2, plus int |hess h|^2.
-
-    h is harmonic exactly when u is the true torsion function; the returned
-    integral of |I - hess u|^2 over the domain measures the Cauchy-Schwarz
-    deficit in its Hessian form.
-    """
-    z = np.asarray(z, dtype=float)
-    xy = field.space.node_xy
-    d = xy - z[None, :]
-    h = 0.5 * (np.einsum("ic,ic->i", d, d) - a) - field.u
-    grad_h = d - field.grad
-    eye = np.eye(2)
-    dev = eye[None, None, :, :] - field.qp_hess
-    hess_sq = float(np.sum(field.qp_weights * np.einsum("tqcd,tqcd->tq", dev, dev)))
-    return h, grad_h, hess_sq
 
 
 def eval_at_points(field: TorsionField, pts: np.ndarray):
@@ -684,15 +680,13 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
 
 
 def domain_quadrature(mesh: TriMesh):
-    """Quadrature points and weights covering the (curved-cell) domain."""
-    space = _P2Space(mesh)
-    nt = space.tri_nodes.shape[0]
-    qp_xy = np.einsum("tkc,qk->tqc", space.coords, _N_AT_QP)
-    qp_w = np.empty((nt, 7))
-    for qi in range(7):
-        _, det, _ = space.jacobians(_DN_AT_QP[qi])
-        qp_w[:, qi] = 0.5 * _QW[qi] * det
-    return qp_xy.reshape(-1, 2), qp_w.ravel()
+    """Quadrature points and weights covering the (curved-cell) domain.
+
+    Flat read-only views of the mesh's P2 quadrature, so repeated calls and
+    the solver share one copy.
+    """
+    space = mesh.space
+    return space.qp_xy.reshape(-1, 2), space.qp_w.ravel()
 
 
 def dump_solution(field: TorsionField, path: str) -> None:

@@ -13,6 +13,10 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 
+# The package is planar only: every dimension-dependent formula reads this.
+DIM = 2
+
+
 class DomainError(ValueError):
     """Invalid domain data: non-positive radius, point outside, bad sizes."""
 
@@ -272,7 +276,7 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     )
     diameter = _diameter(trace.points)
     r_int, r_ext, _, _ = touching_radii(trace, cap=diameter)
-    h0 = perimeter / (2.0 * area)  # N = 2
+    h0 = perimeter / (DIM * area)
     return GeometrySummary(
         area=area,
         perimeter=perimeter,

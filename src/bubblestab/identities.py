@@ -12,10 +12,8 @@ import dataclasses
 
 import numpy as np
 
-from .fem import TorsionField, boundary_normal_derivative, harmonic_deficit_field
-from .geometry import BoundaryTrace, GeometrySummary
-
-_DIM = 2
+from .fem import TorsionField, boundary_normal_derivative
+from .geometry import DIM, BoundaryTrace, GeometrySummary
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,10 +67,10 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     w = field.qp_weights
     hs = np.einsum("tqcd,tqcd->tq", hq, hq)
     tr = hq[..., 0, 0] + hq[..., 1, 1]
-    density = hs - tr * tr / _DIM
+    density = hs - tr * tr / DIM
     deficit = float(np.sum(w * density))
 
-    eye = np.eye(2)
+    eye = np.eye(DIM)
     dev = eye[None, None, :, :] - hq
     hess_h = float(np.sum(w * np.einsum("tqcd,tqcd->tq", dev, dev)))
 
@@ -91,14 +89,14 @@ def identity_suite(field: TorsionField, trace: BoundaryTrace, summary: GeometryS
     w = trace.weights
     h_curv = trace.curvatures
     area = summary.area
-    scale = _DIM * area
+    scale = DIM * area
     r_ref = summary.R_ref
     h0 = summary.H0
     center = field.mesh.domain.center
     x_nu = np.einsum("ic,ic->i", trace.points - center[None, :], trace.normals)
 
     dr = cs_deficit(field)
-    deficit_over = dr.cs_deficit / (_DIM - 1)
+    deficit_over = dr.cs_deficit / (DIM - 1)
 
     reports = [
         _report("fundamental", deficit_over, scale - float(np.sum(w * h_curv * u_nu * u_nu)), scale),
@@ -119,7 +117,7 @@ def identity_suite(field: TorsionField, trace: BoundaryTrace, summary: GeometryS
 
     hq = field.qp_hess
     hs = np.einsum("tqcd,tqcd->tq", hq, hq)
-    wps_lhs = float(np.sum(field.qp_weights * (-field.qp_u) * (hs - _DIM)))
+    wps_lhs = float(np.sum(field.qp_weights * (-field.qp_u) * (hs - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))
     reports.append(_report("wps", wps_lhs, wps_rhs, scale))
 
@@ -151,7 +149,7 @@ def serrin_checks(field: TorsionField, trace: BoundaryTrace, summary: GeometrySu
     w = trace.weights
     h_curv = trace.curvatures
     r_ref = summary.R_ref
-    scale = _DIM * summary.area
+    scale = DIM * summary.area
 
     if float(np.min(h_curv)) > 0.0:
         l1 = float(np.sum(w * np.abs(u_nu - 1.0 / h_curv)))
@@ -159,7 +157,7 @@ def serrin_checks(field: TorsionField, trace: BoundaryTrace, summary: GeometrySu
         l1 = None
 
     dr = cs_deficit(field)
-    lhs = dr.cs_deficit / (_DIM - 1)
+    lhs = dr.cs_deficit / (DIM - 1)
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale)
 

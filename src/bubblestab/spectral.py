@@ -52,7 +52,6 @@ def harmonic_rayleigh_min(
     constraint: str,
     degree: int,
     x0=None,
-    quad=None,
 ) -> float:
     """Minimum of int |grad v|^2 / int v^2 over the harmonic polynomial space.
 
@@ -62,15 +61,14 @@ def harmonic_rayleigh_min(
     the value non-increasing in degree; since the minimization runs over a
     subspace of admissible fields, the result is an upper estimate of the
     true constant.  A numerically degenerate mass matrix triggers an
-    automatic degree reduction with a warning.
+    automatic degree reduction with a warning.  The integrals use the mesh's
+    curved-cell quadrature.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if constraint not in ("point", "mean_zero"):
         raise ValueError("constraint must be 'point' or 'mean_zero', got %r" % constraint)
-    if quad is None:
-        quad = domain_quadrature(mesh)
-    pts, wts = quad
+    pts, wts = domain_quadrature(mesh)
     center = np.asarray(mesh.domain.center, dtype=float)
     scale = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
     vals, gx, gy = _basis_values(pts, center, scale, degree)
@@ -99,7 +97,7 @@ def harmonic_rayleigh_min(
         if degree == 1:
             raise ValueError("mass matrix degenerate even at degree 1")
         warnings.warn("degenerate basis at degree %d; reducing" % degree)
-        return harmonic_rayleigh_min(mesh, constraint, degree - 1, x0=x0, quad=quad)
+        return harmonic_rayleigh_min(mesh, constraint, degree - 1, x0=x0)
     return float(scipy.linalg.eigvalsh(a_p, b_p)[0])
 
 
@@ -153,10 +151,9 @@ def spectral_estimate(
     mu2: float | None = None,
 ) -> SpectralEstimate:
     """Assemble both Galerkin estimates and, when mu2 is given, the lower bound."""
-    quad = domain_quadrature(mesh)
     x0_arr = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
-    mu0_upper = harmonic_rayleigh_min(mesh, "point", degree, x0=x0_arr, quad=quad)
-    mubar_upper = harmonic_rayleigh_min(mesh, "mean_zero", degree, quad=quad)
+    mu0_upper = harmonic_rayleigh_min(mesh, "point", degree, x0=x0_arr)
+    mubar_upper = harmonic_rayleigh_min(mesh, "mean_zero", degree)
     lower = None if mu2 is None else mu0_lower_bound(r_interior, area, mu2)
     return SpectralEstimate(
         mu0_upper=mu0_upper,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .fem import TorsionField, boundary_normal_derivative, generate_mesh, solve_torsion
 from .geometry import (
+    DIM,
     BoundaryTrace,
     GeometrySummary,
     StarDomain,
@@ -33,8 +34,6 @@ from .geometry import (
 )
 from .oracles import GradientBounds, gradient_bounds
 from .spectral import SpectralEstimate, mu2_lower_convex, spectral_estimate, unit_ball_volume
-
-_DIM = 2
 
 THEOREMS = ("main", "main_cm", "hk", "mean_convex", "obvp")
 BRANCHES = ("high_dim", "low_dim")
@@ -63,7 +62,7 @@ def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: Geometry
     diff = h0 - h
     min_h = float(np.min(h))
     if min_h > 0.0:
-        hk = float(np.sum(w / h)) - _DIM * summary.area
+        hk = float(np.sum(w / h)) - DIM * summary.area
         u_nu = boundary_normal_derivative(field, trace.thetas)
         obvp = float(np.sum(w * np.abs(u_nu - 1.0 / h)))
     elif min_h == 0.0:
@@ -154,14 +153,14 @@ def assemble_constants(
         raise ValueError("unknown theorem %r" % theorem)
     if branch not in BRANCHES:
         raise ValueError("unknown branch %r" % branch)
-    n = float(_DIM)
+    n = float(DIM)
     area = summary.area
     d = summary.diameter
     r_i = summary.r_interior
     r_e = summary.r_exterior
-    a_n = a_constant(_DIM)
-    c_n = 1.5 if _DIM == 2 else n / 2.0
-    omega = unit_ball_volume(_DIM)
+    a_n = a_constant(DIM)
+    c_n = 1.5
+    omega = unit_ball_volume(DIM)
     tr: dict[str, float] = {
         "a_N": a_n,
         "c_N": c_n,
@@ -184,26 +183,26 @@ def assemble_constants(
         if theorem in ("main", "main_cm"):
             k_n = a_n * (n - 1.0) ** ex * c_n
             c_stab = k_n * d * (d + r_e) / (mu ** (2.0 * ex) * area ** (1.0 / n) * r_e)
-            alpha = _alpha_constant(_DIM, cubed=False)
+            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * r_i ** (n + 2.0)
         elif theorem == "hk":
             k_n = a_n * (n - 1.0) ** ex
             c_stab = k_n * m_grad ** (n * ex) / (mu ** (2.0 * ex) * area ** (1.0 / n))
-            alpha = _alpha_constant(_DIM, cubed=False)
+            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
         elif theorem == "mean_convex":
             k_n = a_n * (n * (n - 1.0)) ** ex
             c_stab = k_n * m_grad ** (n * ex) / (
                 mu ** (2.0 * ex) * area ** (1.0 / n - ex) * min_h**ex
             )
-            alpha = _alpha_constant(_DIM, cubed=True)
+            alpha = _alpha_constant(DIM, cubed=True)
             eps = alpha * (min_h / area) * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
         else:  # obvp
             k_n = a_n * (n - 1.0) ** ex
             c_stab = k_n * m_grad ** ((n + 1.0) * ex) / (
                 mu ** (2.0 * ex) * area ** (1.0 / n) * r_i**ex
             )
-            alpha = _alpha_constant(_DIM, cubed=False)
+            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * m_grad * r_i ** (n + 3.0)
         tr.update({"k_N": k_n, "alpha_N": alpha, "tau": ex})
         return c_stab, eps, tr
@@ -211,7 +210,7 @@ def assemble_constants(
     # low-dimension branch: tau = 1/2, requires the embedding constant
     if params.sobolev_c is None:
         raise ValueError("low_dim branch requires params.sobolev_c")
-    gamma = params.gamma if _DIM == 2 else 0.5
+    gamma = params.gamma
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1), got %g" % gamma)
     base = 2.0 * omega ** (1.0 / n) * params.sobolev_c * d**gamma * (1.0 + mu) / mu
@@ -233,16 +232,17 @@ def check_stability(
     summary: GeometrySummary,
     field: TorsionField,
     spectral: SpectralEstimate,
+    dev: DeviationNorms,
     params: StabilityParams = StabilityParams(),
     branch: str = "high_dim",
 ) -> StabilityReport:
     """Evaluate one stability inequality on a solved domain.
 
-    The harmonic-Poincare constant defaults to the explicit lower bound
+    dev holds the deviation norms of this domain (see deviation_norms).  The
+    harmonic-Poincare constant defaults to the explicit lower bound
     (conservative: it only weakens the inequality being verified) and falls
     back to the Galerkin upper estimate when no lower bound is available.
     """
-    dev = deviation_norms(trace, field, summary)
     if theorem == "main_cm":
         z = summary.center_of_mass
     else:
@@ -342,6 +342,7 @@ class DomainAnalysis:
     field: TorsionField
     spectral: SpectralEstimate
     grad_bounds: GradientBounds
+    deviation: DeviationNorms
     reports: list[StabilityReport]
 
 
@@ -354,7 +355,11 @@ def analyze_domain(
     params: StabilityParams = StabilityParams(),
     branches=("high_dim",),
 ) -> DomainAnalysis:
-    """Full pipeline: mesh, solve, trace, spectral constants, stability checks."""
+    """Full pipeline: mesh, solve, trace, spectral constants, stability checks.
+
+    The deviation norms are computed once and shared by every report; with
+    theorems=() the result carries the spectral constants and no reports.
+    """
     trace = boundary_trace(domain, n_trace)
     summary = geometry_summary(domain, trace)
     mesh = generate_mesh(domain, n_radial, n_angular)
@@ -365,7 +370,8 @@ def analyze_domain(
         x0 = summary.center_of_mass
     else:
         raise ValueError("x0_policy must be 'min_point' or 'center_of_mass', got %r" % params.x0_policy)
-    if float(np.min(trace.curvatures)) > 0.0:
+    if float(np.min(trace.curvatures)) >= 0.0:
+        # convex (H >= 0): the Payne-Weinberger bound pi^2/d^2 holds
         mu2 = mu2_lower_convex(summary.diameter)
     else:
         mu2 = params.mu2
@@ -377,16 +383,19 @@ def analyze_domain(
         x0=x0,
         mu2=mu2,
     )
-    reports = []
-    for theorem in theorems:
-        for branch in branches:
-            reports.append(check_stability(theorem, trace, summary, field, spec, params, branch))
+    dev = deviation_norms(trace, field, summary)
+    reports = [
+        check_stability(theorem, trace, summary, field, spec, dev, params, branch)
+        for theorem in theorems
+        for branch in branches
+    ]
     return DomainAnalysis(
         domain=domain,
         trace=trace,
         summary=summary,
         field=field,
         spectral=spec,
-        grad_bounds=gradient_bounds(summary, dim=_DIM, c0=params.c0),
+        grad_bounds=gradient_bounds(summary, dim=DIM, c0=params.c0),
+        deviation=dev,
         reports=reports,
     )

@@ -120,9 +120,8 @@ def test_c05_f_kappa_supremum():
 
 def test_c06_spectral(disk_analysis, ellipse_analysis, cos3_analysis):
     mesh = disk_analysis.field.mesh
-    quad = fem.domain_quadrature(mesh)
-    mu0 = spectral.harmonic_rayleigh_min(mesh, "point", 4, x0=np.zeros(2), quad=quad)
-    mubar = spectral.harmonic_rayleigh_min(mesh, "mean_zero", 4, quad=quad)
+    mu0 = spectral.harmonic_rayleigh_min(mesh, "point", 4, x0=np.zeros(2))
+    mubar = spectral.harmonic_rayleigh_min(mesh, "mean_zero", 4)
     assert abs(mu0 - 4.0) <= 0.04
     assert abs(mubar - 4.0) <= 0.04
     assert abs(spectral.mu0_lower_bound(1.0, np.pi, 3.390) - 0.5466) <= 1e-3

@@ -1,10 +1,14 @@
 import json
+import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from bubblestab import cli
+from bubblestab import cli, geometry
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 DISK_SMALL = {
     "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 2},
@@ -16,6 +20,13 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def test_ellipse_config_is_exact_ellipse():
+    cfg_domain = cli._domain_from_config(cli.load_config(str(CONFIGS / "ellipse.json")))
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    exact = geometry.StarDomain.ellipse(1.5, 1.0).radius(theta)
+    assert np.max(np.abs(cfg_domain.radius(theta) - exact)) <= 1e-14
 
 
 def test_load_config_fills_defaults(tmp_path):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bubblestab import fem, geometry
+from bubblestab import fem, geometry, identities
 
 
 def disk_exact(nodes, radius=1.0):
@@ -94,13 +94,23 @@ def test_domain_quadrature_moments():
 
 
 def test_harmonic_deficit_field_disk():
-    # with z at the center and a = R^2 the quadratic equals u, so h = q - u
-    # is numerically tiny and its Hessian defect integral is the fem error
+    # on the unit disk u equals q = (|x|^2 - 1)/2, so h = q - u is
+    # numerically tiny and its Hessian defect integral is the fem error
     disk = geometry.StarDomain.disk()
     field = fem.solve_torsion(fem.generate_mesh(disk, 16, 64))
-    h, gh, hess_sq = fem.harmonic_deficit_field(field, np.zeros(2), 1.0)
-    assert np.max(np.abs(h)) < 1e-5
-    assert hess_sq < 1e-3
+    q = 0.5 * (np.einsum("ic,ic->i", field.space.node_xy, field.space.node_xy) - 1.0)
+    assert np.max(np.abs(q - field.u)) < 1e-5
+    assert identities.cs_deficit(field).hessian_h_sq < 1e-3
+
+
+def test_solve_shares_mesh_quadrature():
+    # one P2 space per mesh: the solve and domain_quadrature read the same arrays
+    mesh = fem.generate_mesh(geometry.StarDomain.disk(), 8, 32)
+    field = fem.solve_torsion(mesh)
+    assert field.space is mesh.space
+    pts, wts = fem.domain_quadrature(mesh)
+    assert np.shares_memory(pts, field.qp_points)
+    assert np.shares_memory(wts, field.qp_weights)
 
 
 def test_solver_determinism():

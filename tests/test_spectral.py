@@ -22,9 +22,8 @@ def test_disk_point_constrained_minimum(disk_mesh):
 
 
 def test_upper_estimates_monotone_in_degree(disk_mesh):
-    quad = fem.domain_quadrature(disk_mesh)
     vals = [
-        spectral.harmonic_rayleigh_min(disk_mesh, "point", d, x0=np.zeros(2), quad=quad)
+        spectral.harmonic_rayleigh_min(disk_mesh, "point", d, x0=np.zeros(2))
         for d in (2, 4, 8, 12)
     ]
     for lo, hi in zip(vals[1:], vals[:-1]):
@@ -32,9 +31,8 @@ def test_upper_estimates_monotone_in_degree(disk_mesh):
 
 
 def test_mean_zero_below_point_constraint(disk_mesh):
-    quad = fem.domain_quadrature(disk_mesh)
-    mubar = spectral.harmonic_rayleigh_min(disk_mesh, "mean_zero", 8, quad=quad)
-    mu0 = spectral.harmonic_rayleigh_min(disk_mesh, "point", 8, x0=np.zeros(2), quad=quad)
+    mubar = spectral.harmonic_rayleigh_min(disk_mesh, "mean_zero", 8)
+    mu0 = spectral.harmonic_rayleigh_min(disk_mesh, "point", 8, x0=np.zeros(2))
     assert mubar <= mu0 + 1e-12
     assert mubar > 0.0
 

@@ -136,7 +136,42 @@ def test_nonpositive_curvature_rejections():
     )
     for theorem in ("hk", "obvp", "mean_convex"):
         with pytest.raises(ValueError):
-            stability.check_stability(theorem, trace, summary, field, spec)
+            stability.check_stability(theorem, trace, summary, field, spec, dev)
+
+
+def test_analyze_domain_computes_deviation_once(monkeypatch):
+    calls = {"deviation_norms": 0, "boundary_normal_derivative": 0}
+
+    def counted(name):
+        fn = getattr(stability, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stability, name, counted(name))
+    analysis = stability.analyze_domain(
+        geometry.StarDomain.ellipse(1.5, 1.0),
+        n_radial=8,
+        n_angular=32,
+        n_trace=256,
+        theorems=stability.THEOREMS,
+        params=stability.StabilityParams(sobolev_c=1.0),
+        branches=stability.BRANCHES,
+    )
+    assert len(analysis.reports) == 10
+    assert calls == {"deviation_norms": 1, "boundary_normal_derivative": 1}
+
+
+def test_sweep_uses_convex_lower_bound(sweep_analyses):
+    # every cos3 domain with t <= 0.1 is convex (min H = 0 exactly at t = 0.1),
+    # so mu comes from the rigorous lower bound, never the Galerkin upper estimate
+    for t, a in sweep_analyses:
+        assert float(np.min(a.trace.curvatures)) >= 0.0, t
+        assert all(r.mu_source == "lower_bound" for r in a.reports), t
 
 
 def test_bad_x0_policy():
