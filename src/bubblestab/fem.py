@@ -16,6 +16,7 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import DIM, StarDomain
 
@@ -38,6 +39,7 @@ class SolverError(RuntimeError):
 _REF_NODES = np.array(
     [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
 )
+_EDGE_LOCALS = np.array([[0, 1], [1, 2], [2, 0]])
 
 # second derivatives of the shape functions in reference coords (constant)
 _D2N = np.array(
@@ -134,6 +136,9 @@ def _jacobians(coords: np.ndarray, dn: np.ndarray):
 
 # -- mesh --------------------------------------------------------------------
 
+# ratio of the center radial spacing to the boundary one
+_GRADING = 1.2
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TriMesh:
@@ -162,22 +167,21 @@ class TriMesh:
         return _P2Space(self)
 
 
-def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int, grading: float = 1.2) -> TriMesh:
+def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     """Fan-plus-rings triangulation, radially graded toward the boundary.
 
-    The grading ratio is the total center-to-boundary spacing ratio; per-step
-    spacing shrinks geometrically so that the first (center) spacing is
-    ``grading`` times the last (boundary) one.  Counts: 1 + n_radial*n_angular
-    vertices and n_angular*(2*n_radial - 1) positively oriented triangles.
+    Per-step radial spacing shrinks geometrically so that the first (center)
+    spacing is _GRADING times the last (boundary) one.  Counts:
+    1 + n_radial*n_angular vertices and n_angular*(2*n_radial - 1) positively
+    oriented triangles: the center fan, then for each ring j and sector i the
+    pair (a, d, c), (a, c, b) with a, b on ring j and d, c on ring j + 1.
     """
     if n_radial < 4:
         raise MeshError("n_radial must be >= 4, got %d" % n_radial)
     if n_angular < 16 or n_angular % 4 != 0:
         raise MeshError("n_angular must be a multiple of 4 and >= 16, got %d" % n_angular)
-    if grading < 1.0:
-        raise MeshError("grading must be >= 1, got %g" % grading)
 
-    q = grading ** (1.0 / (n_radial - 1)) if n_radial > 1 else 1.0
+    q = _GRADING ** (1.0 / (n_radial - 1))
     spacing = q ** (-np.arange(n_radial, dtype=float))
     s = np.cumsum(spacing) / np.sum(spacing)
     s[-1] = 1.0
@@ -189,24 +193,16 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int, grading: fl
     nv = 1 + n_radial * n_angular
     verts = np.empty((nv, 2))
     verts[0] = domain.center
-    for j in range(n_radial):
-        lo = 1 + j * n_angular
-        verts[lo : lo + n_angular, 0] = domain.center[0] + s[j] * rho * ct
-        verts[lo : lo + n_angular, 1] = domain.center[1] + s[j] * rho * st
+    verts[1:, 0] = (domain.center[0] + s[:, None] * rho * ct).ravel()
+    verts[1:, 1] = (domain.center[1] + s[:, None] * rho * st).ravel()
 
-    def vid(i: int, j: int) -> int:
-        return 1 + (j - 1) * n_angular + (i % n_angular)
-
-    tris = []
-    for i in range(n_angular):
-        tris.append((0, vid(i, 1), vid(i + 1, 1)))
-    for j in range(1, n_radial):
-        for i in range(n_angular):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, d, c))
-            tris.append((a, c, b))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # vid[j - 1, i] is the id of vertex i (mod n_angular) on ring j
+    vid = 1 + n_angular * np.arange(n_radial)[:, None] + np.arange(n_angular + 1) % n_angular
+    a, b = vid[:-1, :-1], vid[:-1, 1:]
+    c, d = vid[1:, 1:], vid[1:, :-1]
+    fan = np.stack([np.zeros(n_angular, dtype=np.int64), vid[0, :-1], vid[0, 1:]], axis=-1)
+    rings = np.stack([np.stack([a, d, c], axis=-1), np.stack([a, c, b], axis=-1)], axis=2)
+    triangles = np.concatenate([fan, rings.reshape(-1, 3)])
 
     p = verts[triangles]
     signed = 0.5 * (
@@ -216,9 +212,9 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int, grading: fl
     if np.any(signed <= 0.0):
         raise MeshError("mesh has a degenerate or inverted triangle")
 
-    bedges = np.asarray([(vid(i, n_radial), vid(i + 1, n_radial)) for i in range(n_angular)], dtype=np.int64)
-    dtheta = 2.0 * np.pi / n_angular
-    bthetas = np.asarray([(i * dtheta, (i + 1) * dtheta) for i in range(n_angular)])
+    bedges = np.stack([vid[-1, :-1], vid[-1, 1:]], axis=-1)
+    edge_theta = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
+    bthetas = np.stack([edge_theta[:-1], edge_theta[1:]], axis=-1)
 
     edge_vec = np.concatenate(
         [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
@@ -255,44 +251,36 @@ class _P2Space:
         nv = mesh.vertices.shape[0]
         nt = tris.shape[0]
 
-        edge_id: dict[tuple[int, int], int] = {}
+        # edges numbered in order of first appearance, triangle by triangle
+        ends = tris[:, _EDGE_LOCALS]                         # (nt, 3, 2)
+        lo, hi = ends.min(axis=-1).ravel(), ends.max(axis=-1).ravel()
+        keys = lo * nv + hi
+        ukeys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
         tri_nodes = np.empty((nt, 6), dtype=np.int64)
         tri_nodes[:, :3] = tris
-        edge_locals = ((0, 1), (1, 2), (2, 0))
-        edge_tri: dict[tuple[int, int], tuple[int, int]] = {}
-        for t in range(nt):
-            for le, (la, lb) in enumerate(edge_locals):
-                a, b = int(tris[t, la]), int(tris[t, lb])
-                key = (a, b) if a < b else (b, a)
-                eid = edge_id.get(key)
-                if eid is None:
-                    eid = len(edge_id)
-                    edge_id[key] = eid
-                    edge_tri[key] = (t, le)
-                tri_nodes[t, 3 + le] = nv + eid
+        tri_nodes[:, 3:] = nv + rank[inverse].reshape(nt, 3)
 
-        n_nodes = nv + len(edge_id)
+        n_nodes = nv + ukeys.size
         node_xy = np.empty((n_nodes, 2))
         node_xy[:nv] = mesh.vertices
-        for (a, b), eid in edge_id.items():
-            node_xy[nv + eid] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        e_first = first[order]
+        node_xy[nv:] = 0.5 * (mesh.vertices[lo[e_first]] + mesh.vertices[hi[e_first]])
 
         # curve the boundary midside nodes and record the boundary element map
+        bed = mesh.boundary_edges
+        k = np.searchsorted(ukeys, bed.min(axis=1) * nv + bed.max(axis=1))
+        mid = nv + rank[k]
+        th = mesh.boundary_thetas
+        node_xy[mid] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
         dirichlet = np.zeros(n_nodes, dtype=bool)
-        n_b = mesh.boundary_edges.shape[0]
-        self.b_tri = np.empty(n_b, dtype=np.int64)
-        self.b_local = np.empty(n_b, dtype=np.int64)   # local edge id in its triangle
-        self.b_forward = np.empty(n_b, dtype=bool)
-        for i, (pq, th) in enumerate(zip(mesh.boundary_edges, mesh.boundary_thetas)):
-            a, b = int(pq[0]), int(pq[1])
-            key = (a, b) if a < b else (b, a)
-            t, le = edge_tri[key]
-            mid = nv + edge_id[key]
-            node_xy[mid] = mesh.domain.point(0.5 * (th[0] + th[1]))
-            dirichlet[[a, b, mid]] = True
-            self.b_tri[i] = t
-            self.b_local[i] = le
-            self.b_forward[i] = int(tris[t, edge_locals[le][0]]) == a
+        dirichlet[bed.ravel()] = True
+        dirichlet[mid] = True
+        self.b_tri = first[k] // 3
+        self.b_local = first[k] % 3                      # local edge id in its triangle
+        self.b_forward = tris[self.b_tri, _EDGE_LOCALS[self.b_local, 0]] == bed[:, 0]
 
         self.tri_nodes = tri_nodes
         self.node_xy = node_xy
@@ -311,16 +299,23 @@ class _P2Space:
 
     def ref_point_on_boundary(self, sector: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Reference coords of the boundary point at edge fraction tau."""
-        edge_locals = np.array(((0, 1), (1, 2), (2, 0)))
-        la = edge_locals[self.b_local[sector], 0]
-        lb = edge_locals[self.b_local[sector], 1]
+        la, lb = _EDGE_LOCALS[self.b_local[sector]].T
         tt = np.where(self.b_forward[sector], tau, 1.0 - tau)
-        ref_v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        ref_v = _REF_NODES[:3]
         return ref_v[la] * (1.0 - tt)[:, None] + ref_v[lb] * tt[:, None]
 
 
-def _pcg(a_mat, b: np.ndarray, rtol: float, max_iter: int):
-    """Jacobi-preconditioned conjugate gradients; returns (x, relres, iters)."""
+# relative residual at which conjugate gradients stop
+_CG_RTOL = 1e-10
+
+
+def _pcg(a_mat, b: np.ndarray):
+    """Jacobi-preconditioned conjugate gradients; returns (x, relres, iters).
+
+    Stops at relative residual _CG_RTOL; raises SolverError after
+    50 sqrt(n) + 10 iterations.
+    """
+    max_iter = int(50 * np.sqrt(b.size)) + 10
     diag = a_mat.diagonal()
     if np.any(diag <= 0.0):
         raise SolverError("stiffness diagonal not positive", residual=np.inf)
@@ -339,7 +334,7 @@ def _pcg(a_mat, b: np.ndarray, rtol: float, max_iter: int):
         x += alpha * p
         r -= alpha * ap
         rn = float(np.linalg.norm(r))
-        if rn <= rtol * bnorm:
+        if rn <= _CG_RTOL * bnorm:
             return x, rn / bnorm, it
         z = minv * r
         rz_new = float(r @ z)
@@ -380,6 +375,19 @@ class TorsionField:
     space: "_P2Space"
 
 
+def _grad_hess(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np.ndarray, dn: np.ndarray):
+    """Gradient and Hessian of the FE solution at one reference point per element.
+
+    dn (6, 2) holds the shape-function derivatives at that point; href and
+    cmap are the constant reference Hessian and map curvature terms.
+    """
+    _, inv = _jacobians(space.coords, dn)
+    gref = np.einsum("tk,kd->td", u_el, dn)
+    g = np.einsum("td,tdc->tc", gref, inv)
+    tmp = href - np.einsum("tc,tcde->tde", g, cmap)
+    return g, np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+
+
 def _element_fields(space: _P2Space, u_full: np.ndarray):
     """Per-quadrature-point u, gradient, Hessian."""
     coords = space.coords
@@ -391,12 +399,7 @@ def _element_fields(space: _P2Space, u_full: np.ndarray):
     qp_g = np.empty((nt, 7, 2))
     qp_h = np.empty((nt, 7, 2, 2))
     for qi in range(7):
-        _, inv = _jacobians(coords, _DN_AT_QP[qi])
-        gref = np.einsum("tk,kd->td", u_el, _DN_AT_QP[qi])
-        g = np.einsum("td,tdc->tc", gref, inv)
-        qp_g[:, qi] = g
-        tmp = href - np.einsum("tc,tcde->tde", g, cmap)
-        qp_h[:, qi] = np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+        qp_g[:, qi], qp_h[:, qi] = _grad_hess(space, u_el, href, cmap, _DN_AT_QP[qi])
     return qp_u, qp_g, qp_h, href, cmap, u_el
 
 
@@ -407,11 +410,7 @@ def _recover_nodal(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np
     hess = np.zeros((nn, 2, 2))
     wsum = np.zeros(nn)
     for k in range(6):
-        _, inv = _jacobians(space.coords, _DN_AT_NODES[k])
-        gref = np.einsum("tk,kd->td", u_el, _DN_AT_NODES[k])
-        g = np.einsum("td,tdc->tc", gref, inv)
-        tmp = href - np.einsum("tc,tcde->tde", g, cmap)
-        hx = np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+        g, hx = _grad_hess(space, u_el, href, cmap, _DN_AT_NODES[k])
         idx = space.tri_nodes[:, k]
         np.add.at(grad, idx, areas[:, None] * g)
         np.add.at(hess, idx, areas[:, None, None] * hx)
@@ -461,51 +460,24 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     umin = float(np.min(u_full))
     tol = 1e-9 * umax
     cand = np.nonzero(u_full <= umin + tol)[0]
-    cand_set = set(int(c) for c in cand)
 
-    node_els: dict[int, list[int]] = {}
-    for t, nodes in enumerate(space.tri_nodes):
-        for nd in nodes:
-            nd = int(nd)
-            if nd in cand_set:
-                node_els.setdefault(nd, []).append(t)
-
-    # connected components through shared elements
-    parent = {c: c for c in cand_set}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t in set(t for lst in node_els.values() for t in lst):
-        members = [int(nd) for nd in space.tri_nodes[t] if int(nd) in cand_set]
-        for m in members[1:]:
-            ra, rb = find(members[0]), find(m)
-            if ra != rb:
-                parent[rb] = ra
-
-    comps: dict[int, list[int]] = {}
-    for c in cand_set:
-        comps.setdefault(find(c), []).append(c)
-
-    tris_of_node: dict[int, list[int]] = {}
-    for t, nodes in enumerate(space.tri_nodes):
-        for nd in nodes:
-            tris_of_node.setdefault(int(nd), []).append(t)
+    # node x element incidence; candidates sharing an element are clustered
+    nt = space.tri_nodes.shape[0]
+    inc = sp.csr_matrix(
+        (np.ones(6 * nt), (space.tri_nodes.ravel(), np.repeat(np.arange(nt), 6))),
+        shape=(space.n_nodes, nt),
+    )
+    n_comp, labels = connected_components(inc[cand] @ inc[cand].T, directed=False)
 
     out = []
-    for comp in comps.values():
-        seed = min(comp, key=lambda c: (u_full[c], c))
-        ring = set(comp)
+    for ci in range(n_comp):
+        comp = cand[labels == ci]
+        seed = comp[np.lexsort((comp, u_full[comp]))[0]]
+        ring = np.zeros(space.n_nodes)
+        ring[comp] = 1.0
         for _ in range(2):
-            grown = set(ring)
-            for nd in ring:
-                for t in tris_of_node.get(nd, []):
-                    grown.update(int(x) for x in space.tri_nodes[t])
-            ring = grown
-        patch = np.asarray(sorted(ring), dtype=np.int64)
+            ring = inc @ (inc.T @ ring > 0)
+        patch = np.nonzero(ring)[0]
         xy = space.node_xy[patch] - space.node_xy[seed]
         scale = max(float(np.max(np.abs(xy))), 1e-30)
         xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
@@ -523,11 +495,12 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = None) -> TorsionField:
+def solve_torsion(mesh: TriMesh) -> TorsionField:
     """Solve laplace(u) = 2 with u = 0 on the boundary; recover derivatives.
 
-    The iteration cap defaults to 50 sqrt(ndof).  Raises SolverError when the
-    cap is reached before the relative residual drops below rtol.
+    Raises SolverError when conjugate gradients reach the cap of
+    50 sqrt(ndof) + 10 iterations before the relative residual drops below
+    _CG_RTOL.
     """
     space = mesh.space
     nt = space.tri_nodes.shape[0]
@@ -550,9 +523,7 @@ def solve_torsion(mesh: TriMesh, rtol: float = 1e-10, max_iter: int | None = Non
     interior = np.nonzero(~space.dirichlet)[0]
     a_in = a_full[interior, :][:, interior]
     b_in = f_full[interior]
-    if max_iter is None:
-        max_iter = int(50 * np.sqrt(interior.size)) + 10
-    x, relres, iters = _pcg(a_in, b_in, rtol=rtol, max_iter=max_iter)
+    x, relres, iters = _pcg(a_in, b_in)
 
     u_full = np.zeros(space.n_nodes)
     u_full[interior] = x

@@ -145,9 +145,12 @@ def f_kappa(kappa, dim: int, mode: str = "derived"):
         N = 2:   (2 k^2 log(1/k) + k^2 - 1) / (2 (1-k) log(1/k))
         N >= 3:  (2 k^N - N k^2 + N - 2) / (2 (1-k) (1-k^(N-2)))
     mode="derived" evaluates -w'(r) * r / (R (R - r)) with the annulus torsion
-    on r = kappa, R = 1.  For N >= 3 the two coincide identically; for N = 2
-    the printed branch is the negative of the derived one (the derived branch
-    is the positive quantity the comparison argument needs).
+    on r = kappa, R = 1.  For N >= 3 the two coincide identically, and the
+    derived branch is evaluated with the double root of the numerator at
+    k = 1 divided out, free of cancellation as k -> 1:
+        [(N-2)/2 + sum_{m=1}^{N-2} (N-1-m) k^m] / sum_{j=0}^{N-3} k^j.
+    For N = 2 the printed branch is the negative of the derived one (the
+    derived branch is the positive quantity the comparison argument needs).
     """
     k = np.asarray(kappa, dtype=float)
     if np.any((k <= 0.0) | (k >= 1.0)):
@@ -161,13 +164,15 @@ def f_kappa(kappa, dim: int, mode: str = "derived"):
         else:
             out = (2.0 * k**dim - dim * k * k + dim - 2.0) / (2.0 * (1.0 - k) * (1.0 - k ** (dim - 2)))
     elif mode == "derived":
-        # -w'(r) r / (R (R - r)) for the annulus r = kappa, R = 1, with w'
-        # taken from the closed form (annulus_torsion at rho = r)
         if dim == 2:
+            # -w'(r) r / (R (R - r)) for the annulus r = kappa, R = 1, with w'
+            # taken from the closed form (annulus_torsion at rho = r)
             dw = k + 0.5 * (1.0 - k * k) / (np.log(k) * k)
+            out = -dw * k / (1.0 - k)
         else:
-            dw = k + 0.5 * (1.0 - k * k) * (2 - dim) / ((1.0 - k ** (dim - 2)) * k)
-        out = -dw * k / (1.0 - k)
+            # numerator coefficients 1, 2, ..., N-2, (N-2)/2 from k^(N-2) to k^0
+            num = np.polyval(np.append(np.arange(1.0, dim - 1), 0.5 * (dim - 2)), k)
+            out = num / np.polyval(np.ones(dim - 2), k)
     else:
         raise ValueError("mode must be 'printed' or 'derived', got %r" % mode)
     return float(out) if np.ndim(out) == 0 else out

@@ -143,3 +143,58 @@ def test_boundary_midside_nodes_on_curve():
     a, b = 1.5, 1.0
     lvl = pts[:, 0] ** 2 / a**2 + pts[:, 1] ** 2 / b**2
     assert np.max(np.abs(lvl - 1.0)) < 1e-4  # truncated Fourier boundary
+
+
+def _reference_edge_tables(mesh):
+    # the dict loop that numbered P2 edges before the array version; kept as
+    # the reference the vectorised tables must reproduce exactly
+    tris = mesh.triangles
+    nv = mesh.vertices.shape[0]
+    edge_locals = ((0, 1), (1, 2), (2, 0))
+    edge_id, edge_tri = {}, {}
+    tri_nodes = np.empty((tris.shape[0], 6), dtype=np.int64)
+    tri_nodes[:, :3] = tris
+    for t in range(tris.shape[0]):
+        for le, (la, lb) in enumerate(edge_locals):
+            a, b = int(tris[t, la]), int(tris[t, lb])
+            key = (a, b) if a < b else (b, a)
+            if key not in edge_id:
+                edge_id[key] = len(edge_id)
+                edge_tri[key] = (t, le)
+            tri_nodes[t, 3 + le] = nv + edge_id[key]
+    b_tri, b_local, b_forward, b_mid = [], [], [], []
+    for a, b in mesh.boundary_edges:
+        key = (min(a, b), max(a, b))
+        t, le = edge_tri[key]
+        b_tri.append(t)
+        b_local.append(le)
+        b_forward.append(int(tris[t, edge_locals[le][0]]) == a)
+        b_mid.append(nv + edge_id[key])
+    return tri_nodes, np.array(b_tri), np.array(b_local), np.array(b_forward), np.array(b_mid)
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (32, 128)])
+def test_p2_topology_matches_reference_loop(n_radial, n_angular):
+    dom = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
+    mesh = fem.generate_mesh(dom, n_radial, n_angular)
+    space = mesh.space
+    tri_nodes, b_tri, b_local, b_forward, b_mid = _reference_edge_tables(mesh)
+    assert np.array_equal(space.tri_nodes, tri_nodes)
+    assert np.array_equal(space.b_tri, b_tri)
+    assert np.array_equal(space.b_local, b_local)
+    assert np.array_equal(space.b_forward, b_forward)
+    th_mid = mesh.boundary_thetas.mean(axis=1)
+    on_curve = np.array([dom.point(th) for th in th_mid])
+    assert np.max(np.abs(space.node_xy[b_mid] - on_curve)) <= 1e-15
+
+
+def test_min_points_finds_both_minima():
+    # rho = 1 + 0.5 cos 2theta is symmetric under the point reflection about
+    # its center, and u has one minimum in each lobe
+    center = np.array([0.2, -0.1])
+    dom = geometry.StarDomain(1.0, [0.0, 0.5], center=center)
+    field = fem.solve_torsion(fem.generate_mesh(dom, 16, 64))
+    assert field.min_points.shape == (2, 2)
+    assert np.max(np.abs(field.min_points[0] + field.min_points[1] - 2.0 * center)) < 1e-9
+    assert field.min_points[0][0] < center[0] - 0.4
+    assert field.min_points[1][0] > center[0] + 0.4

@@ -95,6 +95,14 @@ def test_f_sup_low_dimensions_match_claim():
         assert not rec.discrepancy
 
 
+def test_f_sup_n7_no_false_alarm():
+    # the sup sits at the kappa -> 1 limit N/2; cancellation near kappa = 1
+    # must not push the scan above it
+    rec = oracles.f_sup(7, "derived")
+    assert rec.computed == pytest.approx(3.5, abs=1e-12)
+    assert rec.discrepancy is False
+
+
 def test_f_sup_n2_reports_discrepancy():
     rec = oracles.f_sup(2, "derived")
     assert rec.claimed == 1.5
