@@ -5,8 +5,12 @@ Lagrange triangles.  Cells touching the boundary are isoparametric: the
 midside node of a boundary edge sits on the true curve, so the geometric
 consistency error drops to the level needed for the tight disk and ellipse
 benchmarks.  Interior cells keep affine maps (midside nodes at segment
-midpoints).  The linear system is solved by diagonally preconditioned
-conjugate gradients on a scipy CSR matrix.
+midpoints).  The element kernels work on one (nt,) array per reference point:
+J^-1 is formed once per quadrature point and solve, the element stiffness is
+one GEMM against a constant table, and only the interior block of the matrix
+is assembled.  It is solved by diagonally preconditioned conjugate gradients;
+a sparse direct factorisation is faster, but its fill raised peak memory by
+40% at 64x256.
 """
 from __future__ import annotations
 
@@ -41,17 +45,8 @@ _REF_NODES = np.array(
 )
 _EDGE_LOCALS = np.array([[0, 1], [1, 2], [2, 0]])
 
-# second derivatives of the shape functions in reference coords (constant)
-_D2N = np.array(
-    [
-        [[4.0, 4.0], [4.0, 4.0]],
-        [[4.0, 0.0], [0.0, 0.0]],
-        [[0.0, 0.0], [0.0, 4.0]],
-        [[-8.0, -4.0], [-4.0, 0.0]],
-        [[0.0, 4.0], [4.0, 0.0]],
-        [[0.0, -4.0], [-4.0, -8.0]],
-    ]
-)
+# second derivatives (xi xi, xi eta, eta eta) of the shape functions (constant)
+_D2N = np.array([[4.0, 4.0, 4.0], [4.0, 0.0, 0.0], [0.0, 0.0, 4.0], [-8.0, -4.0, 0.0], [0.0, 4.0, 0.0], [0.0, -4.0, -8.0]])
 
 
 def _shape(pts: np.ndarray) -> np.ndarray:
@@ -89,11 +84,7 @@ def _dshape(pts: np.ndarray) -> np.ndarray:
 
 # 7-point degree-5 rule; weights sum to 1, reference area factor 1/2 applied
 # at assembly time
-_QW = np.array(
-    [0.225]
-    + [0.132394152788506] * 3
-    + [0.125939180544827] * 3
-)
+_QW = np.array([0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3)
 _QA1, _QB1 = 0.059715871789770, 0.470142064105115
 _QA2, _QB2 = 0.797426985353087, 0.101286507323456
 _QP = np.array(
@@ -112,26 +103,30 @@ _DN_AT_QP = _dshape(_QP)        # (7, 6, 2)
 _DN_AT_NODES = _dshape(_REF_NODES)  # (6, 6, 2)
 
 
-def _jacobians(coords: np.ndarray, dn: np.ndarray):
-    """detJ, invJ of the element maps at one reference point per element.
+# ke = S @ _KE for an element, where S[3q:3q+3] = w_q (G00, G01, G11) and
+# G = J^-1 J^-T is the metric at quadrature point q; ke is row-major (k, l)
+_DD = _DN_AT_QP[:, :, None, :, None] * _DN_AT_QP[:, None, :, None, :]   # (q, k, l, d, e)
+_KE = np.stack([_DD[..., 0, 0], _DD[..., 0, 1] + _DD[..., 1, 0], _DD[..., 1, 1]], axis=1).reshape(21, 36)
+del _DD
 
-    coords has shape (m, 6, 2); dn has shape (6, 2) for a shared reference
-    point or (m, 6, 2) for one point per element.
+
+def _inverse_jacobian(coords: np.ndarray, dn: np.ndarray):
+    """det J and the entries a, b, c, d of J^-1 = [[a, b], [c, d]], each (m,).
+
+    J is the element map's Jacobian at one reference point per element.
+    coords has shape (m, 6, 2); dn has shape (6, 2) for a point shared by all
+    elements or (m, 6, 2) for one point per element.
     """
-    if dn.ndim == 2:
-        jac = np.einsum("tkc,kd->tcd", coords, dn)
-    else:
-        jac = np.einsum("tkc,tkd->tcd", coords, dn)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    j00 = j01 = j10 = j11 = 0.0
+    for k in range(6):
+        x, y = coords[:, k, 0], coords[:, k, 1]
+        dxi, deta = dn[..., k, 0], dn[..., k, 1]
+        j00, j01 = j00 + x * dxi, j01 + x * deta
+        j10, j11 = j10 + y * dxi, j11 + y * deta
+    det = j00 * j11 - j01 * j10
     if np.any(det <= 0.0):
         raise MeshError("non-positive Jacobian in element map")
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    return det, inv
+    return det, j11 / det, -j01 / det, -j10 / det, j00 / det
 
 
 # -- mesh --------------------------------------------------------------------
@@ -285,15 +280,13 @@ class _P2Space:
         self.tri_nodes = tri_nodes
         self.node_xy = node_xy
         self.n_nodes = n_nodes
-        self.n_vertices = nv
         self.dirichlet = dirichlet
         self.coords = node_xy[tri_nodes]          # (nt, 6, 2)
 
         self.qp_xy = np.einsum("tkc,qk->tqc", self.coords, _N_AT_QP)
         self.qp_w = np.empty((nt, 7))
-        for qi in range(7):
-            det, _ = _jacobians(self.coords, _DN_AT_QP[qi])
-            self.qp_w[:, qi] = 0.5 * _QW[qi] * det
+        for qi, dn in enumerate(_DN_AT_QP):
+            self.qp_w[:, qi] = 0.5 * _QW[qi] * _inverse_jacobian(self.coords, dn)[0]
         self.qp_xy.setflags(write=False)
         self.qp_w.setflags(write=False)
 
@@ -375,49 +368,54 @@ class TorsionField:
     space: "_P2Space"
 
 
-def _grad_hess(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np.ndarray, dn: np.ndarray):
-    """Gradient and Hessian of the FE solution at one reference point per element.
+def _grad_hess(u_el: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
+    """Gradient and Hessian entries (gx, gy, h00, h01, h11) of the FE solution
+    at one reference point per element.
 
-    dn (6, 2) holds the shape-function derivatives at that point; href and
-    cmap are the constant reference Hessian and map curvature terms.
+    dn (6, 2) holds the shape-function derivatives there and inv the entries
+    of J^-1; href and cmap = (cx, cy) hold the constant (00, 01, 11) reference
+    second derivatives of u and of the element map, each (nt, 3).
     """
-    _, inv = _jacobians(space.coords, dn)
-    gref = np.einsum("tk,kd->td", u_el, dn)
-    g = np.einsum("td,tdc->tc", gref, inv)
-    tmp = href - np.einsum("tc,tcde->tde", g, cmap)
-    return g, np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+    a, b, c, d = inv
+    gr = u_el @ dn
+    gx = gr[:, 0] * a + gr[:, 1] * c
+    gy = gr[:, 0] * b + gr[:, 1] * d
+    cx, cy = cmap
+    t00, t01, t11 = (href[:, i] - gx * cx[:, i] - gy * cy[:, i] for i in range(3))
+    h00 = a * a * t00 + 2.0 * a * c * t01 + c * c * t11
+    h01 = a * b * t00 + (a * d + b * c) * t01 + c * d * t11
+    h11 = b * b * t00 + 2.0 * b * d * t01 + d * d * t11
+    return gx, gy, h00, h01, h11
 
 
-def _element_fields(space: _P2Space, u_full: np.ndarray):
-    """Per-quadrature-point u, gradient, Hessian."""
+def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
+    """u, gradient and Hessian at the quadrature points (inv_qp holds J^-1
+    there), then nodal gradient and Hessian by area-weighted averaging."""
     coords = space.coords
     u_el = u_full[space.tri_nodes]
     nt = coords.shape[0]
-    href = np.einsum("tk,kde->tde", u_el, _D2N)          # reference Hessian, constant
-    cmap = np.einsum("tkc,kde->tcde", coords, _D2N)      # map curvature terms
-    qp_u = np.einsum("tk,qk->tq", u_el, _N_AT_QP)
+    href = u_el @ _D2N                                        # reference Hessian, constant
+    cmap = (coords[:, :, 0] @ _D2N, coords[:, :, 1] @ _D2N)   # map curvature terms
     qp_g = np.empty((nt, 7, 2))
     qp_h = np.empty((nt, 7, 2, 2))
-    for qi in range(7):
-        qp_g[:, qi], qp_h[:, qi] = _grad_hess(space, u_el, href, cmap, _DN_AT_QP[qi])
-    return qp_u, qp_g, qp_h, href, cmap, u_el
+    for qi, inv in enumerate(inv_qp):
+        gx, gy, h00, h01, h11 = _grad_hess(u_el, href, cmap, inv, _DN_AT_QP[qi])
+        qp_g[:, qi, 0], qp_g[:, qi, 1] = gx, gy
+        qp_h[:, qi, 0, 0], qp_h[:, qi, 1, 1] = h00, h11
+        qp_h[:, qi, 0, 1] = qp_h[:, qi, 1, 0] = h01
 
-
-def _recover_nodal(space: _P2Space, u_el: np.ndarray, href: np.ndarray, cmap: np.ndarray, areas: np.ndarray):
-    """Area-weighted nodal averaging of per-element derivative evaluations."""
+    # (gx, gy, h00, h01, h11, 1) x local node x element, weighted by element area
+    vals = np.empty((6, 6, nt))
+    for k, dn in enumerate(_DN_AT_NODES):
+        vals[:5, k] = _grad_hess(u_el, href, cmap, _inverse_jacobian(coords, dn)[1:], dn)
+    vals[5] = 1.0
+    vals *= np.sum(space.qp_w, axis=1)
     nn = space.n_nodes
-    grad = np.zeros((nn, 2))
-    hess = np.zeros((nn, 2, 2))
-    wsum = np.zeros(nn)
-    for k in range(6):
-        g, hx = _grad_hess(space, u_el, href, cmap, _DN_AT_NODES[k])
-        idx = space.tri_nodes[:, k]
-        np.add.at(grad, idx, areas[:, None] * g)
-        np.add.at(hess, idx, areas[:, None, None] * hx)
-        np.add.at(wsum, idx, areas)
-    grad /= wsum[:, None]
-    hess /= wsum[:, None, None]
-    return grad, hess
+    idx = space.tri_nodes.T.ravel()
+    gx, gy, h00, h01, h11, wsum = (np.bincount(idx, weights=v.ravel(), minlength=nn) for v in vals)
+    grad = np.stack([gx, gy], axis=-1) / wsum[:, None]
+    hess = np.stack([h00, h01, h01, h11], axis=-1).reshape(nn, 2, 2) / wsum[:, None, None]
+    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad, hess
 
 
 def _outward_normals(domain: StarDomain, theta: np.ndarray) -> np.ndarray:
@@ -440,13 +438,17 @@ def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) ->
     # clamp round-off spill to the sector edges
     tau = np.clip(tau, 0.0, 1.0)
     refs = space.ref_point_on_boundary(sector, tau)
-    els = space.b_tri[sector]
-    coords = space.coords[els]
+    return _eval_in_elements(space, u_full, space.b_tri[sector], refs)[1]
+
+
+def _eval_in_elements(space: _P2Space, u_full: np.ndarray, els: np.ndarray, refs: np.ndarray):
+    """u and grad u of the FE solution at reference points refs (m, 2) of elements els."""
     u_el = u_full[space.tri_nodes[els]]
     dn = _dshape(refs)                                  # (m, 6, 2)
-    _, inv = _jacobians(coords, dn)
-    gref = np.einsum("mk,mkd->md", u_el, dn)
-    return np.einsum("md,mdc->mc", gref, inv)
+    _, a, b, c, d = _inverse_jacobian(space.coords[els], dn)
+    gr0 = np.sum(u_el * dn[:, :, 0], axis=1)
+    gr1 = np.sum(u_el * dn[:, :, 1], axis=1)
+    return np.sum(u_el * _shape(refs), axis=1), np.stack([gr0 * a + gr1 * c, gr0 * b + gr1 * d], axis=-1)
 
 
 def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
@@ -495,6 +497,33 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
+def _assemble_interior(space: _P2Space, inv_qp):
+    """Stiffness matrix, load vector and node ids of the interior unknowns.
+
+    Entries touching a Dirichlet node are dropped before the CSR matrix is
+    built, so the full matrix never exists.
+    """
+    # the metric J^-1 J^-T as (00, 01, 11) per element and quadrature point
+    ke = np.stack([np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=-1) for a, b, c, d in inv_qp], axis=1)
+    ke = ((ke * space.qp_w[:, :, None]).reshape(-1, 21) @ _KE).ravel()
+    fe = (-DIM * space.qp_w) @ _N_AT_QP
+
+    interior = np.nonzero(~space.dirichlet)[0]
+    n_in = interior.size
+    dof = np.full(space.n_nodes, -1, dtype=np.int32)
+    dof[interior] = np.arange(n_in, dtype=np.int32)
+    el = dof[space.tri_nodes]
+    b_in = np.bincount(el[el >= 0], weights=fe[el >= 0], minlength=n_in)
+    rows = np.repeat(el, 6, axis=1).ravel()
+    cols = np.tile(el, 6).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    # rebinding one array at a time keeps the peak at one copy of each
+    ke = ke[keep]
+    rows = rows[keep]
+    cols = cols[keep]
+    return sp.csr_matrix((ke, (rows, cols)), shape=(n_in, n_in)), b_in, interior
+
+
 def solve_torsion(mesh: TriMesh) -> TorsionField:
     """Solve laplace(u) = 2 with u = 0 on the boundary; recover derivatives.
 
@@ -503,42 +532,22 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     _CG_RTOL.
     """
     space = mesh.space
-    nt = space.tri_nodes.shape[0]
-
-    ke = np.zeros((nt, 6, 6))
-    fe = np.zeros((nt, 6))
-    for qi in range(7):
-        _, inv = _jacobians(space.coords, _DN_AT_QP[qi])
-        gp = np.einsum("kd,tdc->tkc", _DN_AT_QP[qi], inv)
-        w = space.qp_w[:, qi]
-        ke += w[:, None, None] * np.einsum("tkc,tlc->tkl", gp, gp)
-        fe += w[:, None] * (-DIM) * _N_AT_QP[qi][None, :]
-
-    rows = np.broadcast_to(space.tri_nodes[:, :, None], (nt, 6, 6)).ravel()
-    cols = np.broadcast_to(space.tri_nodes[:, None, :], (nt, 6, 6)).ravel()
-    a_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(space.n_nodes, space.n_nodes)).tocsr()
-    f_full = np.zeros(space.n_nodes)
-    np.add.at(f_full, space.tri_nodes.ravel(), fe.ravel())
-
-    interior = np.nonzero(~space.dirichlet)[0]
-    a_in = a_full[interior, :][:, interior]
-    b_in = f_full[interior]
+    # J^-1 at the 7 quadrature points, shared by the assembly and the fields
+    inv_qp = [_inverse_jacobian(space.coords, dn)[1:] for dn in _DN_AT_QP]
+    a_in, b_in, interior = _assemble_interior(space, inv_qp)
     x, relres, iters = _pcg(a_in, b_in)
+    del a_in
 
     u_full = np.zeros(space.n_nodes)
     u_full[interior] = x
 
-    qp_u, qp_g, qp_h, href, cmap, u_el = _element_fields(space, u_full)
-    areas = np.sum(space.qp_w, axis=1)
-    grad, hess = _recover_nodal(space, u_el, href, cmap, areas)
+    qp_u, qp_g, qp_h, grad, hess = _derivatives(space, u_full, inv_qp)
 
     # boundary node parameters: edge endpoints and curved midsides
-    n_b = mesh.boundary_edges.shape[0]
-    th0 = mesh.boundary_thetas[:, 0]
-    th1 = mesh.boundary_thetas[:, 1]
+    th0, th1 = mesh.boundary_thetas.T
     bn_thetas = np.sort(np.concatenate([th0, 0.5 * (th0 + th1)]))
     bgrad = _boundary_gradient(mesh, u_full, bn_thetas)
-    u_nu = np.einsum("mc,mc->m", bgrad, _outward_normals(mesh.domain, bn_thetas))
+    u_nu = np.sum(bgrad * _outward_normals(mesh.domain, bn_thetas), axis=1)
 
     m_const = max(
         float(np.max(np.hypot(qp_g[..., 0], qp_g[..., 1]))),
@@ -571,7 +580,7 @@ def boundary_normal_derivative(field: TorsionField, thetas: np.ndarray) -> np.nd
     """u_nu at arbitrary boundary parameters (analytic outward normals)."""
     g = _boundary_gradient(field.mesh, field.u, thetas)
     nu = _outward_normals(field.mesh.domain, np.asarray(thetas, dtype=float))
-    return np.einsum("mc,mc->m", g, nu)
+    return np.sum(g * nu, axis=1)
 
 
 def eval_at_points(field: TorsionField, pts: np.ndarray):
@@ -581,8 +590,8 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     n_a, n_r = mesh.n_angular, mesh.n_radial
     s_grid = mesh.radial_fractions
-    vals = np.empty(pts.shape[0])
-    grads = np.empty((pts.shape[0], 2))
+    els = np.empty(pts.shape[0], dtype=np.int64)
+    refs = np.empty((pts.shape[0], 2))
 
     def candidates(p: np.ndarray) -> list[int]:
         rel = p - mesh.domain.center
@@ -629,25 +638,14 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
         return ref
 
     for ip, p in enumerate(pts):
-        found = False
         for t in candidates(p):
             ref = invert(t, p)
-            if ref is None:
-                continue
-            nodes = space.tri_nodes[t]
-            u_el = field.u[nodes]
-            shp = _shape(ref)
-            dn = _dshape(ref)
-            cxy = space.node_xy[nodes]
-            jac = np.einsum("kc,kd->cd", cxy, dn)
-            inv = np.linalg.inv(jac)
-            vals[ip] = float(shp @ u_el)
-            grads[ip] = (u_el @ dn) @ inv
-            found = True
-            break
-        if not found:
+            if ref is not None:
+                els[ip], refs[ip] = t, ref
+                break
+        else:
             raise MeshError("point %s not located in the mesh" % (p,))
-    return vals, grads
+    return _eval_in_elements(space, field.u, els, refs)
 
 
 def domain_quadrature(mesh: TriMesh):

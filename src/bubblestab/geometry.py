@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 from scipy.spatial import ConvexHull
+from scipy.spatial.distance import pdist
 
 
 # The package is planar only: every dimension-dependent formula reads this.
@@ -237,12 +238,13 @@ def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float, int,
     block = 256
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d = pts[None, :, :] - pts[lo:hi, None, :]        # y - x
-        dist2 = np.einsum("ijc,ijc->ij", d, d)
-        proj = np.einsum("ijc,ic->ij", d, nrm[lo:hi])    # nu . (y - x)
+        dx = pts[None, :, 0] - pts[lo:hi, 0, None]      # y - x
+        dy = pts[None, :, 1] - pts[lo:hi, 1, None]
+        proj = dx * nrm[lo:hi, 0, None] + dy * nrm[lo:hi, 1, None]    # nu . (y - x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ri = np.where(proj < -tiny, dist2 / (-2.0 * proj), np.inf)
-            re = np.where(proj > tiny, dist2 / (2.0 * proj), np.inf)
+            s = (dx * dx + dy * dy) / (2.0 * proj)
+        ri = np.where(proj < -tiny, -s, np.inf)
+        re = np.where(proj > tiny, s, np.inf)
         s_int[lo:hi] = np.minimum(cap, np.min(ri, axis=1))
         s_ext[lo:hi] = np.minimum(cap, np.min(re, axis=1))
     ai = int(np.argmin(s_int))
@@ -255,8 +257,7 @@ def _diameter(points: np.ndarray) -> float:
         hull = points[ConvexHull(points).vertices]
     except Exception:
         hull = points
-    d2 = np.sum((hull[:, None, :] - hull[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(np.max(d2)))
+    return float(np.sqrt(np.max(pdist(hull, "sqeuclidean"))))
 
 
 def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummary:

@@ -47,6 +47,50 @@ def _basis_values(pts: np.ndarray, center: np.ndarray, scale: float, degree: int
     return vals, gx, gy
 
 
+def _harmonic_gram(mesh: TriMesh, degree: int, x0: np.ndarray):
+    """Stiffness and mass Gram matrices of the harmonic basis up to `degree`
+    on the mesh's curved-cell quadrature, and the two constraint rows: the
+    basis values at x0 and the basis integrals."""
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    pts, wts = domain_quadrature(mesh)
+    center = np.asarray(mesh.domain.center, dtype=float)
+    scale = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
+    vals, gx, gy = _basis_values(pts, center, scale, degree)
+
+    wv = vals * wts[:, None]
+    a_mat = (gx * wts[:, None]).T @ gx + (gy * wts[:, None]).T @ gy
+    b_mat = wv.T @ vals
+    at_x0 = _basis_values(x0[None, :], center, scale, degree)[0][0]
+    return a_mat, b_mat, at_x0, np.sum(wv, axis=0)
+
+
+def _constrained_min(a_mat: np.ndarray, b_mat: np.ndarray, ell: np.ndarray, degree: int) -> float:
+    """Smallest eigenvalue of (a_mat, b_mat) on {c : ell . c = 0}.
+
+    The basis is nested, so a lower degree uses the leading blocks; a
+    numerically degenerate mass matrix reduces the degree with a warning.
+    """
+    m = 1 + 2 * degree
+    a_mat, b_mat, ell = a_mat[:m, :m], b_mat[:m, :m], ell[:m]
+    # Householder reflection sending ell to a multiple of e_1; drop that column
+    v = ell.copy()
+    s = float(np.linalg.norm(ell))
+    v[0] += s if ell[0] >= 0.0 else -s
+    hmat = np.eye(ell.size) - 2.0 * np.outer(v, v) / float(v @ v)
+    q = hmat[:, 1:]
+    a_p = q.T @ a_mat @ q
+    b_p = q.T @ b_mat @ q
+
+    bev = scipy.linalg.eigvalsh(b_p)
+    if bev[0] < 1e-13 * bev[-1]:
+        if degree == 1:
+            raise ValueError("mass matrix degenerate even at degree 1")
+        warnings.warn("degenerate basis at degree %d; reducing" % degree)
+        return _constrained_min(a_mat, b_mat, ell, degree - 1)
+    return float(scipy.linalg.eigvalsh(a_p, b_p)[0])
+
+
 def harmonic_rayleigh_min(
     mesh: TriMesh,
     constraint: str,
@@ -64,41 +108,11 @@ def harmonic_rayleigh_min(
     automatic degree reduction with a warning.  The integrals use the mesh's
     curved-cell quadrature.
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     if constraint not in ("point", "mean_zero"):
         raise ValueError("constraint must be 'point' or 'mean_zero', got %r" % constraint)
-    pts, wts = domain_quadrature(mesh)
-    center = np.asarray(mesh.domain.center, dtype=float)
-    scale = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
-    vals, gx, gy = _basis_values(pts, center, scale, degree)
-
-    wv = vals * wts[:, None]
-    a_mat = (gx * wts[:, None]).T @ gx + (gy * wts[:, None]).T @ gy
-    b_mat = wv.T @ vals
-
-    if constraint == "point":
-        p = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
-        ell = _basis_values(p[None, :], center, scale, degree)[0][0]
-    else:
-        ell = np.sum(wv, axis=0)
-
-    # Householder reflection sending ell to a multiple of e_1; drop that column
-    v = ell.copy()
-    s = float(np.linalg.norm(ell))
-    v[0] += s if ell[0] >= 0.0 else -s
-    hmat = np.eye(ell.size) - 2.0 * np.outer(v, v) / float(v @ v)
-    q = hmat[:, 1:]
-    a_p = q.T @ a_mat @ q
-    b_p = q.T @ b_mat @ q
-
-    bev = scipy.linalg.eigvalsh(b_p)
-    if bev[0] < 1e-13 * bev[-1]:
-        if degree == 1:
-            raise ValueError("mass matrix degenerate even at degree 1")
-        warnings.warn("degenerate basis at degree %d; reducing" % degree)
-        return harmonic_rayleigh_min(mesh, constraint, degree - 1, x0=x0)
-    return float(scipy.linalg.eigvalsh(a_p, b_p)[0])
+    x0_arr = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
+    a_mat, b_mat, at_x0, means = _harmonic_gram(mesh, degree, x0_arr)
+    return _constrained_min(a_mat, b_mat, means if constraint == "mean_zero" else at_x0, degree)
 
 
 def mu2_lower_convex(diameter: float) -> float:
@@ -152,8 +166,10 @@ def spectral_estimate(
 ) -> SpectralEstimate:
     """Assemble both Galerkin estimates and, when mu2 is given, the lower bound."""
     x0_arr = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
-    mu0_upper = harmonic_rayleigh_min(mesh, "point", degree, x0=x0_arr)
-    mubar_upper = harmonic_rayleigh_min(mesh, "mean_zero", degree)
+    # one basis and one pair of Gram matrices serve both constraints
+    a_mat, b_mat, at_x0, means = _harmonic_gram(mesh, degree, x0_arr)
+    mu0_upper = _constrained_min(a_mat, b_mat, at_x0, degree)
+    mubar_upper = _constrained_min(a_mat, b_mat, means, degree)
     lower = None if mu2 is None else mu0_lower_bound(r_interior, area, mu2)
     return SpectralEstimate(
         mu0_upper=mu0_upper,

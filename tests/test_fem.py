@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bubblestab import fem, geometry, identities
 
@@ -198,3 +200,132 @@ def test_min_points_finds_both_minima():
     assert np.max(np.abs(field.min_points[0] + field.min_points[1] - 2.0 * center)) < 1e-9
     assert field.min_points[0][0] < center[0] - 0.4
     assert field.min_points[1][0] > center[0] + 0.4
+
+
+# second derivatives of the shape functions as full 2x2 blocks, the layout the
+# einsum kernels used
+_D2N_FULL = np.array(
+    [
+        [[4.0, 4.0], [4.0, 4.0]],
+        [[4.0, 0.0], [0.0, 0.0]],
+        [[0.0, 0.0], [0.0, 4.0]],
+        [[-8.0, -4.0], [-4.0, 0.0]],
+        [[0.0, 4.0], [4.0, 0.0]],
+        [[0.0, -4.0], [-4.0, -8.0]],
+    ]
+)
+
+
+def _reference_kernels(space, u_full):
+    # the batched einsum kernels that assembled the full matrix and recovered
+    # the derivatives before the entry-wise version; kept as the reference
+    # the new kernels must reproduce
+    coords = space.coords
+    nt = coords.shape[0]
+
+    def inverse_jacobian(dn):
+        jac = np.einsum("tkc,kd->tcd", coords, dn)
+        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+        inv = np.stack([jac[:, 1, 1], -jac[:, 0, 1], -jac[:, 1, 0], jac[:, 0, 0]], axis=-1)
+        return inv.reshape(nt, 2, 2) / det[:, None, None]
+
+    ke = np.zeros((nt, 6, 6))
+    fe = np.zeros((nt, 6))
+    for qi in range(7):
+        gp = np.einsum("kd,tdc->tkc", fem._DN_AT_QP[qi], inverse_jacobian(fem._DN_AT_QP[qi]))
+        w = space.qp_w[:, qi]
+        ke += w[:, None, None] * np.einsum("tkc,tlc->tkl", gp, gp)
+        fe += w[:, None] * (-2.0) * fem._N_AT_QP[qi][None, :]
+    rows = np.broadcast_to(space.tri_nodes[:, :, None], (nt, 6, 6)).ravel()
+    cols = np.broadcast_to(space.tri_nodes[:, None, :], (nt, 6, 6)).ravel()
+    shape = (space.n_nodes, space.n_nodes)
+    a_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
+    f_full = np.zeros(space.n_nodes)
+    np.add.at(f_full, space.tri_nodes.ravel(), fe.ravel())
+    interior = np.nonzero(~space.dirichlet)[0]
+
+    u_el = u_full[space.tri_nodes]
+    href = np.einsum("tk,kde->tde", u_el, _D2N_FULL)
+    cmap = np.einsum("tkc,kde->tcde", coords, _D2N_FULL)
+
+    def grad_hess(dn):
+        inv = inverse_jacobian(dn)
+        g = np.einsum("td,tdc->tc", np.einsum("tk,kd->td", u_el, dn), inv)
+        tmp = href - np.einsum("tc,tcde->tde", g, cmap)
+        return g, np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+
+    qp_g = np.empty((nt, 7, 2))
+    qp_h = np.empty((nt, 7, 2, 2))
+    for qi in range(7):
+        qp_g[:, qi], qp_h[:, qi] = grad_hess(fem._DN_AT_QP[qi])
+    areas = np.sum(space.qp_w, axis=1)
+    grad = np.zeros((space.n_nodes, 2))
+    hess = np.zeros((space.n_nodes, 2, 2))
+    wsum = np.zeros(space.n_nodes)
+    for k in range(6):
+        g, hx = grad_hess(fem._DN_AT_NODES[k])
+        idx = space.tri_nodes[:, k]
+        np.add.at(grad, idx, areas[:, None] * g)
+        np.add.at(hess, idx, areas[:, None, None] * hx)
+        np.add.at(wsum, idx, areas)
+    return (
+        a_full[interior, :][:, interior],
+        f_full[interior],
+        np.einsum("tk,qk->tq", u_el, fem._N_AT_QP),
+        qp_g,
+        qp_h,
+        grad / wsum[:, None],
+        hess / wsum[:, None, None],
+    )
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2)),
+        geometry.StarDomain.ellipse(1.5, 1.0),
+    ],
+    ids=["fourier5", "ellipse"],
+)
+@pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (16, 64)])
+def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
+    mesh = fem.generate_mesh(domain, n_radial, n_angular)
+    space = mesh.space
+    inv_qp = [fem._inverse_jacobian(space.coords, dn)[1:] for dn in fem._DN_AT_QP]
+    a_in, b_in, _ = fem._assemble_interior(space, inv_qp)
+    # both sides differentiate the same u, so no CG round-off enters
+    u_full = fem.solve_torsion(mesh).u
+    ref = _reference_kernels(space, u_full)
+
+    a_ref = ref[0]
+    assert a_in.shape == a_ref.shape
+    assert abs(a_in - a_ref).max() <= 1e-13 * abs(a_ref).max()
+    assert np.max(np.abs(b_in - ref[1])) <= 1e-13 * np.max(np.abs(ref[1]))
+    for got, want in zip(fem._derivatives(space, u_full, inv_qp), ref[2:]):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_folded_curved_element_raises_mesh_error():
+    # rho = 1 + 0.45 cos 16 theta puts every boundary vertex of a 16-sector
+    # mesh at radius 1.45 and every curved midside node at 0.55, inside the
+    # last ring of vertices, so the boundary element maps fold over
+    dom = geometry.StarDomain(1.0, [0.0] * 15 + [0.45])
+    mesh = fem.generate_mesh(dom, 4, 16)
+    with pytest.raises(fem.MeshError, match="non-positive Jacobian"):
+        mesh.space
+
+
+def test_solve_memory_peak_bounded():
+    # the assembly sets the solve's peak; building the full matrix and then
+    # slicing out the interior block needed 9.4 element-matrix arrays
+    mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
+    mesh.space
+    ke_bytes = 36 * mesh.triangles.shape[0] * 8
+    tracemalloc.start()
+    try:
+        fem.solve_torsion(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * ke_bytes
