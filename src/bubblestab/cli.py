@@ -218,9 +218,10 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         field = fem.solve_torsion(mesh)
         trace = geometry.boundary_trace(domain, max(n_trace, 4 * mesh.n_angular))
         summary = geometry.geometry_summary(domain, trace)
-        reports = identities.identity_suite(field, trace, summary)
+        u_nu = fem.boundary_normal_derivative(field, trace.thetas)
         deficit = identities.cs_deficit(field)
-        serrin = identities.serrin_checks(field, trace, summary)
+        reports = identities.identity_suite(field, trace, summary, u_nu, deficit)
+        serrin = identities.serrin_checks(field, trace, summary, u_nu, deficit)
         payload = {
             "level": lev,
             "n_radial": mesh.n_radial,

@@ -8,15 +8,14 @@ benchmarks.  Interior cells keep affine maps (midside nodes at segment
 midpoints).  The element kernels work on one (nt,) array per reference point:
 J^-1 is formed once per quadrature point and solve, the element stiffness is
 one GEMM against a constant table, and only the interior block of the matrix
-is assembled.  It is solved by diagonally preconditioned conjugate gradients;
-a sparse direct factorisation is faster, but its fill raised peak memory by
-40% at 64x256.
+is assembled.  It is solved by diagonally preconditioned conjugate gradients,
+not by a sparse direct factorisation: splu's fill is 87 MB at 64x256, which
+breaks the benchmark's peak_rss_mb bound.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 
 import numpy as np
 import scipy.sparse as sp
@@ -341,45 +340,47 @@ def _pcg(a_mat, b: np.ndarray):
 
 @dataclasses.dataclass(eq=False)
 class TorsionField:
-    """Discrete torsion function with recovered derivatives.
+    """Discrete torsion function on one mesh.
 
-    u, grad, hess hold nodal values at all P2 nodes (vertices first).  u_nu
-    holds the outward normal derivative at the boundary node parameters
-    boundary_node_thetas.  Quadrature-point caches (qp_*) back the volume
-    integrals used by the identity checks.
+    u holds nodal values at all P2 nodes of space (vertices first).  M is the
+    largest |grad u| at the quadrature points, in the area-averaged nodal
+    gradients and at the boundary nodes; min_points are the refined interior
+    minima.  qp_u (nt, 7) and qp_hess (nt, 7, 2, 2) hold u and its Hessian at
+    the quadrature points space.qp_xy, weighted by space.qp_w in volume
+    integrals.  residual_norm and iterations report the conjugate-gradient
+    solve; area is the quadrature area of the curved cells.
     """
 
     mesh: TriMesh
     u: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    boundary_node_thetas: np.ndarray
-    u_nu: np.ndarray
     M: float
     min_points: np.ndarray
     residual_norm: float
     iterations: int
     area: float
-    qp_points: np.ndarray
-    qp_weights: np.ndarray
     qp_u: np.ndarray
-    qp_grad: np.ndarray
     qp_hess: np.ndarray
     space: "_P2Space"
+
+
+def _gradient(u_el: np.ndarray, inv, dn: np.ndarray):
+    """Gradient entries (gx, gy) of the FE solution at one reference point per
+    element; dn (6, 2) holds the shape-function derivatives there and inv the
+    entries of J^-1."""
+    a, b, c, d = inv
+    gr = u_el @ dn
+    return gr[:, 0] * a + gr[:, 1] * c, gr[:, 0] * b + gr[:, 1] * d
 
 
 def _grad_hess(u_el: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
     """Gradient and Hessian entries (gx, gy, h00, h01, h11) of the FE solution
     at one reference point per element.
 
-    dn (6, 2) holds the shape-function derivatives there and inv the entries
-    of J^-1; href and cmap = (cx, cy) hold the constant (00, 01, 11) reference
-    second derivatives of u and of the element map, each (nt, 3).
+    href and cmap = (cx, cy) hold the constant (00, 01, 11) reference second
+    derivatives of u and of the element map, each (nt, 3).
     """
     a, b, c, d = inv
-    gr = u_el @ dn
-    gx = gr[:, 0] * a + gr[:, 1] * c
-    gy = gr[:, 0] * b + gr[:, 1] * d
+    gx, gy = _gradient(u_el, inv, dn)
     cx, cy = cmap
     t00, t01, t11 = (href[:, i] - gx * cx[:, i] - gy * cy[:, i] for i in range(3))
     h00 = a * a * t00 + 2.0 * a * c * t01 + c * c * t11
@@ -390,7 +391,7 @@ def _grad_hess(u_el: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
 
 def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
     """u, gradient and Hessian at the quadrature points (inv_qp holds J^-1
-    there), then nodal gradient and Hessian by area-weighted averaging."""
+    there), then the nodal gradient by area-weighted averaging."""
     coords = space.coords
     u_el = u_full[space.tri_nodes]
     nt = coords.shape[0]
@@ -404,18 +405,16 @@ def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
         qp_h[:, qi, 0, 0], qp_h[:, qi, 1, 1] = h00, h11
         qp_h[:, qi, 0, 1] = qp_h[:, qi, 1, 0] = h01
 
-    # (gx, gy, h00, h01, h11, 1) x local node x element, weighted by element area
-    vals = np.empty((6, 6, nt))
+    # (gx, gy, 1) x local node x element, weighted by element area
+    vals = np.empty((3, 6, nt))
     for k, dn in enumerate(_DN_AT_NODES):
-        vals[:5, k] = _grad_hess(u_el, href, cmap, _inverse_jacobian(coords, dn)[1:], dn)
-    vals[5] = 1.0
+        vals[:2, k] = _gradient(u_el, _inverse_jacobian(coords, dn)[1:], dn)
+    vals[2] = 1.0
     vals *= np.sum(space.qp_w, axis=1)
-    nn = space.n_nodes
     idx = space.tri_nodes.T.ravel()
-    gx, gy, h00, h01, h11, wsum = (np.bincount(idx, weights=v.ravel(), minlength=nn) for v in vals)
+    gx, gy, wsum = (np.bincount(idx, weights=v.ravel(), minlength=space.n_nodes) for v in vals)
     grad = np.stack([gx, gy], axis=-1) / wsum[:, None]
-    hess = np.stack([h00, h01, h01, h11], axis=-1).reshape(nn, 2, 2) / wsum[:, None, None]
-    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad, hess
+    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
 
 
 def _outward_normals(domain: StarDomain, theta: np.ndarray) -> np.ndarray:
@@ -541,13 +540,11 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     u_full = np.zeros(space.n_nodes)
     u_full[interior] = x
 
-    qp_u, qp_g, qp_h, grad, hess = _derivatives(space, u_full, inv_qp)
+    qp_u, qp_g, qp_h, grad = _derivatives(space, u_full, inv_qp)
 
-    # boundary node parameters: edge endpoints and curved midsides
+    # gradient at the boundary node parameters: edge endpoints and curved midsides
     th0, th1 = mesh.boundary_thetas.T
-    bn_thetas = np.sort(np.concatenate([th0, 0.5 * (th0 + th1)]))
-    bgrad = _boundary_gradient(mesh, u_full, bn_thetas)
-    u_nu = np.sum(bgrad * _outward_normals(mesh.domain, bn_thetas), axis=1)
+    bgrad = _boundary_gradient(mesh, u_full, np.sort(np.concatenate([th0, 0.5 * (th0 + th1)])))
 
     m_const = max(
         float(np.max(np.hypot(qp_g[..., 0], qp_g[..., 1]))),
@@ -558,19 +555,12 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     return TorsionField(
         mesh=mesh,
         u=u_full,
-        grad=grad,
-        hess=hess,
-        boundary_node_thetas=bn_thetas,
-        u_nu=u_nu,
         M=m_const,
         min_points=_min_points(space, u_full),
         residual_norm=relres,
         iterations=iters,
         area=float(np.sum(space.qp_w)),
-        qp_points=space.qp_xy,
-        qp_weights=space.qp_w,
         qp_u=qp_u,
-        qp_grad=qp_g,
         qp_hess=qp_h,
         space=space,
     )
@@ -657,15 +647,3 @@ def domain_quadrature(mesh: TriMesh):
     space = mesh.space
     return space.qp_xy.reshape(-1, 2), space.qp_w.ravel()
 
-
-def dump_solution(field: TorsionField, path: str) -> None:
-    """Write vertices, triangles, and vertex values of u as plain JSON."""
-    nv = field.mesh.vertices.shape[0]
-    payload = {
-        "vertices": [[float(x), float(y)] for x, y in field.mesh.vertices],
-        "triangles": [[int(a), int(b), int(c)] for a, b, c in field.mesh.triangles],
-        "u": [float(v) for v in field.u[:nv]],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")

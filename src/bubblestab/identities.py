@@ -4,7 +4,8 @@ Each identity is reported as (lhs, rhs, residual), with the relative residual
 normalized by max(|lhs|, |rhs|, N |Omega|) so that identities whose sides both
 vanish (disk) stay well-scaled.  Volume integrals use the solver's curved-cell
 quadrature caches; boundary integrals use an analytic trace plus the one-sided
-FE normal derivative.
+FE normal derivative u_nu on it, which the caller computes once and passes in
+together with the cs_deficit report.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .fem import TorsionField, boundary_normal_derivative
+from .fem import TorsionField
 from .geometry import DIM, BoundaryTrace, GeometrySummary
 
 
@@ -64,7 +65,7 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     Hessian error, so the divergence route floors near -1, not -1e-6.
     """
     hq = field.qp_hess
-    w = field.qp_weights
+    w = field.space.qp_w
     hs = np.einsum("tqcd,tqcd->tq", hq, hq)
     tr = hq[..., 0, 0] + hq[..., 1, 1]
     density = hs - tr * tr / DIM
@@ -78,25 +79,30 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     return DeficitReport(cs_deficit=deficit, hessian_h_sq=hess_h, p_min_delta=p_min)
 
 
-def identity_suite(field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary) -> list[IdentityReport]:
+def _support(field: TorsionField, trace: BoundaryTrace) -> np.ndarray:
+    """<x - c, nu> on the trace, c the center of the solved domain."""
+    center = field.mesh.domain.center
+    return np.einsum("ic,ic->i", trace.points - center[None, :], trace.normals)
+
+
+def identity_suite(
+    field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary, u_nu: np.ndarray, deficit: DeficitReport
+) -> list[IdentityReport]:
     """All integral identities for one solved domain.
 
-    Names: fundamental, sbt, heintze_karcher, wps, volume, minkowski,
-    deficit_equivalence.  heintze_karcher is flagged not applicable when the
-    boundary has non-positive mean curvature somewhere.
+    u_nu is the normal derivative on trace.thetas and deficit the
+    cs_deficit(field) report.  Names: fundamental, sbt, heintze_karcher, wps,
+    volume, minkowski, deficit_equivalence.  heintze_karcher is flagged not
+    applicable when the boundary has non-positive mean curvature somewhere.
     """
-    u_nu = boundary_normal_derivative(field, trace.thetas)
     w = trace.weights
     h_curv = trace.curvatures
     area = summary.area
     scale = DIM * area
     r_ref = summary.R_ref
     h0 = summary.H0
-    center = field.mesh.domain.center
-    x_nu = np.einsum("ic,ic->i", trace.points - center[None, :], trace.normals)
-
-    dr = cs_deficit(field)
-    deficit_over = dr.cs_deficit / (DIM - 1)
+    x_nu = _support(field, trace)
+    deficit_over = deficit.cs_deficit / (DIM - 1)
 
     reports = [
         _report("fundamental", deficit_over, scale - float(np.sum(w * h_curv * u_nu * u_nu)), scale),
@@ -117,13 +123,13 @@ def identity_suite(field: TorsionField, trace: BoundaryTrace, summary: GeometryS
 
     hq = field.qp_hess
     hs = np.einsum("tqcd,tqcd->tq", hq, hq)
-    wps_lhs = float(np.sum(field.qp_weights * (-field.qp_u) * (hs - DIM)))
+    wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (hs - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))
     reports.append(_report("wps", wps_lhs, wps_rhs, scale))
 
     reports.append(_report("volume", float(np.sum(w * u_nu)), scale, scale))
     reports.append(_report("minkowski", float(np.sum(w * h_curv * x_nu)), summary.perimeter, scale))
-    reports.append(_report("deficit_equivalence", dr.cs_deficit, dr.hessian_h_sq, scale))
+    reports.append(_report("deficit_equivalence", deficit.cs_deficit, deficit.hessian_h_sq, scale))
     return reports
 
 
@@ -144,8 +150,10 @@ class SerrinChecks:
     unu_minus_r_max: float
 
 
-def serrin_checks(field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary) -> SerrinChecks:
-    u_nu = boundary_normal_derivative(field, trace.thetas)
+def serrin_checks(
+    field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary, u_nu: np.ndarray, deficit: DeficitReport
+) -> SerrinChecks:
+    """Serrin diagnostics from u_nu on trace.thetas and the cs_deficit(field) report."""
     w = trace.weights
     h_curv = trace.curvatures
     r_ref = summary.R_ref
@@ -156,13 +164,11 @@ def serrin_checks(field: TorsionField, trace: BoundaryTrace, summary: GeometrySu
     else:
         l1 = None
 
-    dr = cs_deficit(field)
-    lhs = dr.cs_deficit / (DIM - 1)
+    lhs = deficit.cs_deficit / (DIM - 1)
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale)
 
-    center = field.mesh.domain.center
-    x_nu = np.einsum("ic,ic->i", trace.points - center[None, :], trace.normals)
+    x_nu = _support(field, trace)
     diff = u_nu - r_ref
     return SerrinChecks(
         unu_recip_h_l1=l1,

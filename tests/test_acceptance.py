@@ -72,7 +72,9 @@ def test_c03_identity_suite():
             trace = geometry.boundary_trace(dom, 4 * n_a)
             summary = geometry.geometry_summary(dom, trace)
             field = fem.solve_torsion(fem.generate_mesh(dom, n_r, n_a))
-            for rep in identities.identity_suite(field, trace, summary):
+            u_nu = fem.boundary_normal_derivative(field, trace.thetas)
+            deficit = identities.cs_deficit(field)
+            for rep in identities.identity_suite(field, trace, summary, u_nu, deficit):
                 if rep.name in history:
                     assert rep.applicable, rep.name
                     history[rep.name].append(rep.residual_rel)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bubblestab
-from bubblestab import cli, geometry
+from bubblestab import cli, fem, geometry, identities
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -92,6 +92,32 @@ def test_verify_exit_one_on_tight_threshold(tmp_path):
     payload["params"] = {"n_trace": 256, "residual_threshold": 1e-12}
     cfg = write_cfg(tmp_path, payload)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+
+def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
+    # wrap each function in every bubblestab namespace that binds it, so a
+    # call through a name imported into another module is counted too
+    targets = {"boundary_normal_derivative": fem.boundary_normal_derivative, "cs_deficit": identities.cs_deficit}
+    calls = dict.fromkeys(targets, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for n, m in list(sys.modules.items()) if m is not None and n.split(".")[0] == "bubblestab"]
+    for name, fn in targets.items():
+        wrapper = counted(name, fn)
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    cfg = write_cfg(tmp_path, DISK_SMALL)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    levels = DISK_SMALL["mesh"]["refinement_levels"]
+    assert calls == {"boundary_normal_derivative": levels, "cs_deficit": levels}
 
 
 def sweep_payload(values):

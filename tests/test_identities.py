@@ -14,8 +14,15 @@ NAMES = (
 )
 
 
+def boundary_inputs(field, trace):
+    """(u_nu on the trace, cs_deficit report): the inputs identity_suite and
+    serrin_checks share."""
+    return fem.boundary_normal_derivative(field, trace.thetas), identities.cs_deficit(field)
+
+
 def suite_of(analysis):
-    return identities.identity_suite(analysis.field, analysis.trace, analysis.summary)
+    f, tr = analysis.field, analysis.trace
+    return identities.identity_suite(f, tr, analysis.summary, *boundary_inputs(f, tr))
 
 
 def test_suite_names_and_order(disk_analysis):
@@ -74,28 +81,28 @@ def test_nonconvex_heintze_karcher_flagged():
     tr = geometry.boundary_trace(dom, 512)
     s = geometry.geometry_summary(dom, tr)
     f = fem.solve_torsion(fem.generate_mesh(dom, 16, 64))
-    by_name = {r.name: r for r in identities.identity_suite(f, tr, s)}
+    by_name = {r.name: r for r in identities.identity_suite(f, tr, s, *boundary_inputs(f, tr))}
     hk = by_name["heintze_karcher"]
     assert not hk.applicable
     assert np.isnan(hk.lhs) and np.isnan(hk.rhs)
     for name in NAMES:
         if name != "heintze_karcher":
             assert by_name[name].applicable
-    assert identities.serrin_checks(f, tr, s).unu_recip_h_l1 is None
+    assert identities.serrin_checks(f, tr, s, *boundary_inputs(f, tr)).unu_recip_h_l1 is None
 
 
 def test_refinement_decreases_residuals(ellipse_analysis):
     dom = ellipse_analysis.domain
     coarse = fem.solve_torsion(fem.generate_mesh(dom, 16, 64))
     fine = {r.name: r.residual_rel for r in suite_of(ellipse_analysis)}
-    for r in identities.identity_suite(coarse, ellipse_analysis.trace, ellipse_analysis.summary):
+    tr = ellipse_analysis.trace
+    for r in identities.identity_suite(coarse, tr, ellipse_analysis.summary, *boundary_inputs(coarse, tr)):
         assert fine[r.name] <= r.residual_rel + 1e-15, r.name
 
 
 def test_serrin_checks_disk(disk_analysis):
-    sc = identities.serrin_checks(
-        disk_analysis.field, disk_analysis.trace, disk_analysis.summary
-    )
+    f, tr = disk_analysis.field, disk_analysis.trace
+    sc = identities.serrin_checks(f, tr, disk_analysis.summary, *boundary_inputs(f, tr))
     assert sc.unu_recip_h_l1 is not None and sc.unu_recip_h_l1 < 2e-3
     assert sc.fundamental2_residual_rel < 1e-3
     assert abs(sc.support_min - 1.0) < 1e-12
@@ -104,9 +111,8 @@ def test_serrin_checks_disk(disk_analysis):
 
 
 def test_serrin_checks_ellipse(ellipse_analysis):
-    sc = identities.serrin_checks(
-        ellipse_analysis.field, ellipse_analysis.trace, ellipse_analysis.summary
-    )
+    f, tr = ellipse_analysis.field, ellipse_analysis.trace
+    sc = identities.serrin_checks(f, tr, ellipse_analysis.summary, *boundary_inputs(f, tr))
     # genuine asymmetry: the normal derivative really deviates from R
     assert sc.unu_minus_r_max > 0.2
     assert sc.unu_minus_r_l1 > 1.0
