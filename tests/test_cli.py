@@ -94,6 +94,14 @@ def test_verify_exit_one_on_tight_threshold(tmp_path):
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_verify_exit_one_on_solver_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(fem, "_CG_RTOL", 0.0)
+    payload = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 1}, "params": {"n_trace": 256}}
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: conjugate gradients")
+
+
 def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
     # wrap each function in every bubblestab namespace that binds it, so a
     # call through a name imported into another module is counted too

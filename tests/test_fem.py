@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from bubblestab import fem, geometry, identities
 
@@ -317,3 +318,90 @@ def test_solve_memory_peak_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * ke_bytes
+
+
+# red refinement of a P2 triangle: its corner triangles and the middle one
+_RED_REFINEMENT = ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5))
+
+
+def _p1_disk_stiffness(n_radial, n_angular):
+    # the global P1 stiffness on the red refinement of the unit-disk P2 mesh,
+    # restricted to the interior dofs in the solver's order; the
+    # preconditioner factors it from one sector and must never build it
+    space = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
+    tris = space.tri_nodes[:, list(_RED_REFINEMENT)].reshape(-1, 3)
+    p = space.node_xy[tris]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)        # columns are edges
+    area = 0.5 * np.abs(np.linalg.det(jac))
+    g12 = np.linalg.inv(jac)                                            # rows: grad lambda_1, lambda_2
+    grads = np.concatenate([-g12.sum(axis=1, keepdims=True), g12], axis=1)
+    ke = area[:, None, None] * np.einsum("tic,tjc->tij", grads, grads)
+    rows = np.broadcast_to(tris[:, :, None], ke.shape).ravel()
+    cols = np.broadcast_to(tris[:, None, :], ke.shape).ravel()
+    a_full = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(space.n_nodes, space.n_nodes))
+    interior = np.nonzero(~space.dirichlet)[0]
+    return a_full[interior][:, interior]
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
+def test_polar_preconditioner_inverts_p1_disk_stiffness(n_radial, n_angular):
+    a_ref = _p1_disk_stiffness(n_radial, n_angular)
+    # built from an ellipse mesh: only the topology may be read
+    precond = fem._PolarPreconditioner(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular))
+    # a random vector loads every Fourier mode, Nyquist included; the unit
+    # vector on the centre loads the border row and the J = 1 ring
+    centre = np.zeros(a_ref.shape[0])
+    centre[0] = 1.0
+    for r in (np.random.default_rng(n_radial).standard_normal(a_ref.shape[0]), centre):
+        assert np.linalg.norm(a_ref @ precond(r) - r) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_cg_iterations_flat_under_refinement():
+    # Jacobi-preconditioned CG took 339, 746 and 1630 iterations here
+    ell = geometry.StarDomain.ellipse(1.5, 1.0)
+    iters = [fem.solve_torsion(fem.generate_mesh(ell, 16 * 2**k, 64 * 2**k)).iterations for k in range(3)]
+    assert max(iters) <= 30
+    assert all(fine - coarse <= 2 for coarse, fine in zip(iters, iters[1:]))
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [
+        geometry.StarDomain.disk(),
+        geometry.StarDomain.ellipse(1.5, 1.0),
+        geometry.StarDomain(1.0, [0.0, 0.0, 0.2]),
+    ],
+    ids=["disk", "ellipse", "cos3-0.2"],
+)
+def test_solve_matches_direct_solve(domain):
+    mesh = fem.generate_mesh(domain, 16, 64)
+    inv_qp = [fem._inverse_jacobian(mesh.space.coords, dn)[1:] for dn in fem._DN_AT_QP]
+    a_in, b_in, interior = fem._assemble_interior(mesh.space, inv_qp)
+    u_direct = spla.spsolve(a_in.tocsc(), b_in)
+    u = fem.solve_torsion(mesh).u[interior]
+    assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
+
+
+def test_pcg_breakdown_raises_solver_error():
+    a_mat = sp.diags([1.0, -1.0])
+    with pytest.raises(fem.SolverError, match="broke down") as info:
+        fem._pcg(a_mat, np.array([1.0, 2.0]), lambda r: r.copy())
+    assert np.isfinite(info.value.residual)
+
+
+def test_pcg_cap_raises_solver_error():
+    # eigenvalues over 12 decades: unpreconditioned CG is far from 1e-10
+    # after the cap of 50 sqrt(100) + 10 iterations
+    a_mat = sp.diags(np.logspace(-12.0, 0.0, 100))
+    with pytest.raises(fem.SolverError, match="iteration cap 510") as info:
+        fem._pcg(a_mat, np.ones(100), lambda r: r.copy())
+    assert np.isfinite(info.value.residual)
+
+
+def test_solve_raises_solver_error_on_unreachable_tolerance(monkeypatch):
+    # with a zero tolerance the recursive residual shrinks until p.Ap
+    # underflows; the solve must raise, never report a false zero residual
+    monkeypatch.setattr(fem, "_CG_RTOL", 0.0)
+    with pytest.raises(fem.SolverError) as info:
+        fem.solve_torsion(fem.generate_mesh(geometry.StarDomain.disk(), 4, 16))
+    assert np.isfinite(info.value.residual)
