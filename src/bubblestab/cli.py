@@ -69,9 +69,6 @@ _DEFAULTS = {
     "theorems": ["main"],
     "outputs": {"csv_path": "sweep.csv", "json_path": "report.json"},
     "params": {
-        "gamma": 0.5,
-        "sobolev_c": None,
-        "c0": 1.0,
         "basis_degree": 12,
         "x0_policy": "min_point",
         "mu2": None,
@@ -79,6 +76,8 @@ _DEFAULTS = {
         "residual_threshold": 0.01,
     },
 }
+# The sweep section exists only in sweep configs; "values" has no default.
+_SWEEP_DEFAULTS = {"parameter": "t", "mode_k": 3}
 
 
 def _need(cond: bool, key: str, what: str):
@@ -88,6 +87,10 @@ def _need(cond: bool, key: str, what: str):
 
 def _number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_config(path: str) -> dict:
@@ -102,19 +105,22 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
+    unknown = [k for k in raw if k not in _DEFAULTS and k != "sweep"]
     cfg = {}
     for section, defaults in _DEFAULTS.items():
         if isinstance(defaults, dict):
             got = raw.get(section, {})
             _need(isinstance(got, dict), section, "must be an object")
-            merged = dict(defaults)
-            merged.update(got)
-            cfg[section] = merged
+            unknown += ["%s.%s" % (section, k) for k in got if k not in defaults]
+            cfg[section] = dict(defaults, **got)
         else:
             cfg[section] = raw.get(section, defaults)
     if "sweep" in raw:
         _need(isinstance(raw["sweep"], dict), "sweep", "must be an object")
-        cfg["sweep"] = dict({"parameter": "t", "mode_k": 3}, **raw["sweep"])
+        unknown += ["sweep.%s" % k for k in raw["sweep"] if k not in _SWEEP_DEFAULTS and k != "values"]
+        cfg["sweep"] = dict(_SWEEP_DEFAULTS, **raw["sweep"])
+    if unknown:
+        raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
 
     dom = cfg["domain"]
     _need(_number(dom["base_radius"]) and dom["base_radius"] > 0, "domain.base_radius", "must be a positive number")
@@ -127,14 +133,14 @@ def load_config(path: str) -> dict:
     )
 
     mesh = cfg["mesh"]
-    _need(isinstance(mesh["n_radial"], int) and mesh["n_radial"] >= 4, "mesh.n_radial", "must be an integer >= 4")
+    _need(_integer(mesh["n_radial"]) and mesh["n_radial"] >= 4, "mesh.n_radial", "must be an integer >= 4")
     _need(
-        isinstance(mesh["n_angular"], int) and mesh["n_angular"] >= 16 and mesh["n_angular"] % 4 == 0,
+        _integer(mesh["n_angular"]) and mesh["n_angular"] >= 16 and mesh["n_angular"] % 4 == 0,
         "mesh.n_angular",
         "must be an integer multiple of 4, >= 16",
     )
     _need(
-        isinstance(mesh["refinement_levels"], int) and mesh["refinement_levels"] >= 1,
+        _integer(mesh["refinement_levels"]) and mesh["refinement_levels"] >= 1,
         "mesh.refinement_levels",
         "must be an integer >= 1",
     )
@@ -146,7 +152,8 @@ def load_config(path: str) -> dict:
         _need(isinstance(vals, list) and len(vals) > 0, "sweep.values", "must be a nonempty list")
         _need(all(_number(v) and v > 0 for v in vals), "sweep.values", "must contain positive numbers")
         _need(all(b > a for a, b in zip(vals, vals[1:])), "sweep.values", "must be strictly increasing")
-        _need(isinstance(sw["mode_k"], int) and sw["mode_k"] >= 1, "sweep.mode_k", "must be an integer >= 1")
+        _need(_integer(sw["mode_k"]) and sw["mode_k"] >= 1, "sweep.mode_k", "must be an integer >= 1")
+        _need(sw["parameter"] == "t", "sweep.parameter", "must be 't' (the cos(mode_k theta) amplitude)")
 
     _need(
         isinstance(cfg["theorems"], list)
@@ -157,13 +164,10 @@ def load_config(path: str) -> dict:
     )
 
     par = cfg["params"]
-    _need(_number(par["gamma"]) and 0.0 < par["gamma"] < 1.0, "params.gamma", "must lie in (0, 1)")
-    _need(par["sobolev_c"] is None or (_number(par["sobolev_c"]) and par["sobolev_c"] > 0), "params.sobolev_c", "must be null or positive")
-    _need(_number(par["c0"]) and par["c0"] > 0, "params.c0", "must be positive")
-    _need(isinstance(par["basis_degree"], int) and par["basis_degree"] >= 1, "params.basis_degree", "must be an integer >= 1")
+    _need(_integer(par["basis_degree"]) and par["basis_degree"] >= 1, "params.basis_degree", "must be an integer >= 1")
     _need(par["x0_policy"] in ("min_point", "center_of_mass"), "params.x0_policy", "must be 'min_point' or 'center_of_mass'")
     _need(par["mu2"] is None or (_number(par["mu2"]) and par["mu2"] > 0), "params.mu2", "must be null or positive")
-    _need(isinstance(par["n_trace"], int) and par["n_trace"] >= 64, "params.n_trace", "must be an integer >= 64")
+    _need(_integer(par["n_trace"]) and par["n_trace"] >= 64, "params.n_trace", "must be an integer >= 64")
     _need(_number(par["residual_threshold"]) and par["residual_threshold"] > 0, "params.residual_threshold", "must be positive")
 
     for key in ("csv_path", "json_path"):
@@ -187,9 +191,6 @@ def _domain_from_config(cfg: dict) -> geometry.StarDomain:
 def _params_from_config(cfg: dict) -> stability.StabilityParams:
     par = cfg["params"]
     return stability.StabilityParams(
-        gamma=float(par["gamma"]),
-        sobolev_c=None if par["sobolev_c"] is None else float(par["sobolev_c"]),
-        c0=float(par["c0"]),
         basis_degree=int(par["basis_degree"]),
         x0_policy=str(par["x0_policy"]),
         mu2=None if par["mu2"] is None else float(par["mu2"]),
@@ -261,8 +262,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     failed = False
     for t in sw["values"]:
         cos = np.zeros(mode_k)
-        if base.cos_coeffs.size:
-            cos[: base.cos_coeffs.size] = base.cos_coeffs[:mode_k]
+        cos[: base.cos_coeffs.size] = base.cos_coeffs[:mode_k]
         cos[mode_k - 1] = t
         try:
             domain = geometry.StarDomain(
@@ -320,7 +320,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     with open(csv_path, "w") as fh:
         fh.write(",".join(_CSV_COLUMNS) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(row.get(col, "")) if col != "error" else str(row.get("error", "")) for col in _CSV_COLUMNS) + "\n")
+            fh.write(",".join(_fmt(row.get(col, "")) for col in _CSV_COLUMNS) + "\n")
     _write_json(_out_path(out_dir, cfg["outputs"]["json_path"]), {"mode_k": mode_k, "rows": detail})
     print("sweep: %d rows -> %s" % (len(rows), csv_path))
     return 1 if failed else 0
@@ -385,6 +385,13 @@ def cmd_oracles(cfg: dict | None, out_dir: str, fsup_dim: int | None = None) -> 
 
 
 def cmd_convergence(cfg: dict, out_dir: str) -> int:
+    """Refinement study: nodal max error on a disk, probe differences elsewhere.
+
+    Off the disk the order comes from the change of u at 8 fixed probe points
+    between successive levels.  That change is small (7.0e-9 at 64x256 on the
+    exact 1.5x1 ellipse) and the CG stop leaves about 5e-13 of noise in each
+    probe value, so such an order is good to about 4 digits.
+    """
     domain = _domain_from_config(cfg)
     levels = cfg["mesh"]["refinement_levels"]
     if levels < 2:
@@ -401,8 +408,7 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
         field = fem.solve_torsion(mesh)
         rec = {"level": lev, "n_radial": mesh.n_radial, "n_angular": mesh.n_angular, "h": mesh.h}
         if is_disk:
-            nodes = field.space.node_xy - domain.center[None, :]
-            exact = 0.5 * (np.einsum("ic,ic->i", nodes, nodes) - domain.base_radius**2)
+            exact, _, _ = oracles.ball_torsion(domain.base_radius, field.space.node_xy - domain.center[None, :])
             rec["linf_error"] = float(np.max(np.abs(field.u - exact)))
         else:
             if probe_offsets is None:
@@ -412,18 +418,13 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
             probe_vals.append(vals)
         records.append(rec)
 
-    orders = []
     if is_disk:
-        for a, b in zip(records, records[1:]):
-            if b["linf_error"] > 0:
-                orders.append(float(np.log2(a["linf_error"] / b["linf_error"])))
+        errs = [rec["linf_error"] for rec in records]
     else:
-        diffs = [float(np.max(np.abs(v2 - v1))) for v1, v2 in zip(probe_vals, probe_vals[1:])]
-        for i, d in enumerate(diffs):
-            records[i + 1]["probe_diff"] = d
-        for a, b in zip(diffs, diffs[1:]):
-            if b > 0:
-                orders.append(float(np.log2(a / b)))
+        errs = [float(np.max(np.abs(v2 - v1))) for v1, v2 in zip(probe_vals, probe_vals[1:])]
+        for rec, d in zip(records[1:], errs):
+            rec["probe_diff"] = d
+    orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:]) if b > 0]
     _write_json(_out_path(out_dir, "convergence.json"), {"levels": records, "orders": orders})
     print("convergence: orders %s" % (", ".join(_fmt(o) for o in orders) or "n/a"))
     return 0

@@ -288,16 +288,3 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
         r_exterior=r_ext,
         center_of_mass=com,
     )
-
-
-def minkowski_residual(trace: BoundaryTrace, p) -> float:
-    """Relative residual of int H <x - p, nu> ds = |Gamma| (N = 2).
-
-    The identity holds for every base point p: the difference between two base
-    points is (p1 - p2) . int H nu ds, and int kappa nu ds = -int T'(s) ds = 0
-    on a closed curve.
-    """
-    p = np.asarray(p, dtype=float)
-    lhs = float(np.sum(trace.weights * trace.curvatures * np.einsum("ic,ic->i", trace.points - p[None, :], trace.normals)))
-    perimeter = float(np.sum(trace.weights))
-    return abs(lhs - perimeter) / perimeter

@@ -166,7 +166,7 @@ def serrin_checks(
 
     lhs = deficit.cs_deficit / (DIM - 1)
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
-    fund2 = abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale)
+    fund2 = _report("fundamental2", lhs, rhs, scale).residual_rel
 
     x_nu = _support(field, trace)
     diff = u_nu - r_ref

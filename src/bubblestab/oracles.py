@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.optimize import minimize_scalar
 
-from .geometry import GeometrySummary
+from .geometry import DIM, GeometrySummary
 
 
 def ball_torsion(radius: float, x: np.ndarray):
@@ -28,16 +28,6 @@ def ball_torsion(radius: float, x: np.ndarray):
     value = 0.5 * (np.einsum("ij,ij->i", x, x) - radius * radius)
     hess = np.broadcast_to(np.eye(n), (m, n, n)).copy()
     return value, x.copy(), hess
-
-
-def quadratic_q(z: np.ndarray, a: float, x: np.ndarray):
-    """q(x) = (|x - z|^2 - a)/2 with gradient x - z and identity Hessian."""
-    z = np.asarray(z, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    d = x - z[None, :]
-    value = 0.5 * (np.einsum("ij,ij->i", d, d) - a)
-    hess = np.broadcast_to(np.eye(z.size), (x.shape[0], z.size, z.size)).copy()
-    return value, d, hess
 
 
 @dataclasses.dataclass(frozen=True)
@@ -178,6 +168,11 @@ def f_kappa(kappa, dim: int, mode: str = "derived"):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def c_constant(dim: int) -> float:
+    """Reference constant c_N of the gradient bound: 3/2 for N = 2, N/2 for N >= 3."""
+    return 1.5 if dim == 2 else 0.5 * dim
+
+
 def _f_kappa_limits(dim: int, mode: str) -> tuple[float, float]:
     """(limit at kappa -> 0+, limit at kappa -> 1-) by series expansion."""
     if dim == 2:
@@ -208,8 +203,8 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
     endpoint limits.  For 3 <= N <= 7 the sup sits at kappa -> 1, where it
     equals N/2; for N >= 8 the maximum is interior and exceeds N/2 (N = 8:
     4.148019 at kappa ~ 0.675; N = 9: 4.866 at kappa ~ 0.636).
-    ``claimed`` is the reference constant used downstream (3/2 for N = 2,
-    N/2 for N >= 3); ``discrepancy`` flags disagreement.
+    ``claimed`` is the reference constant c_constant(dim) used downstream;
+    ``discrepancy`` flags disagreement.
     """
     grid = np.linspace(1e-6, 1.0 - 1e-6, 20001)
     vals = f_kappa(grid, dim, mode)
@@ -225,7 +220,7 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
         computed, arg = at1, 1.0
     elif at0 >= computed:
         computed, arg = at0, 0.0
-    claimed = 1.5 if dim == 2 else 0.5 * dim
+    claimed = c_constant(dim)
     return FSupResult(
         dim=dim,
         mode=mode,
@@ -238,29 +233,20 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
 
 @dataclasses.dataclass(frozen=True)
 class GradientBounds:
-    """A-priori bounds on |grad u| over the closure of the domain.
+    """A-priori bounds on |grad u| over the closure of the planar domain.
 
-    lower = r_interior; upper = c_N d (d + r_ext) / r_ext with c_N = 3/2 for
-    N = 2 and N/2 for N >= 3; upper_cm = c0 |Omega|^(1/N) is the alternative
-    used by the center-of-mass normalization (c0 supplied by the caller).
+    lower = r_interior; upper = c_N d (d + r_ext) / r_ext, the bound that
+    every theorem variant uses, the center-of-mass one included.
     """
 
     lower: float
     upper: float
-    upper_cm: float
     c_n: float
 
-    @property
-    def consistent(self) -> bool:
-        return self.upper >= self.lower
 
-
-def gradient_bounds(summary: GeometrySummary, dim: int = 2, c0: float = 1.0) -> GradientBounds:
+def gradient_bounds(summary: GeometrySummary) -> GradientBounds:
     """Explicit gradient bounds from touching radii and diameter."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    c_n = 1.5 if dim == 2 else 0.5 * dim
+    c_n = c_constant(DIM)
     d = summary.diameter
     upper = c_n * d * (d + summary.r_exterior) / summary.r_exterior
-    upper_cm = c0 * summary.area ** (1.0 / dim)
-    return GradientBounds(lower=summary.r_interior, upper=upper, upper_cm=upper_cm, c_n=c_n)
+    return GradientBounds(lower=summary.r_interior, upper=upper, c_n=c_n)

@@ -13,8 +13,10 @@ the deviation measures how far the boundary is from constant mean curvature:
 The high-dimension branch carries tau = 1/(N+2) plus an explicit smallness
 threshold eps on the deviation; when the deviation exceeds eps the trivial
 bound rho_e - rho_i <= diameter is reported as a flagged fallback.  The
-low-dimension branch (tau = 1/2) needs a user-supplied embedding constant.
-All composed factors are exposed in constants_trace.
+low-dimension branch (tau = 1/2) is reached only from the library, through
+StabilityParams.sobolev_c; the CLI runs high_dim alone until that embedding
+constant is derived rather than set (ROADMAP item 3).  All composed
+factors are exposed in constants_trace.
 """
 from __future__ import annotations
 
@@ -32,11 +34,13 @@ from .geometry import (
     geometry_summary,
     rho_bounds,
 )
-from .oracles import GradientBounds, gradient_bounds
+from .oracles import GradientBounds, c_constant, gradient_bounds
 from .spectral import SpectralEstimate, mu2_lower_convex, spectral_estimate, unit_ball_volume
 
 THEOREMS = ("main", "main_cm", "hk", "mean_convex", "obvp")
 BRANCHES = ("high_dim", "low_dim")
+# Hoelder exponent of the low-dimension branch for N = 2, any value in (0, 1).
+GAMMA = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,15 +104,12 @@ def _alpha_constant(dim: int, cubed: bool) -> float:
 class StabilityParams:
     """User-tunable inputs to the constant assembly.
 
-    gamma is the free exponent of the low-dimension branch for N = 2 (any
-    value in (0, 1)); sobolev_c is the embedding constant that branch needs
-    and stays None to disable it; c0 scales the center-of-mass gradient
-    bound; mu2 supplies a Neumann gap for non-convex domains.
+    sobolev_c is the embedding constant of the low-dimension branch, which
+    is reached only from the library (the CLI runs high_dim alone) and needs
+    it set; mu2 supplies a Neumann gap for non-convex domains.
     """
 
-    gamma: float = 0.5
     sobolev_c: float | None = None
-    c0: float = 1.0
     basis_degree: int = 12
     x0_policy: str = "min_point"
     mu2: float | None = None
@@ -159,7 +160,7 @@ def assemble_constants(
     r_i = summary.r_interior
     r_e = summary.r_exterior
     a_n = a_constant(DIM)
-    c_n = 1.5
+    c_n = c_constant(DIM)
     omega = unit_ball_volume(DIM)
     tr: dict[str, float] = {
         "a_N": a_n,
@@ -180,29 +181,26 @@ def assemble_constants(
 
     if branch == "high_dim":
         ex = 1.0 / (n + 2.0)
+        alpha = _alpha_constant(DIM, cubed=theorem == "mean_convex")
         if theorem in ("main", "main_cm"):
             k_n = a_n * (n - 1.0) ** ex * c_n
             c_stab = k_n * d * (d + r_e) / (mu ** (2.0 * ex) * area ** (1.0 / n) * r_e)
-            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * r_i ** (n + 2.0)
         elif theorem == "hk":
             k_n = a_n * (n - 1.0) ** ex
             c_stab = k_n * m_grad ** (n * ex) / (mu ** (2.0 * ex) * area ** (1.0 / n))
-            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
         elif theorem == "mean_convex":
             k_n = a_n * (n * (n - 1.0)) ** ex
             c_stab = k_n * m_grad ** (n * ex) / (
                 mu ** (2.0 * ex) * area ** (1.0 / n - ex) * min_h**ex
             )
-            alpha = _alpha_constant(DIM, cubed=True)
             eps = alpha * (min_h / area) * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
         else:  # obvp
             k_n = a_n * (n - 1.0) ** ex
             c_stab = k_n * m_grad ** ((n + 1.0) * ex) / (
                 mu ** (2.0 * ex) * area ** (1.0 / n) * r_i**ex
             )
-            alpha = _alpha_constant(DIM, cubed=False)
             eps = alpha * mu * mu * m_grad * r_i ** (n + 3.0)
         tr.update({"k_N": k_n, "alpha_N": alpha, "tau": ex})
         return c_stab, eps, tr
@@ -210,10 +208,7 @@ def assemble_constants(
     # low-dimension branch: tau = 1/2, requires the embedding constant
     if params.sobolev_c is None:
         raise ValueError("low_dim branch requires params.sobolev_c")
-    gamma = params.gamma
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1), got %g" % gamma)
-    base = 2.0 * omega ** (1.0 / n) * params.sobolev_c * d**gamma * (1.0 + mu) / mu
+    base = 2.0 * omega ** (1.0 / n) * params.sobolev_c * d**GAMMA * (1.0 + mu) / mu
     if theorem in ("main", "main_cm"):
         c_stab = base * np.sqrt(n - 1.0) * c_n * d * (d + r_e) / (area ** (1.0 / n) * r_e)
     elif theorem == "hk":
@@ -222,7 +217,7 @@ def assemble_constants(
         c_stab = base * np.sqrt(n * (n - 1.0)) * area ** (0.5 - 1.0 / n) / np.sqrt(min_h)
     else:  # obvp
         c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n) * np.sqrt(m_grad / r_i)
-    tr.update({"gamma": gamma, "sobolev_c": params.sobolev_c, "tau": 0.5})
+    tr.update({"gamma": GAMMA, "sobolev_c": params.sobolev_c, "tau": 0.5})
     return float(c_stab), None, tr
 
 
@@ -395,7 +390,7 @@ def analyze_domain(
         summary=summary,
         field=field,
         spectral=spec,
-        grad_bounds=gradient_bounds(summary, dim=DIM, c0=params.c0),
+        grad_bounds=gradient_bounds(summary),
         deviation=dev,
         reports=reports,
     )

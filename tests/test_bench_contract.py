@@ -1,0 +1,46 @@
+"""What the benchmark in perfbench/ uses of the program.
+
+These tests only read perfbench/.  A deleted traced function, a config key
+that load_config now rejects, or a removed StabilityParams field fails here
+before it fails a benchmark run.
+"""
+import importlib.util
+import pathlib
+import sys
+
+from bubblestab import cli, stability
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    write, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no __pycache__ in perfbench/
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = write
+    return mod
+
+
+def test_traced_functions_resolve():
+    tracer = _load("tracer")
+    found = tracer.originals()
+    assert len(found) == sum(len(names) for names in tracer.TRACED.values()) == 17
+    assert all(callable(fn) for fn in found.values())
+
+
+def test_workload_configs_load(tmp_path):
+    workloads = _load("workloads")
+    sweep = workloads.SweepCos3(1, str(tmp_path))
+    assert "sweep" in cli.load_config(sweep.config)
+    ladder = workloads.VerifyLadder(1, str(tmp_path))
+    assert sorted(ladder.configs) == ["disk", "ellipse"]
+    for path in ladder.configs.values():
+        cli.load_config(path)
+
+
+def test_analyze_small_params(tmp_path):
+    small = _load("workloads").AnalyzeSmall(1, str(tmp_path))
+    assert small.params == stability.StabilityParams(sobolev_c=1.0)

@@ -55,6 +55,13 @@ def test_load_config_fills_defaults(tmp_path):
         ({"sweep": {"values": [0.1], "mode_k": 0}}, "sweep.mode_k"),
         ({"theorems": ["nope"]}, "theorems"),
         ({"domain": {"base_radius": -1.0}}, "domain.base_radius"),
+        ({"mesh": {"n_radail": 3}}, "mesh.n_radail"),
+        ({"theorem": ["hk"]}, "theorem"),
+        ({"params": {"sobolev_c": 1.0}}, "params.sobolev_c"),
+        ({"sweep": {"values": [0.1], "parameter": "s"}}, "sweep.parameter"),
+        ({"mesh": {"refinement_levels": True}}, "mesh.refinement_levels"),
+        ({"params": {"basis_degree": True}}, "params.basis_degree"),
+        ({"sweep": {"values": [0.1], "mode_k": True}}, "sweep.mode_k"),
     ],
 )
 def test_load_config_names_bad_key(tmp_path, payload, fragment):

@@ -120,11 +120,3 @@ def test_rho_bounds_monotone_in_sample_set():
     lo_f, hi_f = geometry.rho_bounds(fine, z)
     assert lo_f <= lo_c + 1e-15
     assert hi_f >= hi_c - 1e-15
-
-
-def test_minkowski_residual_independent_of_base_point():
-    ell = geometry.StarDomain.ellipse(1.5, 1.0)
-    tr = geometry.boundary_trace(ell, 2048)
-    r0 = geometry.minkowski_residual(tr, np.array([0.0, 0.0]))
-    r1 = geometry.minkowski_residual(tr, np.array([0.7, -0.4]))
-    assert abs(r0 - r1) < 1e-10

@@ -81,11 +81,6 @@ def test_assemble_constants_validation(disk_analysis):
         stability.assemble_constants(
             "mean_convex", "high_dim", s, 0.5, 1.0, -0.2, stability.StabilityParams()
         )
-    with pytest.raises(ValueError, match="gamma"):
-        stability.assemble_constants(
-            "main", "low_dim", s, 0.5, 1.0, 1.0,
-            stability.StabilityParams(gamma=1.5, sobolev_c=1.0),
-        )
 
 
 def test_mu_lower_bound_is_conservative(disk_analysis):
