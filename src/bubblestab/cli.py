@@ -86,7 +86,8 @@ def _need(cond: bool, key: str, what: str):
 
 
 def _number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v)
+    # exact comparison: rejects inf, nan and integers too large for a float
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _integer(v) -> bool:
@@ -261,8 +262,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     detail = []
     failed = False
     for t in sw["values"]:
-        cos = np.zeros(mode_k)
-        cos[: base.cos_coeffs.size] = base.cos_coeffs[:mode_k]
+        cos = np.zeros(max(mode_k, base.cos_coeffs.size))
+        cos[: base.cos_coeffs.size] = base.cos_coeffs
         cos[mode_k - 1] = t
         try:
             domain = geometry.StarDomain(

@@ -148,11 +148,12 @@ class TriMesh:
     """Structured polar triangulation of a star-shaped domain.
 
     vertices[0] is the center; vertex 1 + (j-1)*n_angular + i sits at radial
-    fraction radial_fractions[j-1] of rho(theta_i).  boundary_edges pair with
-    boundary_thetas giving the theta parameters of each edge's endpoints.
-    h is the longest edge.  ``space`` is the P2 node table with its
-    quadrature, built on first use and shared by every solve and integral on
-    this mesh.
+    fraction radial_fractions[j-1] of rho(theta_i).  triangles follow the
+    order stated by generate_mesh, from which the P2 lookups read each
+    triangle's ring and sector.  boundary_edges pair with boundary_thetas
+    giving the theta parameters of each edge's endpoints.  h is the longest
+    edge.  ``space`` is the P2 node table with its quadrature, built on first
+    use and shared by every solve and integral on this mesh.
     """
 
     vertices: np.ndarray
@@ -178,6 +179,9 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     1 + n_radial*n_angular vertices and n_angular*(2*n_radial - 1) positively
     oriented triangles: the center fan, then for each ring j and sector i the
     pair (a, d, c), (a, c, b) with a, b on ring j and d, c on ring j + 1.
+    That order is the contract the P2 lookups read: fan triangle i is
+    triangle i, and the (a, d, c) triangle of ring j >= 1 and sector i is
+    n_angular*(2j - 1) + 2i, with its (a, c, b) partner next.
     """
     if n_radial < 4:
         raise MeshError("n_radial must be >= 4, got %d" % n_radial)
@@ -272,18 +276,15 @@ class _P2Space:
         e_first = first[order]
         node_xy[nv:] = 0.5 * (mesh.vertices[lo[e_first]] + mesh.vertices[hi[e_first]])
 
-        # curve the boundary midside nodes and record the boundary element map
-        bed = mesh.boundary_edges
-        k = np.searchsorted(ukeys, bed.min(axis=1) * nv + bed.max(axis=1))
-        mid = nv + rank[k]
+        # curve the boundary midsides: the boundary edge of sector i is local
+        # edge (1, 2), running forward, of its outer-ring (a, d, c) triangle
+        self.b_tri = nt - 2 * mesh.n_angular + 2 * np.arange(mesh.n_angular)
+        mid = tri_nodes[self.b_tri, 4]
         th = mesh.boundary_thetas
         node_xy[mid] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
         dirichlet = np.zeros(n_nodes, dtype=bool)
-        dirichlet[bed.ravel()] = True
+        dirichlet[mesh.boundary_edges.ravel()] = True
         dirichlet[mid] = True
-        self.b_tri = first[k] // 3
-        self.b_local = first[k] % 3                      # local edge id in its triangle
-        self.b_forward = tris[self.b_tri, _EDGE_LOCALS[self.b_local, 0]] == bed[:, 0]
 
         self.tri_nodes = tri_nodes
         self.node_xy = node_xy
@@ -298,13 +299,6 @@ class _P2Space:
         self.qp_xy.setflags(write=False)
         self.qp_w.setflags(write=False)
 
-    def ref_point_on_boundary(self, sector: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Reference coords of the boundary point at edge fraction tau."""
-        la, lb = _EDGE_LOCALS[self.b_local[sector]].T
-        tt = np.where(self.b_forward[sector], tau, 1.0 - tau)
-        ref_v = _REF_NODES[:3]
-        return ref_v[la] * (1.0 - tt)[:, None] + ref_v[lb] * tt[:, None]
-
 
 # -- polar FFT preconditioner ------------------------------------------------
 
@@ -312,27 +306,28 @@ class _P2Space:
 _RED = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
+# J and K, less (2j, 2i), of local nodes 0..5 in a fan triangle, an (a, d, c)
+# and an (a, c, b) triangle of ring j and sector i (the fan is ring 0)
+_LATTICE_J = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0]])
+_LATTICE_K = np.array([[0, 0, 2, 0, 1, 2], [0, 0, 2, 0, 1, 1], [0, 2, 2, 1, 2, 1]])
+
+
 def _polar_lattice(mesh: TriMesh) -> np.ndarray:
     """(J, K) point of every P2 node of mesh.space on the polar half-step lattice.
 
-    Vertex 1 + (j-1)*n_angular + i sits at (2j, 2i) and the centre at (0, 0).
-    A midside node sits at the mean of its two endpoints, wrapping in theta;
-    a fan spoke takes the angle of its outer vertex.
+    Vertex 1 + (j-1)*n_angular + i sits at (2j, 2i) and the centre at (0, 0);
+    a midside node sits halfway between its endpoints, except that a fan spoke
+    takes the angle of its outer vertex.  Each triangle's ring j and sector i
+    come from the triangle order of generate_mesh.
     """
-    n_a = mesh.n_angular
-    tri_nodes = mesh.space.tri_nodes
-    nv = mesh.vertices.shape[0]
-    lat = np.zeros((mesh.space.n_nodes, 2), dtype=np.int64)
-    v = np.arange(nv - 1)
-    lat[1:nv, 0] = 2 * (v // n_a + 1)
-    lat[1:nv, 1] = 2 * (v % n_a)
-    for e, (la, lb) in enumerate(_EDGE_LOCALS):
-        p, q = tri_nodes[:, la], tri_nodes[:, lb]
-        kp = np.where(p == 0, lat[q, 1], lat[p, 1])
-        kq = np.where(q == 0, lat[p, 1], lat[q, 1])
-        mid = tri_nodes[:, 3 + e]
-        lat[mid, 0] = (lat[p, 0] + lat[q, 0]) // 2
-        lat[mid, 1] = (kp + kq + np.where(np.abs(kp - kq) > 2, 2 * n_a, 0)) // 2 % (2 * n_a)
+    n_a, n_r = mesh.n_angular, mesh.n_radial
+    kind = np.concatenate([np.zeros(n_a, dtype=np.int64), np.tile([1, 2], n_a * (n_r - 1))])
+    ring = np.concatenate([np.zeros(n_a, dtype=np.int64), np.repeat(np.arange(1, n_r), 2 * n_a)])
+    sector = np.concatenate([np.arange(n_a), np.tile(np.repeat(np.arange(n_a), 2), n_r - 1)])
+    lat = np.empty((mesh.space.n_nodes, 2), dtype=np.int64)
+    lat[mesh.space.tri_nodes, 0] = _LATTICE_J[kind] + 2 * ring[:, None]
+    lat[mesh.space.tri_nodes, 1] = (_LATTICE_K[kind] + 2 * sector[:, None]) % (2 * n_a)
+    lat[0] = 0
     return lat
 
 
@@ -567,27 +562,17 @@ def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
     return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
 
 
-def _outward_normals(domain: StarDomain, theta: np.ndarray) -> np.ndarray:
-    rho = domain.radius(theta)
-    d1 = domain.radius_d1(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    speed = np.sqrt(rho * rho + d1 * d1)
-    return np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
-
-
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Gradient of the FE solution at boundary parameters theta (one-sided)."""
-    space = mesh.space
-    thetas = np.asarray(thetas, dtype=float)
     two_pi = 2.0 * np.pi
-    wrapped = np.mod(thetas, two_pi)
+    wrapped = np.mod(np.asarray(thetas, dtype=float), two_pi)
     dtheta = two_pi / mesh.n_angular
     sector = np.minimum((wrapped / dtheta).astype(np.int64), mesh.n_angular - 1)
-    tau = wrapped / dtheta - sector
     # clamp round-off spill to the sector edges
-    tau = np.clip(tau, 0.0, 1.0)
-    refs = space.ref_point_on_boundary(sector, tau)
-    return _eval_in_elements(space, u_full, space.b_tri[sector], refs)[1]
+    tau = np.clip(wrapped / dtheta - sector, 0.0, 1.0)
+    # the boundary edge is local edge (1, 2), running forward
+    refs = np.stack([1.0 - tau, tau], axis=-1)
+    return _eval_in_elements(mesh.space, u_full, mesh.space.b_tri[sector], refs)[1]
 
 
 def _eval_in_elements(space: _P2Space, u_full: np.ndarray, els: np.ndarray, refs: np.ndarray):
@@ -721,72 +706,52 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
 def boundary_normal_derivative(field: TorsionField, thetas: np.ndarray) -> np.ndarray:
     """u_nu at arbitrary boundary parameters (analytic outward normals)."""
     g = _boundary_gradient(field.mesh, field.u, thetas)
-    nu = _outward_normals(field.mesh.domain, np.asarray(thetas, dtype=float))
+    nu = field.mesh.domain.normal(thetas)
     return np.sum(g * nu, axis=1)
 
 
 def eval_at_points(field: TorsionField, pts: np.ndarray):
-    """Evaluate (u, grad u) at interior points by structured element lookup."""
-    mesh = field.mesh
-    space = field.space
+    """Evaluate (u, grad u) at points of the domain; MeshError for one outside.
+
+    Each point's triangle is read off the mesh layout (see generate_mesh).
+    The angle gives the sector.  A sector's ring chords are parallel, so the
+    distance along their normal, as a fraction of the boundary chord's, gives
+    the ring, and the side of the diagonal a-c picks (a, d, c) or (a, c, b).
+    One affine solve gives the reference point, and Newton steps refine it
+    where the cell is curved.
+    """
+    mesh, space, n_a = field.mesh, field.space, field.mesh.n_angular
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    n_a, n_r = mesh.n_angular, mesh.n_radial
-    s_grid = mesh.radial_fractions
-    els = np.empty(pts.shape[0], dtype=np.int64)
-    refs = np.empty((pts.shape[0], 2))
+    rel = pts - mesh.domain.center
+    th = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
+    sector = np.minimum((th * n_a / (2.0 * np.pi)).astype(np.int64), n_a - 1)
+    outer = mesh.vertices[-n_a:] - mesh.vertices[0]     # boundary vertices, from the centre
+    chord = np.roll(outer, -1, axis=0)[sector] - outer[sector]
+    frac = (rel[:, 0] * chord[:, 1] - rel[:, 1] * chord[:, 0]) / (
+        outer[sector, 0] * chord[:, 1] - outer[sector, 1] * chord[:, 0]
+    )
+    ring = np.minimum(np.searchsorted(mesh.radial_fractions, frac, side="right"), mesh.n_radial - 1)
+    els = np.where(ring == 0, sector, n_a * (2 * ring - 1) + 2 * sector)
+    a, c = space.coords[els, 0], space.coords[els, 2]
+    above = (c[:, 0] - a[:, 0]) * (pts[:, 1] - a[:, 1]) - (c[:, 1] - a[:, 1]) * (pts[:, 0] - a[:, 0]) > 0.0
+    els += (ring > 0) & above
 
-    def candidates(p: np.ndarray) -> list[int]:
-        rel = p - mesh.domain.center
-        th = np.mod(np.arctan2(rel[1], rel[0]), 2.0 * np.pi)
-        sec = min(int(th * n_a / (2.0 * np.pi)), n_a - 1)
-        rho = float(mesh.domain.radius(np.asarray(th)))
-        frac = np.hypot(rel[0], rel[1]) / rho
-        block = min(int(np.searchsorted(s_grid, frac, side="right")), n_r - 1)
-        cand = []
-        for b in (block, max(block - 1, 0), min(block + 1, n_r - 1)):
-            for si in (sec, (sec - 1) % n_a, (sec + 1) % n_a):
-                if b == 0:
-                    cand.append(si)
-                else:
-                    start = n_a + (b - 1) * 2 * n_a
-                    cand.extend((start + 2 * si, start + 2 * si + 1))
-        seen = set()
-        return [c for c in cand if not (c in seen or seen.add(c))]
-
-    def invert(t: int, p: np.ndarray):
-        nodes = space.tri_nodes[t]
-        cxy = space.node_xy[nodes]
-        v0, v1, v2 = cxy[0], cxy[1], cxy[2]
-        amat = np.column_stack([v1 - v0, v2 - v0])
-        try:
-            ref = np.linalg.solve(amat, p - v0)
-        except np.linalg.LinAlgError:
-            return None
-        for _ in range(30):
-            shp = _shape(ref)
-            x = shp @ cxy
-            r = x - p
-            if float(np.hypot(*r)) < 1e-13 * (1.0 + float(np.hypot(*p))):
-                break
-            dn = _dshape(ref)
-            jac = np.einsum("kc,kd->cd", cxy, dn)
-            try:
-                ref = ref - np.linalg.solve(jac, r)
-            except np.linalg.LinAlgError:
-                return None
-        eps = 1e-9
-        if ref[0] < -eps or ref[1] < -eps or ref[0] + ref[1] > 1.0 + eps:
-            return None
-        return ref
-
-    for ip, p in enumerate(pts):
-        for t in candidates(p):
-            ref = invert(t, p)
-            if ref is not None:
-                els[ip], refs[ip] = t, ref
-                break
-        else:
-            raise MeshError("point %s not located in the mesh" % (p,))
+    cxy = space.coords[els]
+    amat = np.stack([cxy[:, 1] - cxy[:, 0], cxy[:, 2] - cxy[:, 0]], axis=-1)
+    refs = np.linalg.solve(amat, (pts - cxy[:, 0])[:, :, None])[:, :, 0]
+    tol = 1e-13 * (1.0 + np.hypot(pts[:, 0], pts[:, 1]))
+    todo = np.arange(pts.shape[0])
+    for _ in range(30):
+        r = np.einsum("mk,mkc->mc", _shape(refs[todo]), cxy[todo]) - pts[todo]
+        keep = ~(np.hypot(r[:, 0], r[:, 1]) < tol[todo])
+        todo, r = todo[keep], r[keep]
+        if todo.size == 0:
+            break
+        jac = np.einsum("mkc,mkd->mcd", cxy[todo], _dshape(refs[todo]))
+        refs[todo] -= np.linalg.solve(jac, r[:, :, None])[:, :, 0]
+    inside = np.all(refs >= -1e-9, axis=1) & (refs[:, 0] + refs[:, 1] <= 1.0 + 1e-9)
+    if not np.all(inside):
+        raise MeshError("point %s not located in the mesh" % (pts[np.argmin(inside)],))
     return _eval_in_elements(space, field.u, els, refs)
 
 

@@ -129,6 +129,19 @@ class StarDomain:
         rho = self.radius(theta)
         return self.center + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
 
+    def normal(self, theta: np.ndarray) -> np.ndarray:
+        """Outward unit normal(s) at parameter theta, shape (..., 2).
+
+        The tangent is (rho' e_r + rho e_t)/speed, so the outward normal is
+        (rho e_r - rho' e_t)/speed with speed = sqrt(rho^2 + rho'^2).
+        """
+        theta = np.asarray(theta, dtype=float)
+        rho = self.radius(theta)
+        d1 = self.radius_d1(theta)
+        ct, st = np.cos(theta), np.sin(theta)
+        speed = np.sqrt(rho * rho + d1 * d1)
+        return np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
+
 
 @dataclasses.dataclass(frozen=True)
 class BoundaryTrace:
@@ -159,7 +172,8 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     """Sample the boundary at n_samples uniform theta values.
 
     Curvature of the polar graph: (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2).
-    Outward normal = unit tangent rotated by -pi/2 (boundary runs counterclockwise).
+    Points and outward normals come from StarDomain.point and StarDomain.normal
+    (the boundary runs counterclockwise).
     """
     if n_samples < 8:
         raise DomainError("n_samples must be at least 8, got %d" % n_samples)
@@ -169,14 +183,12 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
         raise DomainError("boundary radius must stay positive on the sample grid")
     d1 = domain.radius_d1(theta)
     d2 = domain.radius_d2(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    points = domain.center + np.stack([rho * ct, rho * st], axis=-1)
     speed = np.sqrt(rho * rho + d1 * d1)
-    # tangent = (rho' e_r + rho e_t)/speed; outward normal = (rho e_r - rho' e_t)/speed
-    normals = np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
     curv = (rho * rho + 2.0 * d1 * d1 - rho * d2) / speed**3
     weights = speed * (2.0 * np.pi / n_samples)
-    return BoundaryTrace(thetas=theta, points=points, normals=normals, curvatures=curv, weights=weights)
+    return BoundaryTrace(
+        thetas=theta, points=domain.point(theta), normals=domain.normal(theta), curvatures=curv, weights=weights
+    )
 
 
 @dataclasses.dataclass(frozen=True)

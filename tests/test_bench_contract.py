@@ -1,14 +1,17 @@
 """What the benchmark in perfbench/ uses of the program.
 
 These tests only read perfbench/.  A deleted traced function, a config key
-that load_config now rejects, or a removed StabilityParams field fails here
-before it fails a benchmark run.
+that load_config now rejects, a removed StabilityParams field, or a solved
+field attribute that perfbench/ reads and the program no longer sets fails
+here before it fails a benchmark run.
 """
 import importlib.util
 import pathlib
 import sys
 
-from bubblestab import cli, stability
+import numpy as np
+
+from bubblestab import cli, fem, geometry, stability
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +47,16 @@ def test_workload_configs_load(tmp_path):
 def test_analyze_small_params(tmp_path):
     small = _load("workloads").AnalyzeSmall(1, str(tmp_path))
     assert small.params == stability.StabilityParams(sobolev_c=1.0)
+
+
+def test_solved_field_attributes():
+    # what worker.py and workloads.py read of a solve
+    field = fem.solve_torsion(fem.generate_mesh(geometry.StarDomain.disk(), 4, 16))
+    assert isinstance(field.iterations, int) and field.iterations > 0
+    assert isinstance(field.residual_norm, float)
+    assert isinstance(field.area, float) and isinstance(field.M, float)
+    n = field.space.n_nodes
+    assert isinstance(n, int)
+    assert field.u.shape == (n,)
+    assert field.space.node_xy.shape == (n, 2)
+    assert np.all(np.isfinite(field.u))

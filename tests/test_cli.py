@@ -62,6 +62,7 @@ def test_load_config_fills_defaults(tmp_path):
         ({"mesh": {"refinement_levels": True}}, "mesh.refinement_levels"),
         ({"params": {"basis_degree": True}}, "params.basis_degree"),
         ({"sweep": {"values": [0.1], "mode_k": True}}, "sweep.mode_k"),
+        ({"domain": {"base_radius": 10**340}}, "domain.base_radius"),
     ],
 )
 def test_load_config_names_bad_key(tmp_path, payload, fragment):
@@ -171,6 +172,16 @@ def test_sweep_row_failure_lands_in_error_column(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[-1] == ""
     assert "DomainError" in lines[2]
+
+
+def test_sweep_keeps_base_modes_above_mode_k(tmp_path):
+    # the cos 4 theta term of the base domain stays in every swept domain
+    payload = sweep_payload([0.01])
+    payload["domain"] = {"cos_coeffs": [0.0, 0.0, 0.0, 0.05]}
+    out = tmp_path / "out"
+    cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(out)])
+    area = json.loads((out / "report.json").read_text())["rows"][0]["summary"]["area"]
+    assert abs(area - np.pi * (1.0 + (0.01**2 + 0.05**2) / 2.0)) <= 1e-12
 
 
 def test_spectral_disk(tmp_path):

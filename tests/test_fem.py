@@ -89,6 +89,109 @@ def test_eval_at_points_rejects_outside():
         fem.eval_at_points(field, np.array([[1.5, 0.0]]))
 
 
+FOURIER5 = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
+
+
+@pytest.mark.parametrize("name", ["ellipse", "fourier5"])
+def test_eval_at_points_locates_every_cell(name):
+    domain = geometry.StarDomain.ellipse(1.5, 1.0) if name == "ellipse" else FOURIER5
+    mesh = fem.generate_mesh(domain, 16, 64)
+    field = fem.solve_torsion(mesh)
+    space = field.space
+    n_a, nt = mesh.n_angular, mesh.triangles.shape[0]
+    rng = np.random.default_rng(3)
+    # the points are images of known reference points, so the element and its
+    # values are known without a search:
+    # - one point well inside every triangle, the fan and the curved cells included;
+    bary = 0.1 + 0.7 * rng.dirichlet(np.ones(3), nt)
+    # - one point between each boundary chord and the curve, near the curved edge (1, 2);
+    near_curve = np.full((n_a, 2), 0.499)
+    # - points on the rays theta_i, the edges (0, 1) of the fan and (a, d, c)
+    #   triangles, and the centre
+    on_ray = np.stack([rng.uniform(0.05, 0.95, n_a * mesh.n_radial), np.zeros(n_a * mesh.n_radial)], axis=-1)
+    on_ray[0] = 0.0
+    els = np.concatenate([np.arange(nt), space.b_tri, np.arange(n_a), np.arange(n_a, nt, 2)])
+    refs = np.concatenate([bary[:, 1:], near_curve, on_ray])
+    pts = np.einsum("mk,mkc->mc", fem._shape(refs), space.coords[els])
+    want_u, want_g = fem._eval_in_elements(space, field.u, els, refs)
+
+    d, c = space.node_xy[space.tri_nodes[space.b_tri, 1]], space.node_xy[space.tri_nodes[space.b_tri, 2]]
+    beyond = pts[nt : nt + n_a] - d
+    assert np.all((c[:, 0] - d[:, 0]) * beyond[:, 1] - (c[:, 1] - d[:, 1]) * beyond[:, 0] < 0.0)
+    assert np.array_equal(pts[nt + n_a], domain.center)
+
+    # Newton stops curved cells at a position residual of 1e-13 (1 + |x|)
+    u, g = fem.eval_at_points(field, pts)
+    scale = np.max(np.abs(field.u))
+    assert np.max(np.abs(u - want_u)) <= 1e-12 * scale
+    # off the edges the element is unique, so the gradient is too
+    inside = slice(0, nt + n_a)
+    assert np.max(np.abs(g[inside] - want_g[inside])) <= 1e-12 * scale
+    if name == "ellipse":
+        a2, b2 = 1.5**2, 1.0**2
+        s = a2 * b2 / (a2 + b2)
+        x, y = (pts - domain.center).T
+        assert np.max(np.abs(u - s * (x * x / a2 + y * y / b2 - 1.0))) < 5e-5
+        assert np.max(np.abs(g - 2.0 * s * np.stack([x / a2, y / b2], axis=-1))) < 5e-3
+
+    # a point just outside the curved boundary, past a boundary midside node
+    th = mesh.boundary_thetas[5].mean()
+    outside = space.node_xy[space.tri_nodes[space.b_tri[5], 4]] + 1e-6 * domain.normal(th)
+    with pytest.raises(fem.MeshError):
+        fem.eval_at_points(field, outside[None, :])
+
+
+def _reference_locate(field, p):
+    # the per-point scan that located points before the structured lookup:
+    # Newton inversion in up to 18 candidate triangles around the point's
+    # sector and radial block; kept as the reference it must agree with
+    mesh, space = field.mesh, field.space
+    n_a, n_r = mesh.n_angular, mesh.n_radial
+    rel = p - mesh.domain.center
+    th = np.mod(np.arctan2(rel[1], rel[0]), 2.0 * np.pi)
+    sec = min(int(th * n_a / (2.0 * np.pi)), n_a - 1)
+    frac = np.hypot(rel[0], rel[1]) / float(mesh.domain.radius(np.asarray(th)))
+    block = min(int(np.searchsorted(mesh.radial_fractions, frac, side="right")), n_r - 1)
+    for b in (block, max(block - 1, 0), min(block + 1, n_r - 1)):
+        for si in (sec, (sec - 1) % n_a, (sec + 1) % n_a):
+            for t in [si] if b == 0 else [n_a * (2 * b - 1) + 2 * si, n_a * (2 * b - 1) + 2 * si + 1]:
+                cxy = space.node_xy[space.tri_nodes[t]]
+                ref = np.linalg.solve(np.column_stack([cxy[1] - cxy[0], cxy[2] - cxy[0]]), p - cxy[0])
+                for _ in range(30):
+                    r = fem._shape(ref) @ cxy - p
+                    if float(np.hypot(*r)) < 1e-13 * (1.0 + float(np.hypot(*p))):
+                        break
+                    ref = ref - np.linalg.solve(np.einsum("kc,kd->cd", cxy, fem._dshape(ref)), r)
+                if ref[0] >= -1e-9 and ref[1] >= -1e-9 and ref[0] + ref[1] <= 1.0 + 1e-9:
+                    return t, ref
+    return None
+
+
+def test_eval_at_points_matches_reference_scan():
+    mesh = fem.generate_mesh(FOURIER5, 8, 32)
+    field = fem.solve_torsion(mesh)
+    rng = np.random.default_rng(5)
+    # random points inside, and a band of +-1% of rho around the boundary
+    th = 2.0 * np.pi * rng.random(600)
+    frac = np.concatenate([np.sqrt(rng.random(300)), 1.0 + 0.02 * (rng.random(300) - 0.5)])
+    pts = FOURIER5.center + (frac * FOURIER5.radius(th))[:, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    found = [_reference_locate(field, p) for p in pts]
+    located = np.array([f is not None for f in found])
+    assert 50 < np.sum(~located) < 250
+    for p in pts[~located]:
+        with pytest.raises(fem.MeshError):
+            fem.eval_at_points(field, p[None, :])
+    els = np.array([f[0] for f in found if f is not None])
+    refs = np.array([f[1] for f in found if f is not None])
+    want_u, want_g = fem._eval_in_elements(field.space, field.u, els, refs)
+    u, g = fem.eval_at_points(field, pts[located])
+    scale = np.max(np.abs(field.u))
+    # a random point lies on no edge, so both find the same element; the
+    # Newton steps in curved cells may differ in the last bits
+    assert np.max(np.abs(u - want_u)) <= 1e-14 * scale
+    assert np.max(np.abs(g - want_g)) <= 1e-12 * scale
+
+
 def test_domain_quadrature_moments():
     disk = geometry.StarDomain.disk()
     mesh = fem.generate_mesh(disk, 16, 64)
@@ -175,8 +278,9 @@ def test_p2_topology_matches_reference_loop(n_radial, n_angular):
     tri_nodes, b_tri, b_local, b_forward, b_mid = _reference_edge_tables(mesh)
     assert np.array_equal(space.tri_nodes, tri_nodes)
     assert np.array_equal(space.b_tri, b_tri)
-    assert np.array_equal(space.b_local, b_local)
-    assert np.array_equal(space.b_forward, b_forward)
+    # the lookups read every boundary edge as local edge (1, 2), running forward
+    assert np.all(b_local == 1) and np.all(b_forward)
+    assert np.array_equal(space.tri_nodes[space.b_tri, 4], b_mid)
     th_mid = mesh.boundary_thetas.mean(axis=1)
     on_curve = np.array([dom.point(th) for th in th_mid])
     assert np.max(np.abs(space.node_xy[b_mid] - on_curve)) <= 1e-15
@@ -318,6 +422,33 @@ def test_solve_memory_peak_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 7 * ke_bytes
+
+
+def _reference_polar_lattice(mesh):
+    # the midside averaging, wrapping in theta, that placed the P2 nodes on
+    # the polar lattice before the per-triangle patterns; kept as the
+    # reference they must reproduce exactly
+    n_a = mesh.n_angular
+    tri_nodes = mesh.space.tri_nodes
+    nv = mesh.vertices.shape[0]
+    lat = np.zeros((mesh.space.n_nodes, 2), dtype=np.int64)
+    v = np.arange(nv - 1)
+    lat[1:nv, 0] = 2 * (v // n_a + 1)
+    lat[1:nv, 1] = 2 * (v % n_a)
+    for e, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):
+        p, q = tri_nodes[:, la], tri_nodes[:, lb]
+        kp = np.where(p == 0, lat[q, 1], lat[p, 1])
+        kq = np.where(q == 0, lat[p, 1], lat[q, 1])
+        mid = tri_nodes[:, 3 + e]
+        lat[mid, 0] = (lat[p, 0] + lat[q, 0]) // 2
+        lat[mid, 1] = (kp + kq + np.where(np.abs(kp - kq) > 2, 2 * n_a, 0)) // 2 % (2 * n_a)
+    return lat
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
+def test_polar_lattice_matches_reference(n_radial, n_angular):
+    mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
+    assert np.array_equal(fem._polar_lattice(mesh), _reference_polar_lattice(mesh))
 
 
 # red refinement of a P2 triangle: its corner triangles and the middle one
