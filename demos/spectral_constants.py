@@ -3,7 +3,7 @@ import argparse
 
 import numpy as np
 
-from bubblestab import fem, geometry, spectral
+from bubblestab import geometry, spectral
 
 
 def main():
@@ -16,13 +16,12 @@ def main():
     dom = geometry.StarDomain.disk() if args.domain == "disk" else geometry.StarDomain.ellipse(1.5, 1.0)
     trace = geometry.boundary_trace(dom, 1024)
     summary = geometry.geometry_summary(dom, trace)
-    mesh = fem.generate_mesh(dom, 32, 128)
     x0 = np.asarray(dom.center, dtype=float)
 
     print("%8s %14s %14s" % ("degree", "mu0 upper", "mubar upper"))
     for deg in range(2, args.max_degree + 1, 2):
-        mu0 = spectral.harmonic_rayleigh_min(mesh, "point", deg, x0=x0)
-        mubar = spectral.harmonic_rayleigh_min(mesh, "mean_zero", deg)
+        mu0 = spectral.harmonic_rayleigh_min(dom, "point", deg, x0=x0)
+        mubar = spectral.harmonic_rayleigh_min(dom, "mean_zero", deg)
         print("%8d %14.8f %14.8f" % (deg, mu0, mubar))
 
     mu2 = args.mu2 if args.mu2 is not None else spectral.mu2_lower_convex(summary.diameter)

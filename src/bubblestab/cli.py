@@ -243,7 +243,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     return 0 if worst_finest <= threshold else 1
 
 
-_CSV_COLUMNS = ("t", "dev_L1", "dev_inf", "rho_i", "rho_e", "gap", "C", "eps", "tau", "holds", "smallness_ok", "error")
+_CSV_COLUMNS = ("t", "theorem", "dev_L1", "dev_inf", "rho_i", "rho_e", "gap", "C", "eps", "tau", "holds", "smallness_ok", "error")
 
 
 def cmd_sweep(cfg: dict, out_dir: str) -> int:
@@ -282,7 +282,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             )
         except Exception as exc:  # per-row failure lands in the error column
             for theorem in theorems:
-                rows.append({"t": t, "error": "%s: %s" % (type(exc).__name__, exc)})
+                rows.append({"t": t, "theorem": theorem, "error": "%s: %s" % (type(exc).__name__, exc)})
             failed = True
             continue
         dev = analysis.deviation
@@ -290,6 +290,7 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             rows.append(
                 {
                     "t": t,
+                    "theorem": rep.theorem,
                     "dev_L1": dev.h0_minus_h_l1,
                     "dev_inf": dev.h0_minus_h_inf,
                     "rho_i": rep.rho_i,

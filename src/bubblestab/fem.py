@@ -759,7 +759,9 @@ def domain_quadrature(mesh: TriMesh):
     """Quadrature points and weights covering the (curved-cell) domain.
 
     Flat read-only views of the mesh's P2 quadrature, so repeated calls and
-    the solver share one copy.
+    the solver share one copy.  Nothing in the package calls it; its readers
+    are the perfbench tracer and the quadrature reference that the spectral
+    tests compare the exact polar Gram matrices against.
     """
     space = mesh.space
     return space.qp_xy.reshape(-1, 2), space.qp_w.ravel()

@@ -3,10 +3,13 @@
 mu0 is the smallest Rayleigh quotient int |hess v|^2 / int v^2 over harmonic
 fields vanishing at a point; mubar is the analogue under a zero-mean
 constraint.  Upper estimates minimize over span{1, Re zeta^k, Im zeta^k}
-(harmonic polynomials up to a degree) with the constraint projected out; the
-lower bound is the explicit formula from the cut-off comparison with the
-Neumann eigenvalue, evaluated in scale-anchored form so it transforms exactly
-as 1/length^2.
+(harmonic polynomials up to a degree) with the constraint projected out.  The
+Gram matrices are integrals of polynomials in z and conj(z) over the star
+domain, so they are assembled from exact polar moments of the boundary radius
+(one FFT on n > (2 degree + 2) K + 2 degree angles for K boundary modes); no
+mesh is read.  The lower bound is the explicit formula from the cut-off
+comparison with the Neumann eigenvalue, evaluated in scale-anchored form so it
+transforms exactly as 1/length^2.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .fem import TriMesh, domain_quadrature
+from .geometry import StarDomain
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -26,43 +29,52 @@ def unit_ball_volume(dim: int) -> float:
     return float(np.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0))
 
 
-def _basis_values(pts: np.ndarray, center: np.ndarray, scale: float, degree: int):
-    """Values and gradients of {1, Re (z/L)^k, Im (z/L)^k}, k = 1..degree."""
-    z = (pts[:, 0] - center[0] + 1j * (pts[:, 1] - center[1])) / scale
-    m = 1 + 2 * degree
-    vals = np.empty((pts.shape[0], m))
-    gx = np.zeros((pts.shape[0], m))
-    gy = np.zeros((pts.shape[0], m))
-    vals[:, 0] = 1.0
-    zk = np.ones_like(z)
-    for k in range(1, degree + 1):
-        dzk = (k / scale) * zk         # d/dz (z/L)^k, with zk = (z/L)^(k-1)
-        zk = zk * z
-        vals[:, 2 * k - 1] = zk.real
-        vals[:, 2 * k] = zk.imag
-        gx[:, 2 * k - 1] = dzk.real
-        gy[:, 2 * k - 1] = -dzk.imag
-        gx[:, 2 * k] = dzk.imag
-        gy[:, 2 * k] = dzk.real
-    return vals, gx, gy
+def _angles_needed(domain: StarDomain, degree: int) -> int:
+    """Smallest power of two n > (2 degree + 2) K + 2 degree, K the number of
+    boundary modes: the n-point trapezoid rule then integrates every moment
+    integrand (a trigonometric polynomial of that degree) exactly."""
+    k = max(domain.cos_coeffs.size, domain.sin_coeffs.size)
+    bound = (2 * degree + 2) * k + 2 * degree
+    return 1 << bound.bit_length()
 
 
-def _harmonic_gram(mesh: TriMesh, degree: int, x0: np.ndarray):
-    """Stiffness and mass Gram matrices of the harmonic basis up to `degree`
-    on the mesh's curved-cell quadrature, and the two constraint rows: the
-    basis values at x0 and the basis integrals."""
+def _harmonic_gram(domain: StarDomain, degree: int, x0: np.ndarray, n_angles: int | None = None):
+    """Stiffness and mass Gram matrices of {1, Re w^k, Im w^k}, k = 1..degree,
+    w = (z - center)/L, and the two constraint rows: the basis values at x0
+    and the basis integrals.
+
+    Every entry is a combination of the polar moments
+    M[a, b] = int w^a conj(w)^b dA = L^2 int r^(a+b+2)/(a+b+2) e^(i(a-b)theta) dtheta,
+    r = rho/L, taken from one FFT of the rows r^(p+2)/(p+2) on n_angles
+    uniform angles (default: the exact count from `_angles_needed`).  With
+    phi_j = Re(c_j w^k_j), c_j = 1 or -i:
+        A_jl = Re(c_j conj(c_l) k_j k_l M[k_j-1, k_l-1]) / L^2,
+        B_jl = Re(c_j c_l M[k_j+k_l, 0])/2 + Re(c_j conj(c_l) M[k_j, k_l])/2.
+    """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    pts, wts = domain_quadrature(mesh)
-    center = np.asarray(mesh.domain.center, dtype=float)
-    scale = float(np.max(np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])))
-    vals, gx, gy = _basis_values(pts, center, scale, degree)
+    n = _angles_needed(domain, degree) if n_angles is None else n_angles
+    # a fixed length >= max rho, so the basis is bounded by 1 on the domain
+    scale = domain.base_radius + float(np.sum(np.abs(domain.cos_coeffs)) + np.sum(np.abs(domain.sin_coeffs)))
+    r = domain.radius(2.0 * np.pi * np.arange(n) / n) / scale
+    p = np.arange(2 * degree + 1)
+    rows = r[None, :] ** (p[:, None] + 2) / (p[:, None] + 2)
+    # int f e^(i m theta) dtheta = (2 pi / n) fft(f)[-m mod n]
+    spec = np.fft.fft(rows, axis=1) * (2.0 * np.pi * scale * scale / n)
 
-    wv = vals * wts[:, None]
-    a_mat = (gx * wts[:, None]).T @ gx + (gy * wts[:, None]).T @ gy
-    b_mat = wv.T @ vals
-    at_x0 = _basis_values(x0[None, :], center, scale, degree)[0][0]
-    return a_mat, b_mat, at_x0, np.sum(wv, axis=0)
+    def moment(a, b):
+        return spec[a + b, (b - a) % n]
+
+    k = np.r_[0, np.repeat(np.arange(1, degree + 1), 2)]
+    c = np.r_[1.0, np.tile([1.0, -1j], degree)]
+    kj, kl = k[:, None], k[None, :]
+    cc = c[:, None] * np.conj(c)[None, :]
+    a_mat = (cc * (kj * kl) * moment(np.maximum(kj - 1, 0), np.maximum(kl - 1, 0))).real / (scale * scale)
+    b_mat = 0.5 * (c[:, None] * c[None, :] * moment(kj + kl, 0)).real + 0.5 * (cc * moment(kj, kl)).real
+    means = (c * moment(k, 0)).real
+    w0 = complex(*(x0 - domain.center)) / scale
+    at_x0 = (c * np.cumprod(np.r_[1.0, np.full(degree, w0)])[k]).real
+    return a_mat, b_mat, at_x0, means
 
 
 def _constrained_min(a_mat: np.ndarray, b_mat: np.ndarray, ell: np.ndarray, degree: int) -> float:
@@ -92,7 +104,7 @@ def _constrained_min(a_mat: np.ndarray, b_mat: np.ndarray, ell: np.ndarray, degr
 
 
 def harmonic_rayleigh_min(
-    mesh: TriMesh,
+    domain: StarDomain,
     constraint: str,
     degree: int,
     x0=None,
@@ -105,13 +117,14 @@ def harmonic_rayleigh_min(
     the value non-increasing in degree; since the minimization runs over a
     subspace of admissible fields, the result is an upper estimate of the
     true constant.  A numerically degenerate mass matrix triggers an
-    automatic degree reduction with a warning.  The integrals use the mesh's
-    curved-cell quadrature.
+    automatic degree reduction with a warning.  The integrals are exact over
+    the domain: polar moments from an FFT on n > (2 degree + 2) K + 2 degree
+    angles, K the number of boundary modes.
     """
     if constraint not in ("point", "mean_zero"):
         raise ValueError("constraint must be 'point' or 'mean_zero', got %r" % constraint)
-    x0_arr = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
-    a_mat, b_mat, at_x0, means = _harmonic_gram(mesh, degree, x0_arr)
+    x0_arr = np.asarray(domain.center if x0 is None else x0, dtype=float)
+    a_mat, b_mat, at_x0, means = _harmonic_gram(domain, degree, x0_arr)
     return _constrained_min(a_mat, b_mat, means if constraint == "mean_zero" else at_x0, degree)
 
 
@@ -157,17 +170,21 @@ class SpectralEstimate:
 
 
 def spectral_estimate(
-    mesh: TriMesh,
+    domain: StarDomain,
     r_interior: float,
     area: float,
     degree: int = 12,
     x0=None,
     mu2: float | None = None,
 ) -> SpectralEstimate:
-    """Assemble both Galerkin estimates and, when mu2 is given, the lower bound."""
-    x0_arr = np.asarray(mesh.domain.center if x0 is None else x0, dtype=float)
-    # one basis and one pair of Gram matrices serve both constraints
-    a_mat, b_mat, at_x0, means = _harmonic_gram(mesh, degree, x0_arr)
+    """Both Galerkin estimates and, when mu2 is given, the lower bound.
+
+    The Gram matrices come from exact polar moments of the domain (see
+    harmonic_rayleigh_min), on n > (2 degree + 2) K + 2 degree angles.
+    """
+    x0_arr = np.asarray(domain.center if x0 is None else x0, dtype=float)
+    # one pair of Gram matrices serves both constraints
+    a_mat, b_mat, at_x0, means = _harmonic_gram(domain, degree, x0_arr)
     mu0_upper = _constrained_min(a_mat, b_mat, at_x0, degree)
     mubar_upper = _constrained_min(a_mat, b_mat, means, degree)
     lower = None if mu2 is None else mu0_lower_bound(r_interior, area, mu2)

@@ -371,7 +371,7 @@ def analyze_domain(
     else:
         mu2 = params.mu2
     spec = spectral_estimate(
-        mesh,
+        domain,
         r_interior=summary.r_interior,
         area=summary.area,
         degree=params.basis_degree,

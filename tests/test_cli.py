@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -153,10 +154,9 @@ def test_sweep_outputs_and_determinism(tmp_path):
     lines = (out1 / "sweep.csv").read_text().splitlines()
     assert lines[0] == ",".join(cli._CSV_COLUMNS)
     assert len(lines) == 3
-    for line in lines[1:]:
-        cells = line.split(",")
-        assert cells[9] == "true"  # holds
-        assert cells[-1] == ""  # error column empty
+    for row in csv.DictReader(lines):
+        assert row["holds"] == "true"
+        assert row["error"] == ""
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     detail = json.loads((out1 / "report.json").read_text())
@@ -172,6 +172,18 @@ def test_sweep_row_failure_lands_in_error_column(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[-1] == ""
     assert "DomainError" in lines[2]
+
+
+def test_sweep_rows_name_their_theorem(tmp_path):
+    # with two theorems the rows of one t, error rows included, are told apart by label
+    payload = sweep_payload([0.02, 1.1])
+    payload["theorems"] = ["main", "hk"]
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 1
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    labels = [(float(row["t"]), row["theorem"]) for row in rows]
+    assert labels == [(0.02, "main"), (0.02, "hk"), (1.1, "main"), (1.1, "hk")]
+    assert [row["error"] == "" for row in rows] == [True, True, False, False]
 
 
 def test_sweep_keeps_base_modes_above_mode_k(tmp_path):

@@ -127,7 +127,7 @@ def test_nonpositive_curvature_rejections():
     assert dev.min_h < 0.0
     assert dev.hk_deficit is None and dev.obvp_l1 is None
     spec = stability.spectral_estimate(
-        field.mesh, r_interior=summary.r_interior, area=summary.area, degree=6
+        dom, r_interior=summary.r_interior, area=summary.area, degree=6
     )
     for theorem in ("hk", "obvp", "mean_convex"):
         with pytest.raises(ValueError):
