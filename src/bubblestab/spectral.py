@@ -38,24 +38,25 @@ def _angles_needed(domain: StarDomain, degree: int) -> int:
     return 1 << bound.bit_length()
 
 
-def _harmonic_gram(domain: StarDomain, degree: int, x0: np.ndarray, n_angles: int | None = None):
+def _harmonic_gram(domain: StarDomain, degree: int, x0: np.ndarray):
     """Stiffness and mass Gram matrices of {1, Re w^k, Im w^k}, k = 1..degree,
     w = (z - center)/L, and the two constraint rows: the basis values at x0
     and the basis integrals.
 
     Every entry is a combination of the polar moments
     M[a, b] = int w^a conj(w)^b dA = L^2 int r^(a+b+2)/(a+b+2) e^(i(a-b)theta) dtheta,
-    r = rho/L, taken from one FFT of the rows r^(p+2)/(p+2) on n_angles
-    uniform angles (default: the exact count from `_angles_needed`).  With
-    phi_j = Re(c_j w^k_j), c_j = 1 or -i:
+    r = rho/L, taken from one FFT of the rows r^(p+2)/(p+2) on the
+    `_angles_needed` uniform angles.  L is max rho on a fixed grid of 4096
+    angles, so it does not depend on n.  With phi_j = Re(c_j w^k_j),
+    c_j = 1 or -i:
         A_jl = Re(c_j conj(c_l) k_j k_l M[k_j-1, k_l-1]) / L^2,
         B_jl = Re(c_j c_l M[k_j+k_l, 0])/2 + Re(c_j conj(c_l) M[k_j, k_l])/2.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    n = _angles_needed(domain, degree) if n_angles is None else n_angles
-    # a fixed length >= max rho, so the basis is bounded by 1 on the domain
-    scale = domain.base_radius + float(np.sum(np.abs(domain.cos_coeffs)) + np.sum(np.abs(domain.sin_coeffs)))
+    n = _angles_needed(domain, degree)
+    # max rho, so the basis peaks near 1 on the domain and no mode's mass entries shrink
+    scale = float(np.max(domain.radius(2.0 * np.pi * np.arange(4096) / 4096)))
     r = domain.radius(2.0 * np.pi * np.arange(n) / n) / scale
     p = np.arange(2 * degree + 1)
     rows = r[None, :] ** (p[:, None] + 2) / (p[:, None] + 2)
