@@ -287,6 +287,9 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
             continue
         dev = analysis.deviation
         for rep in analysis.reports:
+            if isinstance(rep, stability.NotApplicableReport):
+                rows.append({"t": t, "theorem": rep.theorem, "error": "not applicable: %s" % rep.reason})
+                continue
             rows.append(
                 {
                     "t": t,

@@ -232,36 +232,62 @@ def rho_bounds(trace: BoundaryTrace, z) -> tuple[float, float]:
     return float(np.min(dist)), float(np.max(dist))
 
 
-def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float, int, int]:
-    """Largest uniform interior / exterior tangent-ball radii, with argmins.
+# Rows of the pair kernel per block: each (32, n) float temporary is 256 KB at
+# n = 1024, so the working set of one block stays in cache.
+_PAIR_BLOCK = 32
+
+
+def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
+    """Largest uniform interior / exterior tangent-ball radii (r_int, r_ext).
 
     For a boundary point x with outward normal nu, the interior ball
     B(x - s nu, s) stays inside iff s <= |y - x|^2 / (2 nu . (x - y)) for all
     boundary points y on the inner side; the exterior ball mirrors the sign.
     The minimum over samples gives the radius at x, and the minimum over x is
     the uniform radius.  Both are capped at ``cap`` (unconstrained directions
-    give an infinite supremum).  Returns (r_int, r_ext, argmin_int, argmin_ext).
+    give an infinite supremum).
+
+    All pairs are scanned in blocks of _PAIR_BLOCK rows with preallocated
+    temporaries: q = |y - x|^2 and P = (2 nu_x) . (y - x), so q / P is the
+    signed ratio above.  Doubling is exact, so P < -2 tiny selects exactly the
+    pairs with nu . (y - x) < -tiny and q / P equals q / (2 nu . (y - x)) bit
+    for bit: the result is the same float as a direct pair-by-pair minimum
+    (the reference scan in tests/test_geometry.py).  The exterior pass runs
+    only in blocks that have a pair with P > 2 tiny, which never happens on a
+    convex trace.
     """
-    pts, nrm = trace.points, trace.normals
-    n = pts.shape[0]
-    tiny = 1e-14 * max(cap, 1.0)
-    s_int = np.full(n, cap)
-    s_ext = np.full(n, cap)
-    block = 256
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        dx = pts[None, :, 0] - pts[lo:hi, 0, None]      # y - x
-        dy = pts[None, :, 1] - pts[lo:hi, 1, None]
-        proj = dx * nrm[lo:hi, 0, None] + dy * nrm[lo:hi, 1, None]    # nu . (y - x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (dx * dx + dy * dy) / (2.0 * proj)
-        ri = np.where(proj < -tiny, -s, np.inf)
-        re = np.where(proj > tiny, s, np.inf)
-        s_int[lo:hi] = np.minimum(cap, np.min(ri, axis=1))
-        s_ext[lo:hi] = np.minimum(cap, np.min(re, axis=1))
-    ai = int(np.argmin(s_int))
-    ae = int(np.argmin(s_ext))
-    return float(s_int[ai]), float(s_ext[ae]), ai, ae
+    x = np.ascontiguousarray(trace.points[:, 0])
+    y = np.ascontiguousarray(trace.points[:, 1])
+    nx2 = 2.0 * trace.normals[:, 0]
+    ny2 = 2.0 * trace.normals[:, 1]
+    n = x.size
+    tiny2 = 2.0 * (1e-14 * max(cap, 1.0))
+    b = min(_PAIR_BLOCK, n)
+    dx, dy, p, q = (np.empty((b, n)) for _ in range(4))
+    mask = np.empty((b, n), dtype=bool)
+    s_int_max = -np.inf  # interior radius = -max of q/P over pairs with P < -2 tiny
+    s_ext = np.inf
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        m = hi - lo
+        bx, by, bp, bq, bm = dx[:m], dy[:m], p[:m], q[:m], mask[:m]
+        np.subtract(x, x[lo:hi, None], out=bx)  # y - x
+        np.subtract(y, y[lo:hi, None], out=by)
+        np.multiply(bx, bx, out=bq)
+        np.multiply(by, by, out=bp)
+        bq += bp
+        bx *= nx2[lo:hi, None]
+        by *= ny2[lo:hi, None]
+        np.add(bx, by, out=bp)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
+            np.divide(bq, bp, out=bq)
+        if bp.max() > tiny2:
+            np.greater(bp, tiny2, out=bm)
+            s_ext = min(s_ext, float(np.min(bq, where=bm, initial=np.inf)))
+        np.greater_equal(bp, -tiny2, out=bm)
+        np.copyto(bq, -np.inf, where=bm)
+        s_int_max = max(s_int_max, float(bq.max()))
+    return float(min(cap, -s_int_max)), float(min(cap, s_ext))
 
 
 def _diameter(points: np.ndarray) -> float:
@@ -288,7 +314,7 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
         [np.sum(rho**3 * np.cos(theta)), np.sum(rho**3 * np.sin(theta))]
     )
     diameter = _diameter(trace.points)
-    r_int, r_ext, _, _ = touching_radii(trace, cap=diameter)
+    r_int, r_ext = touching_radii(trace, cap=diameter)
     h0 = perimeter / (DIM * area)
     return GeometrySummary(
         area=area,

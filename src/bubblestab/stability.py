@@ -115,6 +115,19 @@ class StabilityParams:
     mu2: float | None = None
 
 
+class NotApplicable(ValueError):
+    """The theorem variant's hypotheses fail on this domain (min H <= 0 for mean_convex)."""
+
+
+@dataclasses.dataclass(frozen=True)
+class NotApplicableReport:
+    """A theorem variant that does not apply; reason is the NotApplicable message."""
+
+    theorem: str
+    branch: str
+    reason: str
+
+
 @dataclasses.dataclass(frozen=True)
 class StabilityReport:
     theorem: str
@@ -177,7 +190,7 @@ def assemble_constants(
     }
 
     if theorem == "mean_convex" and min_h <= 0.0:
-        raise ValueError("mean_convex variant needs strictly positive boundary curvature")
+        raise NotApplicable("mean_convex variant needs strictly positive boundary curvature")
 
     if branch == "high_dim":
         ex = 1.0 / (n + 2.0)
@@ -258,7 +271,7 @@ def check_stability(
     else:
         raise ValueError("unknown theorem %r" % theorem)
     if deviation is None:
-        raise ValueError("%s deviation undefined: boundary mean curvature is not positive" % theorem)
+        raise NotApplicable("%s deviation undefined: boundary mean curvature is not positive" % theorem)
 
     if spectral.mu0_lower is not None:
         mu, mu_source = spectral.mu0_lower, "lower_bound"
@@ -338,7 +351,7 @@ class DomainAnalysis:
     spectral: SpectralEstimate
     grad_bounds: GradientBounds
     deviation: DeviationNorms
-    reports: list[StabilityReport]
+    reports: list[StabilityReport | NotApplicableReport]
 
 
 def analyze_domain(
@@ -354,6 +367,8 @@ def analyze_domain(
 
     The deviation norms are computed once and shared by every report; with
     theorems=() the result carries the spectral constants and no reports.
+    A theorem variant that does not apply to the domain gets a
+    NotApplicableReport, and the other reports are unaffected.
     """
     trace = boundary_trace(domain, n_trace)
     summary = geometry_summary(domain, trace)
@@ -379,11 +394,13 @@ def analyze_domain(
         mu2=mu2,
     )
     dev = deviation_norms(trace, field, summary)
-    reports = [
-        check_stability(theorem, trace, summary, field, spec, dev, params, branch)
-        for theorem in theorems
-        for branch in branches
-    ]
+    reports = []
+    for theorem in theorems:
+        for branch in branches:
+            try:
+                reports.append(check_stability(theorem, trace, summary, field, spec, dev, params, branch))
+            except NotApplicable as exc:
+                reports.append(NotApplicableReport(theorem, branch, str(exc)))
     return DomainAnalysis(
         domain=domain,
         trace=trace,

@@ -186,6 +186,23 @@ def test_sweep_rows_name_their_theorem(tmp_path):
     assert [row["error"] == "" for row in rows] == [True, True, False, False]
 
 
+def test_sweep_inapplicable_theorem_row(tmp_path):
+    # at t = 0.1 min H is exactly 0: the mean_convex row says why it does not
+    # apply, and the main row of the same t keeps its numbers
+    payload = sweep_payload([0.05, 0.1])
+    payload["theorems"] = ["main", "mean_convex"]
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    assert [(float(row["t"]), row["theorem"]) for row in rows] == [
+        (0.05, "main"), (0.05, "mean_convex"), (0.1, "main"), (0.1, "mean_convex")
+    ]
+    assert [row["error"] for row in rows[:3]] == ["", "", ""]
+    assert rows[2]["holds"] == "true" and float(rows[2]["C"]) > 0.0
+    assert rows[3]["error"] == "not applicable: mean_convex variant needs strictly positive boundary curvature"
+    assert rows[3]["C"] == "" and rows[3]["holds"] == ""
+
+
 def test_sweep_keeps_base_modes_above_mode_k(tmp_path):
     # the cos 4 theta term of the base domain stays in every swept domain
     payload = sweep_payload([0.01])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,14 +82,14 @@ def test_summary_scaling_homogeneity():
 def test_touching_radii_disk_and_ellipse():
     disk = geometry.StarDomain.disk()
     tr = geometry.boundary_trace(disk, 1024)
-    ri, re, _, _ = geometry.touching_radii(tr, cap=2.0)
+    ri, re = geometry.touching_radii(tr, cap=2.0)
     assert abs(ri - 1.0) < 1e-6
     assert re == 2.0  # exterior radius unbounded on a ball, capped
 
     a, b = 1.5, 1.0
     ell = geometry.StarDomain.ellipse(a, b)
     te = geometry.boundary_trace(ell, 4096)
-    ri_e, re_e, _, _ = geometry.touching_radii(te, cap=10.0)
+    ri_e, re_e = geometry.touching_radii(te, cap=10.0)
     assert abs(ri_e - b**2 / a) < 2e-3
     assert re_e == 10.0  # convex domain: exterior balls unbounded, capped
 
@@ -97,8 +99,75 @@ def test_touching_radii_concave_boundary_bounds_exterior():
     dom = geometry.StarDomain(base_radius=1.0, cos_coeffs=np.array([0.0, 0.35]), sin_coeffs=np.zeros(0), center=np.zeros(2))
     tr = geometry.boundary_trace(dom, 2048)
     assert np.min(tr.curvatures) < 0.0
-    _, re_c, _, _ = geometry.touching_radii(tr, cap=50.0)
+    _, re_c = geometry.touching_radii(tr, cap=50.0)
     assert re_c < 50.0
+
+
+def _reference_touching_radii(trace, cap):
+    # the 256-row dense scan that touching_radii replaced, kept verbatim
+    # (less its argmins) as the reference the block kernel must match bit
+    # for bit
+    pts, nrm = trace.points, trace.normals
+    n = pts.shape[0]
+    tiny = 1e-14 * max(cap, 1.0)
+    s_int = np.full(n, cap)
+    s_ext = np.full(n, cap)
+    block = 256
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        dx = pts[None, :, 0] - pts[lo:hi, 0, None]      # y - x
+        dy = pts[None, :, 1] - pts[lo:hi, 1, None]
+        proj = dx * nrm[lo:hi, 0, None] + dy * nrm[lo:hi, 1, None]    # nu . (y - x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (dx * dx + dy * dy) / (2.0 * proj)
+        ri = np.where(proj < -tiny, -s, np.inf)
+        re = np.where(proj > tiny, s, np.inf)
+        s_int[lo:hi] = np.minimum(cap, np.min(ri, axis=1))
+        s_ext[lo:hi] = np.minimum(cap, np.min(re, axis=1))
+    ai = int(np.argmin(s_int))
+    ae = int(np.argmin(s_ext))
+    return float(s_int[ai]), float(s_ext[ae])
+
+
+def _fourier_domain(seed):
+    # off-centre domain with seeded sin and cos modes up to k = 6, scaled so
+    # that sum |a_k| + |b_k| < 1 keeps rho positive; some come out concave
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, 6)
+    b = rng.uniform(-1.0, 1.0, 6)
+    scale = rng.uniform(0.1, 0.6) / float(np.sum(np.abs(a) + np.abs(b)))
+    return geometry.StarDomain(1.0, cos_coeffs=scale * a, sin_coeffs=scale * b, center=rng.uniform(-1.0, 1.0, 2))
+
+
+_RADII_DOMAINS = {
+    "disk": geometry.StarDomain.disk(),
+    "ellipse-1.5x1": geometry.StarDomain.ellipse(1.5, 1.0),
+    "ellipse-4x1": geometry.StarDomain.ellipse(4.0, 1.0),
+    **{"cos3-%g" % t: geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, t])) for t in (0.05, 0.2, 0.3)},
+    "two-lobe": geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.35])),
+    **{"fourier-%d" % seed: _fourier_domain(seed) for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("n", [512, 1000, 1024, 2048])
+@pytest.mark.parametrize("name", sorted(_RADII_DOMAINS))
+def test_touching_radii_bitwise_equal_to_reference_scan(name, n):
+    # n = 1000 leaves a partial last block; the disk ties every pair
+    tr = geometry.boundary_trace(_RADII_DOMAINS[name], n)
+    cap = geometry._diameter(tr.points)
+    assert geometry.touching_radii(tr, cap) == _reference_touching_radii(tr, cap)
+
+
+def test_touching_radii_memory_peak_bounded():
+    # the 256-row scan allocated about ten (256, n) temporaries: 17.1 MB at n = 1024
+    tr = geometry.boundary_trace(geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.05])), 1024)
+    tracemalloc.start()
+    try:
+        geometry.touching_radii(tr, cap=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 def test_rho_bounds_and_outside_rejection():

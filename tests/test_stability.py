@@ -134,6 +134,24 @@ def test_nonpositive_curvature_rejections():
             stability.check_stability(theorem, trace, summary, field, spec, dev)
 
 
+def test_inapplicable_theorem_keeps_the_other_reports():
+    # cos3 at t = 0.1 has min H exactly 0, so mean_convex does not apply; the
+    # main report must come out as it does when main runs alone
+    dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.1]))
+    kw = dict(n_radial=8, n_angular=32, n_trace=256)
+    both = stability.analyze_domain(dom, theorems=("main", "mean_convex"), **kw)
+    alone = stability.analyze_domain(dom, theorems=("main",), **kw)
+    assert both.deviation.min_h == 0.0
+    main, mean_convex = both.reports
+    ref = alone.reports[0]
+    assert (main.theorem, main.c_stab, main.eps, main.gap, main.holds) == (
+        "main", ref.c_stab, ref.eps, ref.gap, ref.holds
+    )
+    assert mean_convex == stability.NotApplicableReport(
+        "mean_convex", "high_dim", "mean_convex variant needs strictly positive boundary curvature"
+    )
+
+
 def test_analyze_domain_computes_deviation_once(monkeypatch):
     calls = {"deviation_norms": 0, "boundary_normal_derivative": 0}
 
