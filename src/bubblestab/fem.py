@@ -5,12 +5,17 @@ Lagrange triangles.  Cells touching the boundary are isoparametric: the
 midside node of a boundary edge sits on the true curve, so the geometric
 consistency error drops to the level needed for the tight disk and ellipse
 benchmarks.  Interior cells keep affine maps (midside nodes at segment
-midpoints).  The element kernels work on one (nt,) array per reference point:
-J^-1 is formed once per quadrature point and solve, the element stiffness is
-one GEMM against a constant table, and only the interior block of the matrix
-is assembled.  It is solved by conjugate gradients, not by a sparse direct
-factorisation: splu's fill is 87 MB at 64x256, which breaks the benchmark's
-peak_rss_mb bound.  The preconditioner is the P1 stiffness of the red-refined
+midpoints).  What depends only on the mesh topology (n_radial, n_angular) is
+built once into a read-only plan shared by every domain meshed with it: the
+P2 numbering, the CSR pattern of the interior stiffness with the slot of each
+element-matrix entry in it, the node-element incidence and the
+preconditioner.  Per mesh, the element maps at all reference points are one
+GEMM of constant (4 x 12) tables against the element coordinates, the kernels
+work on one (p, nt) array per quantity, the element stiffness is one GEMM
+against a constant table, and the assembly is one bincount into the plan's
+slots.  The interior block is solved by conjugate gradients, not by a sparse
+direct factorisation: splu's fill is 87 MB at 64x256, which breaks the
+benchmark's peak_rss_mb bound.  The preconditioner is the P1 stiffness of the red-refined
 P2 lattice laid on the unit disk (low-order preconditioning of high-order
 elements, Orszag 1980, Deville-Mund 1985).  It is spectrally equivalent to the
 P2 stiffness on the same mesh topology, with constants set by the domain's
@@ -118,23 +123,47 @@ _KE = np.stack([_DD[..., 0, 0], _DD[..., 0, 1] + _DD[..., 1, 0], _DD[..., 1, 1]]
 del _DD
 
 
-def _inverse_jacobian(coords: np.ndarray, dn: np.ndarray):
-    """det J and the entries a, b, c, d of J^-1 = [[a, b], [c, d]], each (m,).
+def _map_table(dn: np.ndarray) -> np.ndarray:
+    """(4p, 12) table of the element maps at p reference points.
 
-    J is the element map's Jacobian at one reference point per element.
-    coords has shape (m, 6, 2); dn has shape (6, 2) for a point shared by all
-    elements or (m, 6, 2) for one point per element.
+    dn (p, 6, 2) holds the shape-function derivatives there; one (4, 12) block
+    per point.  table @ coords.reshape(nt, 12).T stacks the entries j00, j01,
+    j10, j11 of J, each (p, nt).
     """
-    j00 = j01 = j10 = j11 = 0.0
-    for k in range(6):
-        x, y = coords[:, k, 0], coords[:, k, 1]
-        dxi, deta = dn[..., k, 0], dn[..., k, 1]
-        j00, j01 = j00 + x * dxi, j01 + x * deta
-        j10, j11 = j10 + y * dxi, j11 + y * deta
+    return np.concatenate([np.kron(dn[:, :, d], np.eye(2)[c]) for c in range(2) for d in range(2)])
+
+
+_MAP_QP = _map_table(_DN_AT_QP)          # (28, 12)
+_MAP_NODES = _map_table(_DN_AT_NODES)    # (24, 12)
+# coords.reshape(nt, 12) @ _QP_TABLE is the (nt, 7, 2) quadrature points
+_QP_TABLE = np.kron(_N_AT_QP.T, np.eye(2))
+
+
+def _invert(j00, j01, j10, j11):
+    """det J and the entries a, b, c, d of J^-1 = [[a, b], [c, d]]."""
     det = j00 * j11 - j01 * j10
     if np.any(det <= 0.0):
         raise MeshError("non-positive Jacobian in element map")
     return det, j11 / det, -j01 / det, -j10 / det, j00 / det
+
+
+def _element_maps(coords: np.ndarray, table: np.ndarray):
+    """det J and the entries of J^-1 at the p reference points of table
+    (_MAP_QP or _MAP_NODES) in every element, each (p, nt): one GEMM.
+
+    coords (nt, 6, 2) must be C-contiguous.  Nothing stores the result: the
+    quadrature weights, the assembly and the nodal gradients each recompute
+    what they read, as one GEMM is cheap and J^-1 kept on the space would
+    hold 28 floats per element for as long as the mesh lives.
+    """
+    nt = coords.shape[0]
+    return _invert(*(table @ coords.reshape(nt, 12).T).reshape(4, -1, nt))
+
+
+def _inverse_jacobian(coords: np.ndarray, dn: np.ndarray):
+    """det J and the entries of J^-1, each (m,), at one reference point per
+    element: coords and dn are both (m, 6, 2)."""
+    return _invert(*np.einsum("mkc,mkd->cdm", coords, dn).reshape(4, -1))
 
 
 # -- mesh --------------------------------------------------------------------
@@ -240,64 +269,153 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     )
 
 
+# -- per-topology plan ------------------------------------------------------
+
+
+class _Plan:
+    """Everything fem needs of a mesh that depends only on (n_radial, n_angular).
+
+    - tri_nodes (nt, 6): the P2 node ids of each triangle, vertices first,
+      then the midsides of edges (0, 1), (1, 2), (2, 0); midside m is node
+      nv + m and mid_ends[m] are its edge's endpoints.  Edges are numbered in
+      order of first appearance, triangle by triangle, which the mesh order
+      turns into index arithmetic.
+    - b_tri: the outer-ring (a, d, c) triangle of each sector, whose local
+      edge (1, 2) is the boundary edge, running forward.
+    - dirichlet (n_nodes,) and interior: the boundary nodes and, in the
+      solver's order, the rest.
+    - the CSR pattern (indptr, indices) of the interior stiffness block, and
+      slot (36 nt,) int32: the position in it of each element-matrix entry,
+      entry-major (row 6k + l, then element), or nnz for an entry touching a
+      Dirichlet node; el_dof (nt, 6) does the same for the load vector, with
+      n_in for a Dirichlet node.
+    - incidence: the node x element matrix that _min_points reads.
+    - precond: the polar FFT preconditioner.
+
+    Every array is read-only, and nothing refers to a mesh, space or domain,
+    so one plan serves every domain meshed with the topology.
+    """
+
+    def __init__(self, mesh: TriMesh):
+        n_r, n_a = self.n_radial, self.n_angular = mesh.n_radial, mesh.n_angular
+        nv = mesh.vertices.shape[0]
+        nt = mesh.triangles.shape[0]
+
+        # midside ids, less nv: spoke i of the fan is 2i and its arc 2i + 1;
+        # ring j >= 1 starts at 2 n_a + 3 n_a (j - 1) with, per sector i, its
+        # radial edge at angle i, its outer arc and its diagonal a-c
+        i = np.arange(n_a)
+        ring = (2 + 3 * np.arange(n_r - 1))[:, None] * n_a + 3 * i        # (n_r - 1, n_a)
+        inner_arc = np.concatenate([2 * i + 1, (ring[:-1] + 1).ravel()]).reshape(n_r - 1, n_a)
+        adc = np.stack([ring, ring + 1, ring + 2], axis=-1)
+        acb = np.stack([ring + 2, np.roll(ring, -1, axis=1), inner_arc], axis=-1)
+        fan = np.stack([2 * i, 2 * i + 1, 2 * np.roll(i, -1)], axis=-1)
+        tri_nodes = np.empty((nt, 6), dtype=np.int64)
+        tri_nodes[:, :3] = mesh.triangles
+        tri_nodes[:, 3:] = nv + np.concatenate([fan, np.stack([adc, acb], axis=2).reshape(-1, 3)])
+        n_nodes = nv + n_a * (3 * n_r - 1)
+        mid_ends = np.empty((n_nodes - nv, 2), dtype=np.int64)
+        mid_ends[tri_nodes[:, 3:] - nv] = mesh.triangles[:, _EDGE_LOCALS]
+
+        self.b_tri = nt - 2 * n_a + 2 * i
+        dirichlet = np.zeros(n_nodes, dtype=bool)
+        dirichlet[mesh.boundary_edges.ravel()] = True
+        dirichlet[tri_nodes[self.b_tri, 4]] = True
+        interior = np.nonzero(~dirichlet)[0]
+        self.tri_nodes, self.mid_ends, self.dirichlet, self.interior = tri_nodes, mid_ends, dirichlet, interior
+        # built while little else is held: its set-up peak is the larger one
+        self.precond = _PolarPreconditioner(self, mesh.radial_fractions)
+
+        n_in = interior.size
+        dof = np.full(n_nodes, n_in, dtype=np.int32)
+        dof[interior] = np.arange(n_in, dtype=np.int32)
+        el_dof = dof[tri_nodes]
+
+        # int32 counts: the product drops entries that sum to zero, so a
+        # narrower type would wrap the centre's n_angular fan entries away
+        incidence = sp.csr_matrix(
+            (np.ones(6 * nt, dtype=np.int32), (tri_nodes.ravel(), np.repeat(np.arange(nt), 6))),
+            shape=(n_nodes, nt),
+        )
+        inc_in = incidence[interior]
+        pattern = inc_in @ inc_in.T
+        del inc_in
+        pattern.sort_indices()
+        indptr, indices, nnz = pattern.indptr, pattern.indices, pattern.nnz
+        del pattern
+        # point lookups in a matrix holding each entry's own index
+        lookup = sp.csr_array((np.arange(nnz, dtype=np.int32), indices, indptr), shape=(n_in, n_in))
+        slot = np.full((6, 6, nt), nnz, dtype=np.int32)
+        for k in range(6):
+            rows = np.broadcast_to(el_dof[:, k], (6, nt))
+            keep = (rows < n_in) & (el_dof.T < n_in)
+            slot[k][keep] = lookup[rows[keep], el_dof.T[keep]]
+        del lookup
+
+        self.el_dof, self.indptr, self.indices, self.slot = el_dof, indptr, indices, slot.reshape(-1)
+        self.incidence = incidence
+        for arr in (tri_nodes, mid_ends, self.b_tri, dirichlet, interior, el_dof, indptr, indices,
+                    self.slot, incidence.data, incidence.indices, incidence.indptr):
+            arr.setflags(write=False)
+
+
+# plans by mesh topology (n_radial, n_angular), oldest first
+_PLANS: dict[tuple[int, int], _Plan] = {}
+
+
+def _plan(mesh: TriMesh) -> _Plan:
+    """The plan of mesh's topology, built from the first mesh with it.
+
+    The eight most recently built topologies are kept.
+    """
+    key = (mesh.n_radial, mesh.n_angular)
+    if key not in _PLANS:
+        if len(_PLANS) == 8:
+            del _PLANS[next(iter(_PLANS))]
+        _PLANS[key] = _Plan(mesh)
+    return _PLANS[key]
+
+
 # -- P2 space ----------------------------------------------------------------
 
 
 class _P2Space:
     """Node table for P2 elements; boundary midside nodes sit on the curve.
 
-    qp_xy (nt, 7, 2) and qp_w (nt, 7) are the curved-cell quadrature points
-    and weights; they are read-only because every solve on the mesh shares
-    them.
+    The numbering (tri_nodes, b_tri, dirichlet, n_nodes) is the topology
+    plan's.  node_xy, coords (nt, 6, 2) and the curved-cell quadrature weights
+    qp_w (nt, 7) and points qp_xy (nt, 7, 2, formed on first read) are this
+    mesh's; the quadrature is read-only because every solve on the mesh
+    shares it.
     """
 
     def __init__(self, mesh: TriMesh):
         # no back reference to mesh: mesh.space -> space -> mesh would be a
         # cycle, keeping every dead mesh's arrays alive until a gc pass
-        tris = mesh.triangles
-        nv = mesh.vertices.shape[0]
-        nt = tris.shape[0]
+        plan = self.plan = _plan(mesh)
+        self.tri_nodes, self.b_tri, self.dirichlet = plan.tri_nodes, plan.b_tri, plan.dirichlet
+        self.n_nodes = plan.dirichlet.size
 
-        # edges numbered in order of first appearance, triangle by triangle
-        ends = tris[:, _EDGE_LOCALS]                         # (nt, 3, 2)
-        lo, hi = ends.min(axis=-1).ravel(), ends.max(axis=-1).ravel()
-        keys = lo * nv + hi
-        ukeys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        tri_nodes = np.empty((nt, 6), dtype=np.int64)
-        tri_nodes[:, :3] = tris
-        tri_nodes[:, 3:] = nv + rank[inverse].reshape(nt, 3)
-
-        n_nodes = nv + ukeys.size
-        node_xy = np.empty((n_nodes, 2))
-        node_xy[:nv] = mesh.vertices
-        e_first = first[order]
-        node_xy[nv:] = 0.5 * (mesh.vertices[lo[e_first]] + mesh.vertices[hi[e_first]])
-
-        # curve the boundary midsides: the boundary edge of sector i is local
-        # edge (1, 2), running forward, of its outer-ring (a, d, c) triangle
-        self.b_tri = nt - 2 * mesh.n_angular + 2 * np.arange(mesh.n_angular)
-        mid = tri_nodes[self.b_tri, 4]
+        verts = mesh.vertices
+        node_xy = np.empty((self.n_nodes, 2))
+        node_xy[: verts.shape[0]] = verts
+        node_xy[verts.shape[0]:] = 0.5 * (verts[plan.mid_ends[:, 0]] + verts[plan.mid_ends[:, 1]])
+        # curve the boundary midsides
         th = mesh.boundary_thetas
-        node_xy[mid] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
-        dirichlet = np.zeros(n_nodes, dtype=bool)
-        dirichlet[mesh.boundary_edges.ravel()] = True
-        dirichlet[mid] = True
-
-        self.tri_nodes = tri_nodes
+        node_xy[self.tri_nodes[self.b_tri, 4]] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
         self.node_xy = node_xy
-        self.n_nodes = n_nodes
-        self.dirichlet = dirichlet
-        self.coords = node_xy[tri_nodes]          # (nt, 6, 2)
+        self.coords = node_xy[self.tri_nodes]          # (nt, 6, 2)
 
-        self.qp_xy = _N_AT_QP @ self.coords
-        self.qp_w = np.empty((nt, 7))
-        for qi, dn in enumerate(_DN_AT_QP):
-            self.qp_w[:, qi] = 0.5 * _QW[qi] * _inverse_jacobian(self.coords, dn)[0]
-        self.qp_xy.setflags(write=False)
+        self.qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * _element_maps(self.coords, _MAP_QP)[0]).T)
         self.qp_w.setflags(write=False)
+
+    @functools.cached_property
+    def qp_xy(self) -> np.ndarray:
+        # only domain_quadrature reads the points, so only it pays for them
+        nt = self.coords.shape[0]
+        qp_xy = (self.coords.reshape(nt, 12) @ _QP_TABLE).reshape(nt, 7, 2)
+        qp_xy.setflags(write=False)
+        return qp_xy
 
 
 # -- polar FFT preconditioner ------------------------------------------------
@@ -312,21 +430,21 @@ _LATTICE_J = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0
 _LATTICE_K = np.array([[0, 0, 2, 0, 1, 2], [0, 0, 2, 0, 1, 1], [0, 2, 2, 1, 2, 1]])
 
 
-def _polar_lattice(mesh: TriMesh) -> np.ndarray:
-    """(J, K) point of every P2 node of mesh.space on the polar half-step lattice.
+def _polar_lattice(plan: _Plan) -> np.ndarray:
+    """(J, K) point of every P2 node of plan on the polar half-step lattice.
 
     Vertex 1 + (j-1)*n_angular + i sits at (2j, 2i) and the centre at (0, 0);
     a midside node sits halfway between its endpoints, except that a fan spoke
     takes the angle of its outer vertex.  Each triangle's ring j and sector i
     come from the triangle order of generate_mesh.
     """
-    n_a, n_r = mesh.n_angular, mesh.n_radial
+    n_a, n_r = plan.n_angular, plan.n_radial
     kind = np.concatenate([np.zeros(n_a, dtype=np.int64), np.tile([1, 2], n_a * (n_r - 1))])
     ring = np.concatenate([np.zeros(n_a, dtype=np.int64), np.repeat(np.arange(1, n_r), 2 * n_a)])
     sector = np.concatenate([np.arange(n_a), np.tile(np.repeat(np.arange(n_a), 2), n_r - 1)])
-    lat = np.empty((mesh.space.n_nodes, 2), dtype=np.int64)
-    lat[mesh.space.tri_nodes, 0] = _LATTICE_J[kind] + 2 * ring[:, None]
-    lat[mesh.space.tri_nodes, 1] = (_LATTICE_K[kind] + 2 * sector[:, None]) % (2 * n_a)
+    lat = np.empty((plan.dirichlet.size, 2), dtype=np.int64)
+    lat[plan.tri_nodes, 0] = _LATTICE_J[kind] + 2 * ring[:, None]
+    lat[plan.tri_nodes, 1] = (_LATTICE_K[kind] + 2 * sector[:, None]) % (2 * n_a)
     lat[0] = 0
     return lat
 
@@ -343,34 +461,32 @@ class _PolarPreconditioner:
     n_angular/2 + 1 Hermitian blocks, tridiagonal in J with 2x2 blocks.
     Stacked, with the centre bordered in as the first row of mode 0, they form
     one banded matrix of bandwidth 3, Cholesky-factored once.  The 2-D
-    stiffness is scale-invariant, so only the topology of mesh is read (its
-    P2 numbering and radial fractions), never its domain, and the result
-    serves every domain meshed with that topology.
+    stiffness is scale-invariant, so it needs only the topology: the plan's
+    P2 numbering and the mesh's radial fractions.
     """
 
-    def __init__(self, mesh: TriMesh):
-        space = mesh.space
-        n_a, n_s = mesh.n_angular, 4 * mesh.n_radial - 3
+    def __init__(self, plan: _Plan, radial_fractions: np.ndarray):
+        n_a, n_s = plan.n_angular, 4 * plan.n_radial - 3
         n_m = n_a // 2 + 1
-        lat = _polar_lattice(mesh)
+        lat = _polar_lattice(plan)
         slot = np.where(lat[:, 0] == 1, 0, 2 * lat[:, 0] - 3 + lat[:, 1] % 2)
         sector = lat[:, 1] // 2
         # interior dofs in the solver's order; the centre (node 0) is dof 0
-        interior = np.nonzero(~space.dirichlet)[0]
+        interior = plan.interior
         self.index = (slot[interior[1:]] * n_a + sector[interior[1:]]).astype(np.int32)
         self.shape = (n_s, n_a)
 
         # the P2 triangles of coarse sector 0 laid on the unit disk: vertices
         # at their radial fraction, midsides at the mean of their endpoints,
         # boundary midsides moved out onto the circle
-        tri0 = space.tri_nodes[np.all(lat[space.tri_nodes, 1] <= 2, axis=1)]
-        radius = np.concatenate([[0.0], mesh.radial_fractions])[lat[tri0[:, :3], 0] // 2]
+        tri0 = plan.tri_nodes[np.all(lat[plan.tri_nodes, 1] <= 2, axis=1)]
+        radius = np.concatenate([[0.0], radial_fractions])[lat[tri0[:, :3], 0] // 2]
         angle = (np.pi / n_a) * lat[tri0[:, :3], 1]
         xy = np.empty(tri0.shape + (2,))
         xy[:, :3, 0], xy[:, :3, 1] = radius * np.cos(angle), radius * np.sin(angle)
         mid = xy[:, 3:]
         mid[:] = 0.5 * (xy[:, _EDGE_LOCALS[:, 0]] + xy[:, _EDGE_LOCALS[:, 1]])
-        on_circle = space.dirichlet[tri0[:, 3:]]
+        on_circle = plan.dirichlet[tri0[:, 3:]]
         mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
 
         # P1 element matrices of their red refinement
@@ -380,7 +496,7 @@ class _PolarPreconditioner:
         twice_area = np.abs(edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0])
         ke = (edge @ edge.transpose(0, 2, 1)) / (2.0 * twice_area)[:, None, None]
         a, b, v = np.repeat(sub, 3, axis=1).ravel(), np.tile(sub, 3).ravel(), ke.ravel()
-        keep = ~(space.dirichlet[a] | space.dirichlet[b])
+        keep = ~(plan.dirichlet[a] | plan.dirichlet[b])
         a, b, v = a[keep], b[keep], v[keep]
 
         # upper band storage ab[3 + i - j, j] = A[i, j]; row 1 + m n_s + s is slot
@@ -398,7 +514,7 @@ class _PolarPreconditioner:
         ab = ab.reshape(4, n)
         ab[3, 0], ab[2, 1] = centre, border
         self.factor = cholesky_banded(ab, lower=False, check_finite=False)
-        # every solve on this topology shares the cached arrays
+        # every solve on this topology shares the plan's arrays
         self.index.setflags(write=False)
         self.factor.setflags(write=False)
 
@@ -414,23 +530,6 @@ class _PolarPreconditioner:
         out[0] = z[0].real
         out[1:] = np.fft.irfft(z[1:].reshape(-1, n_s).T, n=n_a, norm="ortho").ravel()[self.index]
         return out
-
-
-# preconditioners by mesh topology (n_radial, n_angular), oldest first
-_PRECONDITIONERS: dict[tuple[int, int], _PolarPreconditioner] = {}
-
-
-def _polar_preconditioner(mesh: TriMesh) -> _PolarPreconditioner:
-    """The preconditioner of mesh's topology, built from the first mesh with it.
-
-    The eight most recently built topologies are kept.
-    """
-    key = (mesh.n_radial, mesh.n_angular)
-    if key not in _PRECONDITIONERS:
-        if len(_PRECONDITIONERS) == 8:
-            del _PRECONDITIONERS[next(iter(_PRECONDITIONERS))]
-        _PRECONDITIONERS[key] = _PolarPreconditioner(mesh)
-    return _PRECONDITIONERS[key]
 
 
 # relative residual at which conjugate gradients stop
@@ -508,26 +607,33 @@ class TorsionField:
     space: "_P2Space"
 
 
-def _gradient(u_el: np.ndarray, inv, dn: np.ndarray):
-    """Gradient entries (gx, gy) of the FE solution at one reference point per
-    element; dn (6, 2) holds the shape-function derivatives there and inv the
-    entries of J^-1."""
-    a, b, c, d = inv
-    gr = u_el @ dn
-    return gr[:, 0] * a + gr[:, 1] * c, gr[:, 0] * b + gr[:, 1] * d
+# The element kernels run point-major: each quantity at p reference points is
+# one (p, nt) array, so every entry-wise step reads contiguous memory.
 
 
-def _grad_hess(u_el: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
-    """Gradient and Hessian entries (gx, gy, h00, h01, h11) of the FE solution
-    at one reference point per element.
+def _gradient(u_t: np.ndarray, inv, dn: np.ndarray):
+    """Gradient entries (gx, gy), each (p, nt), of the FE solution at p
+    reference points per element.
 
-    href and cmap = (cx, cy) hold the constant (00, 01, 11) reference second
-    derivatives of u and of the element map, each (nt, 3).
+    u_t (6, nt) holds the element nodal values, dn (p, 6, 2) the
+    shape-function derivatives at the points and inv the entries of J^-1.
     """
     a, b, c, d = inv
-    gx, gy = _gradient(u_el, inv, dn)
+    g0, g1 = (dn.transpose(2, 0, 1).reshape(-1, 6) @ u_t).reshape((2,) + a.shape)
+    return g0 * a + g1 * c, g0 * b + g1 * d
+
+
+def _grad_hess(u_t: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
+    """Gradient and Hessian entries (gx, gy, h00, h01, h11), each (p, nt), of
+    the FE solution at p reference points per element.
+
+    href and cmap = (cx, cy) hold the constant (00, 01, 11) reference second
+    derivatives of u and of the element map, each (3, nt).
+    """
+    a, b, c, d = inv
+    gx, gy = _gradient(u_t, inv, dn)
     cx, cy = cmap
-    t00, t01, t11 = (href[:, i] - gx * cx[:, i] - gy * cy[:, i] for i in range(3))
+    t00, t01, t11 = (href[i] - gx * cx[i] - gy * cy[i] for i in range(3))
     h00 = a * a * t00 + 2.0 * a * c * t01 + c * c * t11
     h01 = a * b * t00 + (a * d + b * c) * t01 + c * d * t11
     h11 = b * b * t00 + 2.0 * b * d * t01 + d * d * t11
@@ -536,29 +642,29 @@ def _grad_hess(u_el: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
 
 def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
     """u, gradient and Hessian at the quadrature points (inv_qp holds J^-1
-    there), then the nodal gradient by area-weighted averaging."""
+    there), and the nodal gradient by area-weighted averaging, which is
+    formed first so that its temporaries never meet the quadrature fields."""
     coords = space.coords
     u_el = u_full[space.tri_nodes]
+    u_t = u_el.T
     nt = coords.shape[0]
-    href = u_el @ _D2N                                        # reference Hessian, constant
-    cmap = (coords[:, :, 0] @ _D2N, coords[:, :, 1] @ _D2N)   # map curvature terms
-    qp_g = np.empty((nt, 7, 2))
-    qp_h = np.empty((nt, 7, 2, 2))
-    for qi, inv in enumerate(inv_qp):
-        gx, gy, h00, h01, h11 = _grad_hess(u_el, href, cmap, inv, _DN_AT_QP[qi])
-        qp_g[:, qi, 0], qp_g[:, qi, 1] = gx, gy
-        qp_h[:, qi, 0, 0], qp_h[:, qi, 1, 1] = h00, h11
-        qp_h[:, qi, 0, 1] = qp_h[:, qi, 1, 0] = h01
 
     # (gx, gy, 1) x local node x element, weighted by element area
     vals = np.empty((3, 6, nt))
-    for k, dn in enumerate(_DN_AT_NODES):
-        vals[:2, k] = _gradient(u_el, _inverse_jacobian(coords, dn)[1:], dn)
+    vals[0], vals[1] = _gradient(u_t, _element_maps(coords, _MAP_NODES)[1:], _DN_AT_NODES)
     vals[2] = 1.0
     vals *= np.sum(space.qp_w, axis=1)
     idx = space.tri_nodes.T.ravel()
     gx, gy, wsum = (np.bincount(idx, weights=v.ravel(), minlength=space.n_nodes) for v in vals)
+    del vals
     grad = np.stack([gx, gy], axis=-1) / wsum[:, None]
+
+    href = _D2N.T @ u_t                                              # reference Hessian, constant
+    cmap = (_D2N.T @ coords[:, :, 0].T, _D2N.T @ coords[:, :, 1].T)  # map curvature terms
+    gx, gy, h00, h01, h11 = _grad_hess(u_t, href, cmap, inv_qp, _DN_AT_QP)
+    qp_g = np.stack([gx.T, gy.T], axis=-1)
+    del gx, gy   # before the Hessian is stacked: a lower peak
+    qp_h = np.stack([h00.T, h01.T, h01.T, h11.T], axis=-1).reshape(nt, 7, 2, 2)
     return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
 
 
@@ -598,11 +704,7 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     cand = np.nonzero(u_full <= umin + tol)[0]
 
     # node x element incidence; candidates sharing an element are clustered
-    nt = space.tri_nodes.shape[0]
-    inc = sp.csr_matrix(
-        (np.ones(6 * nt), (space.tri_nodes.ravel(), np.repeat(np.arange(nt), 6))),
-        shape=(space.n_nodes, nt),
-    )
+    inc = space.plan.incidence
     n_comp, labels = connected_components(inc[cand] @ inc[cand].T, directed=False)
 
     out = []
@@ -631,31 +733,30 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
+def _element_stiffness(space: _P2Space, inv_qp) -> np.ndarray:
+    """The element stiffness matrices entry-major, (36, nt): row 6k + l holds
+    entry (k, l) of every element."""
+    a, b, c, d = inv_qp
+    # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
+    g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
+    g *= space.qp_w.T[:, None, :]
+    return _KE.T @ g.reshape(21, -1)
+
+
 def _assemble_interior(space: _P2Space, inv_qp):
-    """Stiffness matrix, load vector and node ids of the interior unknowns.
+    """Stiffness matrix and load vector of the interior unknowns.
 
-    Entries touching a Dirichlet node are dropped before the CSR matrix is
-    built, so the full matrix never exists.
+    The element matrices are summed straight into the plan's CSR pattern,
+    one bincount over its slots; the last bin collects the entries that
+    touch a Dirichlet node and is dropped, so no full matrix, COO triplet or
+    duplicate sum ever exists.
     """
-    # the metric J^-1 J^-T as (00, 01, 11) per element and quadrature point
-    ke = np.stack([np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=-1) for a, b, c, d in inv_qp], axis=1)
-    ke = ((ke * space.qp_w[:, :, None]).reshape(-1, 21) @ _KE).ravel()
+    plan = space.plan
+    n_in = plan.interior.size
+    data = np.bincount(plan.slot, _element_stiffness(space, inv_qp).ravel(), plan.indices.size + 1)[:-1]
     fe = (-DIM * space.qp_w) @ _N_AT_QP
-
-    interior = np.nonzero(~space.dirichlet)[0]
-    n_in = interior.size
-    dof = np.full(space.n_nodes, -1, dtype=np.int32)
-    dof[interior] = np.arange(n_in, dtype=np.int32)
-    el = dof[space.tri_nodes]
-    b_in = np.bincount(el[el >= 0], weights=fe[el >= 0], minlength=n_in)
-    rows = np.repeat(el, 6, axis=1).ravel()
-    cols = np.tile(el, 6).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    # rebinding one array at a time keeps the peak at one copy of each
-    ke = ke[keep]
-    rows = rows[keep]
-    cols = cols[keep]
-    return sp.csr_matrix((ke, (rows, cols)), shape=(n_in, n_in)), b_in, interior
+    b_in = np.bincount(plan.el_dof.ravel(), fe.ravel(), n_in + 1)[:-1]
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
 
 
 def solve_torsion(mesh: TriMesh) -> TorsionField:
@@ -666,16 +767,14 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     _CG_RTOL, or break down (see _pcg).
     """
     space = mesh.space
-    # set up before the assembly, so a cold cache does not raise its memory peak
-    precond = _polar_preconditioner(mesh)
     # J^-1 at the 7 quadrature points, shared by the assembly and the fields
-    inv_qp = [_inverse_jacobian(space.coords, dn)[1:] for dn in _DN_AT_QP]
-    a_in, b_in, interior = _assemble_interior(space, inv_qp)
-    x, relres, iters = _pcg(a_in, b_in, precond)
+    inv_qp = _element_maps(space.coords, _MAP_QP)[1:]
+    a_in, b_in = _assemble_interior(space, inv_qp)
+    x, relres, iters = _pcg(a_in, b_in, space.plan.precond)
     del a_in
 
     u_full = np.zeros(space.n_nodes)
-    u_full[interior] = x
+    u_full[space.plan.interior] = x
 
     qp_u, qp_g, qp_h, grad = _derivatives(space, u_full, inv_qp)
 

@@ -11,7 +11,6 @@ import dataclasses
 
 import numpy as np
 from scipy.spatial import ConvexHull
-from scipy.spatial.distance import pdist
 
 
 # The package is planar only: every dimension-dependent formula reads this.
@@ -291,11 +290,29 @@ def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
 
 
 def _diameter(points: np.ndarray) -> float:
-    try:
-        hull = points[ConvexHull(points).vertices]
-    except Exception:
-        hull = points
-    return float(np.sqrt(np.max(pdist(hull, "sqeuclidean"))))
+    """Largest distance between two of points, which must surround a point
+    (the trace of a star domain does).
+
+    The farthest pair is a pair of antipodal vertices of the convex hull
+    (rotating calipers, Shamos 1978).  The hull runs counterclockwise, so its
+    edge directions increase; the vertices antipodal to edge i are those
+    whose normal cone holds the opposite direction, and the ones antipodal
+    to vertex i run from those of edge i - 1 to those of edge i.  Each range
+    is widened by one vertex on both sides against round-off in the angles;
+    the squared distances are formed as pdist forms them, so the maximum is
+    the same float.
+    """
+    hull = points[ConvexHull(points).vertices]
+    n = hull.shape[0]
+    edge = np.roll(hull, -1, axis=0) - hull
+    angle = np.unwrap(np.arctan2(edge[:, 1], edge[:, 0]))
+    far = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
+    first = np.concatenate([[far[-1] - n], far[:-1]]) - 1
+    count = far + 2 - first
+    i = np.repeat(np.arange(n), count)
+    j = (np.repeat(first - np.cumsum(count) + count, count) + np.arange(i.size)) % n
+    d = hull[i] - hull[j]
+    return float(np.sqrt(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
 
 def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummary:

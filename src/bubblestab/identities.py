@@ -54,6 +54,12 @@ def _report(name: str, lhs: float, rhs: float, scale: float, applicable: bool = 
     )
 
 
+def _hessian(field: TorsionField):
+    """The entries h00, h01, h11 of hess u at the quadrature points, each (nt, 7)."""
+    hq = field.qp_hess
+    return hq[..., 0, 0], hq[..., 0, 1], hq[..., 1, 1]
+
+
 def cs_deficit(field: TorsionField) -> DeficitReport:
     """Deficit integrals and the elementwise floor of the P-function Laplacian.
 
@@ -64,25 +70,24 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     recovered grad P instead loses the sign: curved boundary cells carry O(1)
     Hessian error, so the divergence route floors near -1, not -1e-6.
     """
-    hq = field.qp_hess
+    h00, h01, h11 = _hessian(field)
     w = field.space.qp_w
-    hs = np.einsum("tqcd,tqcd->tq", hq, hq)
-    tr = hq[..., 0, 0] + hq[..., 1, 1]
-    density = hs - tr * tr / DIM
-    deficit = float(np.sum(w * density))
+    off = 2.0 * h01 * h01
+    tr = h00 + h11
+    density = h00 * h00 + off + h11 * h11 - tr * tr / DIM
+    w_density = w * density
+    deficit = float(np.sum(w_density))
+    hess_h = float(np.sum(w * ((1.0 - h00) ** 2 + off + (1.0 - h11) ** 2)))   # |I - hess u|^2
 
-    eye = np.eye(DIM)
-    dev = eye[None, None, :, :] - hq
-    hess_h = float(np.sum(w * np.einsum("tqcd,tqcd->tq", dev, dev)))
-
-    p_min = float(np.min(np.sum(w * density, axis=1) / np.sum(w, axis=1)))
+    p_min = float(np.min(np.sum(w_density, axis=1) / np.sum(w, axis=1)))
     return DeficitReport(cs_deficit=deficit, hessian_h_sq=hess_h, p_min_delta=p_min)
 
 
 def _support(field: TorsionField, trace: BoundaryTrace) -> np.ndarray:
     """<x - c, nu> on the trace, c the center of the solved domain."""
     center = field.mesh.domain.center
-    return np.einsum("ic,ic->i", trace.points - center[None, :], trace.normals)
+    p, nu = trace.points, trace.normals
+    return (p[:, 0] - center[0]) * nu[:, 0] + (p[:, 1] - center[1]) * nu[:, 1]
 
 
 def identity_suite(
@@ -121,8 +126,8 @@ def identity_suite(
     else:
         reports.append(IdentityReport("heintze_karcher", np.nan, np.nan, np.nan, np.nan, applicable=False))
 
-    hq = field.qp_hess
-    hs = np.einsum("tqcd,tqcd->tq", hq, hq)
+    h00, h01, h11 = _hessian(field)
+    hs = h00 * h00 + 2.0 * h01 * h01 + h11 * h11
     wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (hs - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))
     reports.append(_report("wps", wps_lhs, wps_rhs, scale))

@@ -10,6 +10,7 @@ import pathlib
 import sys
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from bubblestab import cli, fem, geometry, stability
 
@@ -47,6 +48,14 @@ def test_workload_configs_load(tmp_path):
 def test_analyze_small_params(tmp_path):
     small = _load("workloads").AnalyzeSmall(1, str(tmp_path))
     assert small.params == stability.StabilityParams(sobolev_c=1.0)
+
+
+def test_diameter_on_analyze_small_domains(tmp_path):
+    # the hull's antipodal pairs find the all-pairs maximum on the seeded
+    # domains of analyze_small, as the same float
+    for _, _, domain in _load("workloads").AnalyzeSmall(1, str(tmp_path)).domains:
+        points = geometry.boundary_trace(domain, 1024).points
+        assert geometry._diameter(points) == float(np.sqrt(np.max(pdist(points, "sqeuclidean"))))
 
 
 def test_solved_field_attributes():

@@ -384,8 +384,8 @@ def _reference_kernels(space, u_full):
 def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     space = mesh.space
-    inv_qp = [fem._inverse_jacobian(space.coords, dn)[1:] for dn in fem._DN_AT_QP]
-    a_in, b_in, _ = fem._assemble_interior(space, inv_qp)
+    inv_qp = fem._element_maps(space.coords, fem._MAP_QP)[1:]
+    a_in, b_in = fem._assemble_interior(space, inv_qp)
     # both sides differentiate the same u, so no CG round-off enters
     u_full = fem.solve_torsion(mesh).u
     ref = _reference_kernels(space, u_full)
@@ -424,6 +424,99 @@ def test_solve_memory_peak_bounded():
     assert peak <= 7 * ke_bytes
 
 
+@pytest.fixture
+def empty_plans(monkeypatch):
+    # a private, empty plan cache: these tests neither read nor evict the shared one
+    monkeypatch.setattr(fem, "_PLANS", {})
+    return fem._PLANS
+
+
+def test_cold_plan_memory_peak_bounded(empty_plans):
+    # building the topology plan, the space and the solve together stays
+    # inside the bound of test_solve_memory_peak_bounded
+    mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
+    ke_bytes = 36 * mesh.triangles.shape[0] * 8
+    tracemalloc.start()
+    try:
+        mesh.space
+        fem.solve_torsion(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(empty_plans) == [(32, 128)]
+    assert peak <= 7 * ke_bytes
+
+
+def test_plan_shared_per_topology(empty_plans):
+    m1 = fem.generate_mesh(geometry.StarDomain.disk(), 8, 32)
+    m2 = fem.generate_mesh(FOURIER5, 8, 32)
+    assert m1.space.plan is m2.space.plan
+    assert m1.space.plan.precond is m2.space.plan.precond
+    assert fem.generate_mesh(FOURIER5, 8, 36).space.plan is not m1.space.plan
+    assert list(empty_plans) == [(8, 32), (8, 36)]
+
+
+def _plan_arrays(plan):
+    out = {name: v for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
+    inc, pre = plan.incidence, plan.precond
+    out.update(inc_data=inc.data, inc_indices=inc.indices, inc_indptr=inc.indptr, pre_index=pre.index, pre_factor=pre.factor)
+    return out
+
+
+def test_plan_arrays_read_only(empty_plans):
+    arrays = _plan_arrays(fem.generate_mesh(FOURIER5, 8, 32).space.plan)
+    assert {"tri_nodes", "mid_ends", "b_tri", "dirichlet", "interior", "el_dof", "indptr", "indices", "slot"} <= set(arrays)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+
+
+def test_ninth_topology_evicts_oldest(empty_plans):
+    disk = geometry.StarDomain.disk()
+    first = fem.generate_mesh(disk, 4, 16).space.plan
+    for n_angular in range(20, 52, 4):
+        fem.generate_mesh(disk, 4, n_angular).space
+    assert len(empty_plans) == 8 and (4, 16) not in empty_plans
+    rebuilt = fem.generate_mesh(FOURIER5, 4, 16).space.plan
+    assert rebuilt is not first
+    assert (rebuilt.n_radial, rebuilt.n_angular) == (first.n_radial, first.n_angular)
+    want, got = _plan_arrays(first), _plan_arrays(rebuilt)
+    assert want.keys() == got.keys()
+    for name, arr in want.items():
+        assert arr.dtype == got[name].dtype and np.array_equal(arr, got[name]), name
+
+
+def _reference_interior_matrix(space, ke):
+    # the element matrices ke (36, nt) assembled as before the plan: COO
+    # triplets without the Dirichlet rows and columns, converted to CSR with
+    # the duplicates summed
+    interior = np.nonzero(~space.dirichlet)[0]
+    dof = np.full(space.n_nodes, -1)
+    dof[interior] = np.arange(interior.size)
+    el = dof[space.tri_nodes].T
+    rows, cols = np.repeat(el, 6, axis=0).ravel(), np.tile(el, (6, 1)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    shape = (interior.size, interior.size)
+    ref = sp.coo_matrix((ke.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+    ref.sum_duplicates()
+    return ref
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (16, 64), (32, 128), (64, 256)])
+def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
+    space = fem.generate_mesh(FOURIER5, n_radial, n_angular).space
+    inv_qp = fem._element_maps(space.coords, fem._MAP_QP)[1:]
+    a_in, _ = fem._assemble_interior(space, inv_qp)
+    ref = _reference_interior_matrix(space, fem._element_stiffness(space, inv_qp))
+    assert np.array_equal(a_in.indptr, ref.indptr)
+    assert np.array_equal(a_in.indices, ref.indices)
+    assert np.max(np.abs(a_in.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+    # the centre (dof 0, whose row starts with itself) sums one diagonal entry
+    # per fan triangle; a count kept in a narrow integer type wraps at 128
+    # sectors and drops this entry
+    assert a_in.indices[0] == 0
+    assert np.count_nonzero(space.plan.slot == 0) == n_angular
+
+
 def _reference_polar_lattice(mesh):
     # the midside averaging, wrapping in theta, that placed the P2 nodes on
     # the polar lattice before the per-triangle patterns; kept as the
@@ -448,7 +541,7 @@ def _reference_polar_lattice(mesh):
 @pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
 def test_polar_lattice_matches_reference(n_radial, n_angular):
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
-    assert np.array_equal(fem._polar_lattice(mesh), _reference_polar_lattice(mesh))
+    assert np.array_equal(fem._polar_lattice(mesh.space.plan), _reference_polar_lattice(mesh))
 
 
 # red refinement of a P2 triangle: its corner triangles and the middle one
@@ -478,7 +571,7 @@ def _p1_disk_stiffness(n_radial, n_angular):
 def test_polar_preconditioner_inverts_p1_disk_stiffness(n_radial, n_angular):
     a_ref = _p1_disk_stiffness(n_radial, n_angular)
     # built from an ellipse mesh: only the topology may be read
-    precond = fem._PolarPreconditioner(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular))
+    precond = fem._Plan(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular)).precond
     # a random vector loads every Fourier mode, Nyquist included; the unit
     # vector on the centre loads the border row and the J = 1 ring
     centre = np.zeros(a_ref.shape[0])
@@ -506,10 +599,10 @@ def test_cg_iterations_flat_under_refinement():
 )
 def test_solve_matches_direct_solve(domain):
     mesh = fem.generate_mesh(domain, 16, 64)
-    inv_qp = [fem._inverse_jacobian(mesh.space.coords, dn)[1:] for dn in fem._DN_AT_QP]
-    a_in, b_in, interior = fem._assemble_interior(mesh.space, inv_qp)
+    inv_qp = fem._element_maps(mesh.space.coords, fem._MAP_QP)[1:]
+    a_in, b_in = fem._assemble_interior(mesh.space, inv_qp)
     u_direct = spla.spsolve(a_in.tocsc(), b_in)
-    u = fem.solve_torsion(mesh).u[interior]
+    u = fem.solve_torsion(mesh).u[mesh.space.plan.interior]
     assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
 
 

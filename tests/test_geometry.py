@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from scipy.spatial.distance import pdist
+
 from bubblestab import geometry
 
 
@@ -156,6 +158,28 @@ def test_touching_radii_bitwise_equal_to_reference_scan(name, n):
     tr = geometry.boundary_trace(_RADII_DOMAINS[name], n)
     cap = geometry._diameter(tr.points)
     assert geometry.touching_radii(tr, cap) == _reference_touching_radii(tr, cap)
+
+
+def _pdist_diameter(points):
+    # every pair: the reference the hull's antipodal pairs must reproduce
+    return float(np.sqrt(np.max(pdist(points, "sqeuclidean"))))
+
+
+_DIAMETER_DOMAINS = {
+    "disk": geometry.StarDomain.disk(),
+    "ellipse-1.5x1": geometry.StarDomain.ellipse(1.5, 1.0),
+    "ellipse-4x1": geometry.StarDomain.ellipse(4.0, 1.0),
+    **{"cos3-%g" % t: geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, t])) for t in (0.05, 0.2)},
+}
+
+
+@pytest.mark.parametrize("n", [8, 1000, 1024])
+@pytest.mark.parametrize("name", sorted(_DIAMETER_DOMAINS))
+def test_diameter_equals_pdist_max(name, n):
+    # the disk ties every antipodal pair; at n = 8 the ellipses' hulls are
+    # coarse enough that a vertex faces several antipodal vertices
+    points = geometry.boundary_trace(_DIAMETER_DOMAINS[name], n).points
+    assert geometry._diameter(points) == _pdist_diameter(points)
 
 
 def test_touching_radii_memory_peak_bounded():
