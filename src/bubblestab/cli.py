@@ -215,11 +215,16 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     threshold = cfg["params"]["residual_threshold"]
 
     worst_finest = 0.0
+    # (trace, summary) by trace size: levels whose size agrees share them
+    geom = {}
     for lev in range(levels):
         mesh = fem.generate_mesh(domain, n_r * 2**lev, n_a * 2**lev)
         field = fem.solve_torsion(mesh)
-        trace = geometry.boundary_trace(domain, max(n_trace, 4 * mesh.n_angular))
-        summary = geometry.geometry_summary(domain, trace)
+        size = max(n_trace, 4 * mesh.n_angular)
+        if size not in geom:
+            trace = geometry.boundary_trace(domain, size)
+            geom[size] = trace, geometry.geometry_summary(domain, trace)
+        trace, summary = geom[size]
         u_nu = fem.boundary_normal_derivative(field, trace.thetas)
         deficit = identities.cs_deficit(field)
         reports = identities.identity_suite(field, trace, summary, u_nu, deficit)

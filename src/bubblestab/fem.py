@@ -15,14 +15,16 @@ work on one (p, nt) array per quantity, the element stiffness is one GEMM
 against a constant table, and the assembly is one bincount into the plan's
 slots.  The interior block is solved by conjugate gradients, not by a sparse
 direct factorisation: splu's fill is 87 MB at 64x256, which breaks the
-benchmark's peak_rss_mb bound.  The preconditioner is the P1 stiffness of the red-refined
-P2 lattice laid on the unit disk (low-order preconditioning of high-order
-elements, Orszag 1980, Deville-Mund 1985).  It is spectrally equivalent to the
-P2 stiffness on the same mesh topology, with constants set by the domain's
-shape and not by the mesh size, so CG takes 10-25 iterations on the disk, the
-ellipse and cos3 domains at every mesh size, where diagonal scaling needed a
-count that doubled with each refinement.  An FFT in theta diagonalises it, so
-one apply costs a few matrix-vector products.
+benchmark's peak_rss_mb bound.  The preconditioner is the exact inverse of
+the P2 stiffness that the same assembly gives on the unit-disk mesh of the
+topology, which an FFT in theta makes block-banded (Swarztrauber-Sweet 1973),
+so one apply costs a few matrix-vector products.  On the disk CG stops after
+one iteration.  Elsewhere the operator differs from the disk's only by the
+radial map between them (equivalent-operator preconditioning,
+Axelsson-Karatson 2009), so the count is set by max |rho'/rho| and not by
+the mesh size: 15 iterations on the 1.5x1 ellipse and 6-13 on
+rho = 1 + t cos 3 theta for t <= 0.1, where diagonal scaling needed a count
+that doubled with each refinement.
 """
 from __future__ import annotations
 
@@ -151,19 +153,23 @@ def _element_maps(coords: np.ndarray, table: np.ndarray):
     """det J and the entries of J^-1 at the p reference points of table
     (_MAP_QP or _MAP_NODES) in every element, each (p, nt): one GEMM.
 
-    coords (nt, 6, 2) must be C-contiguous.  Nothing stores the result: the
-    quadrature weights, the assembly and the nodal gradients each recompute
-    what they read, as one GEMM is cheap and J^-1 kept on the space would
-    hold 28 floats per element for as long as the mesh lives.
+    J comes from the coordinates relative to each element's vertex 0 (the
+    shape-function derivatives sum to zero, so J is the same in exact
+    arithmetic), which keeps the cancellation of far-off absolute
+    coordinates out of it.  Nothing stores the result: the quadrature
+    weights, the assembly and the nodal gradients each recompute what they
+    read, as one GEMM is cheap and J^-1 kept on the space would hold 28
+    floats per element for as long as the mesh lives.
     """
     nt = coords.shape[0]
-    return _invert(*(table @ coords.reshape(nt, 12).T).reshape(4, -1, nt))
+    return _invert(*(table @ (coords - coords[:, :1]).reshape(nt, 12).T).reshape(4, -1, nt))
 
 
 def _inverse_jacobian(coords: np.ndarray, dn: np.ndarray):
     """det J and the entries of J^-1, each (m,), at one reference point per
-    element: coords and dn are both (m, 6, 2)."""
-    return _invert(*np.einsum("mkc,mkd->cdm", coords, dn).reshape(4, -1))
+    element: coords and dn are both (m, 6, 2).  Relative coordinates as in
+    _element_maps."""
+    return _invert(*np.einsum("mkc,mkd->cdm", coords - coords[:, :1], dn).reshape(4, -1))
 
 
 # -- mesh --------------------------------------------------------------------
@@ -420,10 +426,6 @@ class _P2Space:
 
 # -- polar FFT preconditioner ------------------------------------------------
 
-# red refinement of a P2 triangle into four P1 triangles (local node ids)
-_RED = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
-
-
 # J and K, less (2j, 2i), of local nodes 0..5 in a fan triangle, an (a, d, c)
 # and an (a, c, b) triangle of ring j and sector i (the fan is ring 0)
 _LATTICE_J = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0]])
@@ -450,19 +452,26 @@ def _polar_lattice(plan: _Plan) -> np.ndarray:
 
 
 class _PolarPreconditioner:
-    """Inverse of the P1 stiffness on the red refinement of the unit-disk P2 mesh.
+    """Inverse of the P2 stiffness that solve_torsion assembles on the unit disk.
 
     The P2 nodes of a fan-plus-rings mesh form a complete polar half-step
-    lattice, and on the disk the P1 stiffness of that lattice is
-    block-circulant in theta with a period of one sector.  Per sector,
-    lattice ring J = 1 holds one interior node and each ring J >= 2 two, so
-    there are 4 n_radial - 3 slots; the centre couples only to Fourier
-    mode 0.  An rfft over the sectors splits the operator into
-    n_angular/2 + 1 Hermitian blocks, tridiagonal in J with 2x2 blocks.
-    Stacked, with the centre bordered in as the first row of mode 0, they form
-    one banded matrix of bandwidth 3, Cholesky-factored once.  The 2-D
-    stiffness is scale-invariant, so it needs only the topology: the plan's
-    P2 numbering and the mesh's radial fractions.
+    lattice, and on the disk the P2 stiffness is block-circulant in theta
+    with a period of one sector.  Per sector, lattice ring J = 1 holds one
+    interior node and each ring J >= 2 two, so there are 4 n_radial - 3
+    slots.  An rfft over the sectors splits the operator into
+    n_angular/2 + 1 Hermitian blocks, banded in the slots with half-width 5
+    because an element spans two lattice rings.  Stacked, with the centre,
+    which couples only to Fourier mode 0, bordered into slots 0-2 of mode 0,
+    they form one banded matrix, Cholesky-factored once.  The 2-D stiffness
+    is scale-invariant, so it needs only the topology: the plan's P2
+    numbering and the mesh's radial fractions.
+
+    On the disk an apply is the exact solve, and CG stops after one
+    iteration.  Elsewhere the count is set by the shape alone: in the polar
+    frame of the radial map from the disk the metric is
+    [[1 + q^2, -q], [-q, 1]] with q = rho'/rho, so the condition number is
+    about lam^2, where lam + 1/lam = 2 + max q^2, and CG needs about
+    ln(1e10) / ln((lam + 1)/(lam - 1)) iterations at any mesh size.
     """
 
     def __init__(self, plan: _Plan, radial_fractions: np.ndarray):
@@ -476,9 +485,9 @@ class _PolarPreconditioner:
         self.index = (slot[interior[1:]] * n_a + sector[interior[1:]]).astype(np.int32)
         self.shape = (n_s, n_a)
 
-        # the P2 triangles of coarse sector 0 laid on the unit disk: vertices
-        # at their radial fraction, midsides at the mean of their endpoints,
-        # boundary midsides moved out onto the circle
+        # the P2 triangles of sector 0 laid on the unit disk as generate_mesh
+        # and _P2Space place them: vertices at their radial fraction, midsides
+        # at the mean of their endpoints, boundary midsides on the circle
         tri0 = plan.tri_nodes[np.all(lat[plan.tri_nodes, 1] <= 2, axis=1)]
         radius = np.concatenate([[0.0], radial_fractions])[lat[tri0[:, :3], 0] // 2]
         angle = (np.pi / n_a) * lat[tri0[:, :3], 1]
@@ -489,30 +498,29 @@ class _PolarPreconditioner:
         on_circle = plan.dirichlet[tri0[:, 3:]]
         mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
 
-        # P1 element matrices of their red refinement
-        sub = tri0[:, _RED].reshape(-1, 3)
-        xy = xy[:, _RED].reshape(-1, 3, 2)
-        edge = np.roll(xy, 1, axis=1) - np.roll(xy, -1, axis=1)   # edge opposite each vertex
-        twice_area = np.abs(edge[:, 0, 0] * edge[:, 1, 1] - edge[:, 0, 1] * edge[:, 1, 0])
-        ke = (edge @ edge.transpose(0, 2, 1)) / (2.0 * twice_area)[:, None, None]
-        a, b, v = np.repeat(sub, 3, axis=1).ravel(), np.tile(sub, 3).ravel(), ke.ravel()
+        # their element matrices by the assembly's kernels
+        det, *inv = _element_maps(xy, _MAP_QP)
+        ke = _element_stiffness(((0.5 * _QW)[:, None] * det).T, inv)
+        a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
         keep = ~(plan.dirichlet[a] | plan.dirichlet[b])
         a, b, v = a[keep], b[keep], v[keep]
 
-        # upper band storage ab[3 + i - j, j] = A[i, j]; row 1 + m n_s + s is slot
+        # upper band storage ab[5 + i - j, j] = A[i, j]; row 1 + m n_s + s is slot
         # s of mode m and row 0 the centre.  An entry from (s, k) to (s', k')
         # adds v exp(2 pi i m (k' - k) / n_a) to block m.
         centre = np.sum(v[(a == 0) & (b == 0)]) * n_a
-        border = np.sum(v[(a == 0) & (b != 0)]) * np.sqrt(n_a)
+        to_centre = (a == 0) & (b != 0)
+        border = np.bincount(slot[b[to_centre]], v[to_centre], 3) * np.sqrt(n_a)
         up = (a != 0) & (b != 0) & (slot[a] <= slot[b])
         a, b, v = a[up], b[up], v[up]
         n = 1 + n_m * n_s
         m = np.arange(n_m)[:, None]
-        flat = ((3 + slot[a] - slot[b]) * n + 1 + m * n_s + slot[b]).ravel()
+        flat = ((5 + slot[a] - slot[b]) * n + 1 + m * n_s + slot[b]).ravel()
         vals = (v * np.exp(2j * np.pi * m * (sector[b] - sector[a]) / n_a)).ravel()
-        ab = np.bincount(flat, vals.real, 4 * n) + 1j * np.bincount(flat, vals.imag, 4 * n)
-        ab = ab.reshape(4, n)
-        ab[3, 0], ab[2, 1] = centre, border
+        ab = np.bincount(flat, vals.real, 6 * n) + 1j * np.bincount(flat, vals.imag, 6 * n)
+        ab = ab.reshape(6, n)
+        ab[5, 0] = centre
+        ab[[4, 3, 2], [1, 2, 3]] = border
         self.factor = cholesky_banded(ab, lower=False, check_finite=False)
         # every solve on this topology shares the plan's arrays
         self.index.setflags(write=False)
@@ -540,9 +548,9 @@ def _pcg(a_mat, b: np.ndarray, precond):
     """Preconditioned conjugate gradients; returns (x, relres, iters).
 
     precond applies an SPD approximation of a_mat^-1; solve_torsion passes the
-    polar FFT preconditioner of the mesh topology, whose spectral equivalence
-    to the P2 stiffness keeps the iteration count flat under refinement, at
-    the cost of a few matrix-vector products per apply.  Stops when the
+    polar FFT preconditioner of the mesh topology, the inverse of the
+    unit-disk stiffness, which keeps the iteration count flat under
+    refinement at the cost of a few matrix-vector products per apply.  Stops when the
     unpreconditioned relative residual drops to _CG_RTOL.  Raises SolverError
     after 50 sqrt(n) + 10 iterations, and on breakdown, when p.Ap is not
     positive and finite: a_mat is not positive definite, or the recursive
@@ -589,9 +597,9 @@ class TorsionField:
     u holds nodal values at all P2 nodes of space (vertices first).  M is the
     largest |grad u| at the quadrature points, in the area-averaged nodal
     gradients and at the boundary nodes; min_points are the refined interior
-    minima.  qp_u (nt, 7) and qp_hess (nt, 7, 2, 2) hold u and its Hessian at
-    the quadrature points space.qp_xy, weighted by space.qp_w in volume
-    integrals.  residual_norm and iterations report the conjugate-gradient
+    minima.  qp_u (nt, 7) holds u at the quadrature points space.qp_xy,
+    weighted by space.qp_w in volume integrals, and qp_hess (3, nt, 7) the
+    Hessian entries h00, h01, h11 there, one contiguous plane each.  residual_norm and iterations report the conjugate-gradient
     solve; area is the quadrature area of the curved cells.
     """
 
@@ -664,8 +672,7 @@ def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
     gx, gy, h00, h01, h11 = _grad_hess(u_t, href, cmap, inv_qp, _DN_AT_QP)
     qp_g = np.stack([gx.T, gy.T], axis=-1)
     del gx, gy   # before the Hessian is stacked: a lower peak
-    qp_h = np.stack([h00.T, h01.T, h01.T, h11.T], axis=-1).reshape(nt, 7, 2, 2)
-    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
+    return u_el @ _N_AT_QP.T, qp_g, np.stack([h00.T, h01.T, h11.T]), grad
 
 
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -733,13 +740,14 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _element_stiffness(space: _P2Space, inv_qp) -> np.ndarray:
+def _element_stiffness(qp_w: np.ndarray, inv_qp) -> np.ndarray:
     """The element stiffness matrices entry-major, (36, nt): row 6k + l holds
-    entry (k, l) of every element."""
+    entry (k, l) of every element.  qp_w (nt, 7) holds the quadrature
+    weights and inv_qp the entries of J^-1 at the points."""
     a, b, c, d = inv_qp
     # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
-    g *= space.qp_w.T[:, None, :]
+    g *= qp_w.T[:, None, :]
     return _KE.T @ g.reshape(21, -1)
 
 
@@ -753,7 +761,7 @@ def _assemble_interior(space: _P2Space, inv_qp):
     """
     plan = space.plan
     n_in = plan.interior.size
-    data = np.bincount(plan.slot, _element_stiffness(space, inv_qp).ravel(), plan.indices.size + 1)[:-1]
+    data = np.bincount(plan.slot, _element_stiffness(space.qp_w, inv_qp).ravel(), plan.indices.size + 1)[:-1]
     fe = (-DIM * space.qp_w) @ _N_AT_QP
     b_in = np.bincount(plan.el_dof.ravel(), fe.ravel(), n_in + 1)[:-1]
     return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n_in, n_in)), b_in

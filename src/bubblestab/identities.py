@@ -54,12 +54,6 @@ def _report(name: str, lhs: float, rhs: float, scale: float, applicable: bool = 
     )
 
 
-def _hessian(field: TorsionField):
-    """The entries h00, h01, h11 of hess u at the quadrature points, each (nt, 7)."""
-    hq = field.qp_hess
-    return hq[..., 0, 0], hq[..., 0, 1], hq[..., 1, 1]
-
-
 def cs_deficit(field: TorsionField) -> DeficitReport:
     """Deficit integrals and the elementwise floor of the P-function Laplacian.
 
@@ -70,7 +64,7 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     recovered grad P instead loses the sign: curved boundary cells carry O(1)
     Hessian error, so the divergence route floors near -1, not -1e-6.
     """
-    h00, h01, h11 = _hessian(field)
+    h00, h01, h11 = field.qp_hess
     w = field.space.qp_w
     off = 2.0 * h01 * h01
     tr = h00 + h11
@@ -126,7 +120,7 @@ def identity_suite(
     else:
         reports.append(IdentityReport("heintze_karcher", np.nan, np.nan, np.nan, np.nan, applicable=False))
 
-    h00, h01, h11 = _hessian(field)
+    h00, h01, h11 = field.qp_hess
     hs = h00 * h00 + 2.0 * h01 * h01 + h11 * h11
     wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (hs - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))

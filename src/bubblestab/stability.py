@@ -15,8 +15,9 @@ threshold eps on the deviation; when the deviation exceeds eps the trivial
 bound rho_e - rho_i <= diameter is reported as a flagged fallback.  The
 low-dimension branch (tau = 1/2) is reached only from the library, through
 StabilityParams.sobolev_c; the CLI runs high_dim alone until that embedding
-constant is derived rather than set (ROADMAP item 3).  All composed
-factors are exposed in constants_trace.
+constant is derived rather than set (the ROADMAP item "The paper's planar
+exponent tau = 1/2 with an explicit constant").  All composed factors are
+exposed in constants_trace.
 """
 from __future__ import annotations
 
