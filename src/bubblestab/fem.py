@@ -1,21 +1,25 @@
 """Quadratic finite elements on structured polar meshes.
 
 The torsion problem laplace(u) = 2, u = 0 on the boundary is solved with P2
-Lagrange triangles.  Cells touching the boundary are isoparametric: the
-midside node of a boundary edge sits on the true curve, so the geometric
-consistency error drops to the level needed for the tight disk and ellipse
-benchmarks.  Interior cells keep affine maps (midside nodes at segment
-midpoints).  What depends only on the mesh topology (n_radial, n_angular) is
-built once into a read-only plan shared by every domain meshed with it: the
-P2 numbering, the CSR pattern of the interior stiffness with the slot of each
-element-matrix entry in it, the node-element incidence and the
-preconditioner.  Per mesh, the element maps at all reference points are one
-GEMM of constant (4 x 12) tables against the element coordinates, the kernels
-work on one (p, nt) array per quantity, the element stiffness is one GEMM
-against a constant table, and the assembly is one bincount into the plan's
-slots.  The interior block is solved by conjugate gradients, not by a sparse
-direct factorisation: splu's fill is 87 MB at 64x256, which breaks the
-benchmark's peak_rss_mb bound.  The preconditioner is the exact inverse of
+Lagrange triangles.  The n_angular cells with a boundary edge are
+isoparametric: the midside node of that edge sits on the true curve, so the
+geometric consistency error drops to the level needed for the tight disk and
+ellipse benchmarks.  Every other cell has its midside nodes at the midpoints
+of its edges, so its map is affine and J is constant on it (the standard
+set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
+n_angular) is built once into a read-only plan shared by every domain meshed
+with it: the P2 numbering, the CSR pattern of the interior stiffness with the
+slot of each element-matrix entry in it, the node-element incidence and the
+preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
+table at the centroid against the coordinates of every cell, and the 7-point
+and 6-node tables against those of the curved cells only.  An affine cell's
+stiffness is its constant metric against one constant table, and its
+Hessian the constant J^-T href J^-1; the curved cells overwrite their columns
+from the metric at each point.  The kernels work on one (p, nt) array per
+quantity, and the assembly is one bincount into the plan's slots.  The
+interior block is solved by conjugate gradients, not by a sparse direct
+factorisation: splu's fill is 87 MB at 64x256, which breaks the benchmark's
+peak_rss_mb bound.  The preconditioner is the exact inverse of
 the P2 stiffness that the same assembly gives on the unit-disk mesh of the
 topology, which an FFT in theta makes block-banded (Swarztrauber-Sweet 1973),
 so one apply costs a few matrix-vector products.  On the disk CG stops after
@@ -35,7 +39,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dnrm2
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import DIM, StarDomain
 
@@ -123,6 +126,9 @@ _DN_AT_NODES = _dshape(_REF_NODES)  # (6, 6, 2)
 _DD = _DN_AT_QP[:, :, None, :, None] * _DN_AT_QP[:, None, :, None, :]   # (q, k, l, d, e)
 _KE = np.stack([_DD[..., 0, 0], _DD[..., 0, 1] + _DD[..., 1, 0], _DD[..., 1, 1]], axis=1).reshape(21, 36)
 del _DD
+# sum_q w_q K_q: ke = (G00, G01, G11) @ _KE_AFFINE for a constant metric G,
+# exact because the 7-point rule integrates grad N_k . grad N_l exactly
+_KE_AFFINE = (_QW @ _KE.reshape(7, 108)).reshape(3, 36)
 
 
 def _map_table(dn: np.ndarray) -> np.ndarray:
@@ -137,6 +143,7 @@ def _map_table(dn: np.ndarray) -> np.ndarray:
 
 _MAP_QP = _map_table(_DN_AT_QP)          # (28, 12)
 _MAP_NODES = _map_table(_DN_AT_NODES)    # (24, 12)
+_MAP_CENTROID = _MAP_QP[::7]             # (4, 12): the block of _QP[0], the centroid
 # coords.reshape(nt, 12) @ _QP_TABLE is the (nt, 7, 2) quadrature points
 _QP_TABLE = np.kron(_N_AT_QP.T, np.eye(2))
 
@@ -151,15 +158,15 @@ def _invert(j00, j01, j10, j11):
 
 def _element_maps(coords: np.ndarray, table: np.ndarray):
     """det J and the entries of J^-1 at the p reference points of table
-    (_MAP_QP or _MAP_NODES) in every element, each (p, nt): one GEMM.
+    (_MAP_CENTROID, _MAP_QP or _MAP_NODES) in every element, each (p, nt):
+    one GEMM.  _CellMaps takes the one point of _MAP_CENTROID on every cell,
+    as J is constant on a cell with its midside nodes at its edge midpoints,
+    and the 7 and 6 points of the others only on the curved cells.
 
     J comes from the coordinates relative to each element's vertex 0 (the
     shape-function derivatives sum to zero, so J is the same in exact
     arithmetic), which keeps the cancellation of far-off absolute
-    coordinates out of it.  Nothing stores the result: the quadrature
-    weights, the assembly and the nodal gradients each recompute what they
-    read, as one GEMM is cheap and J^-1 kept on the space would hold 28
-    floats per element for as long as the mesh lives.
+    coordinates out of it.
     """
     nt = coords.shape[0]
     return _invert(*(table @ (coords - coords[:, :1]).reshape(nt, 12).T).reshape(4, -1, nt))
@@ -170,6 +177,38 @@ def _inverse_jacobian(coords: np.ndarray, dn: np.ndarray):
     element: coords and dn are both (m, 6, 2).  Relative coordinates as in
     _element_maps."""
     return _invert(*np.einsum("mkc,mkd->cdm", coords - coords[:, :1], dn).reshape(4, -1))
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class _CellMaps:
+    """The element maps of a set of P2 cells, split into affine and curved.
+
+    A cell whose midside nodes sit at the midpoints of its edges has an
+    affine map, so J is constant on it: det and inv, the entries a, b, c, d
+    of J^-1, each (nt,), are taken once, at the centroid, for every cell.
+    Only the curved cells (indices curved) keep J^-1 at the 7 quadrature
+    points, qp_inv (each (7, nc)), and at the 6 nodes, node_inv (each
+    (6, nc)); the kernels overwrite what det and inv give on those cells.
+    qp_w (nt, 7) holds the quadrature weights 0.5 w_q det J of every cell.
+    """
+
+    curved: np.ndarray
+    det: np.ndarray
+    inv: tuple
+    qp_w: np.ndarray
+    qp_inv: tuple
+    node_inv: tuple
+
+    @classmethod
+    def of(cls, coords: np.ndarray, curved: np.ndarray) -> "_CellMaps":
+        """The maps of the cells coords (nt, 6, 2), of which curved are curved."""
+        det, *inv = (e[0] for e in _element_maps(coords, _MAP_CENTROID))
+        qp_det, *qp_inv = _element_maps(coords[curved], _MAP_QP)
+        node_inv = _element_maps(coords[curved], _MAP_NODES)[1:]
+        qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * det).T)
+        qp_w[curved] = ((0.5 * _QW)[:, None] * qp_det).T
+        qp_w.setflags(write=False)
+        return cls(curved, det, tuple(inv), qp_w, tuple(qp_inv), tuple(node_inv))
 
 
 # -- mesh --------------------------------------------------------------------
@@ -389,8 +428,9 @@ class _P2Space:
     """Node table for P2 elements; boundary midside nodes sit on the curve.
 
     The numbering (tri_nodes, b_tri, dirichlet, n_nodes) is the topology
-    plan's.  node_xy, coords (nt, 6, 2) and the curved-cell quadrature weights
-    qp_w (nt, 7) and points qp_xy (nt, 7, 2, formed on first read) are this
+    plan's.  node_xy, coords (nt, 6, 2), the element maps (see _CellMaps:
+    the b_tri cells are the curved ones) and the quadrature weights qp_w
+    (nt, 7) and points qp_xy (nt, 7, 2, formed on first read) are this
     mesh's; the quadrature is read-only because every solve on the mesh
     shares it.
     """
@@ -412,8 +452,9 @@ class _P2Space:
         self.node_xy = node_xy
         self.coords = node_xy[self.tri_nodes]          # (nt, 6, 2)
 
-        self.qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * _element_maps(self.coords, _MAP_QP)[0]).T)
-        self.qp_w.setflags(write=False)
+        # only the b_tri cells have a midside (node 4) off its edge's midpoint
+        self.maps = _CellMaps.of(self.coords, self.b_tri)
+        self.qp_w = self.maps.qp_w
 
     @functools.cached_property
     def qp_xy(self) -> np.ndarray:
@@ -498,9 +539,8 @@ class _PolarPreconditioner:
         on_circle = plan.dirichlet[tri0[:, 3:]]
         mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
 
-        # their element matrices by the assembly's kernels
-        det, *inv = _element_maps(xy, _MAP_QP)
-        ke = _element_stiffness(((0.5 * _QW)[:, None] * det).T, inv)
+        # their element matrices by the assembly's kernel
+        ke = _element_stiffness(_CellMaps.of(xy, np.nonzero(np.any(on_circle, axis=1))[0]))
         a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
         keep = ~(plan.dirichlet[a] | plan.dirichlet[b])
         a, b, v = a[keep], b[keep], v[keep]
@@ -599,7 +639,9 @@ class TorsionField:
     gradients and at the boundary nodes; min_points are the refined interior
     minima.  qp_u (nt, 7) holds u at the quadrature points space.qp_xy,
     weighted by space.qp_w in volume integrals, and qp_hess (3, nt, 7) the
-    Hessian entries h00, h01, h11 there, one contiguous plane each.  residual_norm and iterations report the conjugate-gradient
+    Hessian entries h00, h01, h11 there, one contiguous plane each.  On an
+    affine cell (outside space.b_tri) the Hessian is the same at all 7
+    points.  residual_norm and iterations report the conjugate-gradient
     solve; area is the quadrature area of the curved cells.
     """
 
@@ -624,42 +666,47 @@ def _gradient(u_t: np.ndarray, inv, dn: np.ndarray):
     reference points per element.
 
     u_t (6, nt) holds the element nodal values, dn (p, 6, 2) the
-    shape-function derivatives at the points and inv the entries of J^-1.
+    shape-function derivatives at the points and inv the entries of J^-1,
+    each (p, nt), or (nt,) where J is constant.
     """
     a, b, c, d = inv
-    g0, g1 = (dn.transpose(2, 0, 1).reshape(-1, 6) @ u_t).reshape((2,) + a.shape)
+    g0, g1 = (dn.transpose(2, 0, 1).reshape(-1, 6) @ u_t).reshape((2, dn.shape[0], -1))
     return g0 * a + g1 * c, g0 * b + g1 * d
 
 
-def _grad_hess(u_t: np.ndarray, href: np.ndarray, cmap, inv, dn: np.ndarray):
-    """Gradient and Hessian entries (gx, gy, h00, h01, h11), each (p, nt), of
-    the FE solution at p reference points per element.
-
-    href and cmap = (cx, cy) hold the constant (00, 01, 11) reference second
-    derivatives of u and of the element map, each (3, nt).
-    """
+def _hessian(t, inv):
+    """Entries (h00, h01, h11) of J^-T T J^-1 for T = (t00, t01, t11)."""
     a, b, c, d = inv
-    gx, gy = _gradient(u_t, inv, dn)
-    cx, cy = cmap
-    t00, t01, t11 = (href[i] - gx * cx[i] - gy * cy[i] for i in range(3))
+    t00, t01, t11 = t
     h00 = a * a * t00 + 2.0 * a * c * t01 + c * c * t11
     h01 = a * b * t00 + (a * d + b * c) * t01 + c * d * t11
     h11 = b * b * t00 + 2.0 * b * d * t01 + d * d * t11
-    return gx, gy, h00, h01, h11
+    return h00, h01, h11
 
 
-def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
-    """u, gradient and Hessian at the quadrature points (inv_qp holds J^-1
-    there), and the nodal gradient by area-weighted averaging, which is
-    formed first so that its temporaries never meet the quadrature fields."""
-    coords = space.coords
+def _derivatives(space: _P2Space, u_full: np.ndarray):
+    """u, gradient and Hessian at the quadrature points, and the nodal
+    gradient by area-weighted averaging, which is formed first so that its
+    temporaries never meet the quadrature fields.
+
+    On an affine cell the gradient is J^-T times the reference one at each
+    point and the Hessian is the constant J^-T href J^-1, href the constant
+    reference second derivatives of u.  A curved cell subtracts the map
+    curvature, grad u . d2x/dxi2 (the second derivatives of the map, from
+    coordinates relative to vertex 0, as in _element_maps), from href, with
+    J^-1 taken at each point.
+    """
+    maps = space.maps
+    cv = maps.curved
     u_el = u_full[space.tri_nodes]
     u_t = u_el.T
-    nt = coords.shape[0]
+    u_c = u_t[:, cv]
+    nt = u_el.shape[0]
 
     # (gx, gy, 1) x local node x element, weighted by element area
     vals = np.empty((3, 6, nt))
-    vals[0], vals[1] = _gradient(u_t, _element_maps(coords, _MAP_NODES)[1:], _DN_AT_NODES)
+    vals[0], vals[1] = _gradient(u_t, maps.inv, _DN_AT_NODES)
+    vals[0][:, cv], vals[1][:, cv] = _gradient(u_c, maps.node_inv, _DN_AT_NODES)
     vals[2] = 1.0
     vals *= np.sum(space.qp_w, axis=1)
     idx = space.tri_nodes.T.ravel()
@@ -668,11 +715,18 @@ def _derivatives(space: _P2Space, u_full: np.ndarray, inv_qp):
     grad = np.stack([gx, gy], axis=-1) / wsum[:, None]
 
     href = _D2N.T @ u_t                                              # reference Hessian, constant
-    cmap = (_D2N.T @ coords[:, :, 0].T, _D2N.T @ coords[:, :, 1].T)  # map curvature terms
-    gx, gy, h00, h01, h11 = _grad_hess(u_t, href, cmap, inv_qp, _DN_AT_QP)
-    qp_g = np.stack([gx.T, gy.T], axis=-1)
-    del gx, gy   # before the Hessian is stacked: a lower peak
-    return u_el @ _N_AT_QP.T, qp_g, np.stack([h00.T, h01.T, h11.T]), grad
+    qp_g = np.empty((nt, 7, 2))
+    qp_g[..., 0], qp_g[..., 1] = (g.T for g in _gradient(u_t, maps.inv, _DN_AT_QP))
+    qp_h = np.empty((3, nt, 7))
+    qp_h[:] = np.stack(_hessian(href, maps.inv))[..., None]
+
+    rel = space.coords[cv] - space.coords[cv, :1]
+    gx, gy = _gradient(u_c, maps.qp_inv, _DN_AT_QP)
+    cx, cy = _D2N.T @ rel[:, :, 0].T, _D2N.T @ rel[:, :, 1].T         # map curvature
+    t = [href[i, cv] - gx * cx[i] - gy * cy[i] for i in range(3)]
+    qp_g[cv, :, 0], qp_g[cv, :, 1] = gx.T, gy.T
+    qp_h[:, cv] = np.stack(_hessian(t, maps.qp_inv)).transpose(0, 2, 1)
+    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
 
 
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -703,26 +757,41 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
 
     Nodes within 1e-9 * max|u| of the global minimum are clustered by
     element adjacency; each cluster contributes one refined location from a
-    least-squares quadratic on its two-ring node patch.
+    least-squares quadratic on its two-ring node patch.  Both walks read the
+    plan's node-element incidence (CSR) and tri_nodes by index arithmetic.
     """
     umax = float(np.max(np.abs(u_full)))
     umin = float(np.min(u_full))
     tol = 1e-9 * umax
     cand = np.nonzero(u_full <= umin + tol)[0]
 
-    # node x element incidence; candidates sharing an element are clustered
-    inc = space.plan.incidence
-    n_comp, labels = connected_components(inc[cand] @ inc[cand].T, directed=False)
+    indptr, indices = space.plan.incidence.indptr, space.plan.incidence.indices
 
+    def neighbours(nodes):
+        # ascending ids of the nodes sharing an element with nodes
+        start, stop = indptr[nodes], indptr[nodes + 1]
+        count = stop - start
+        pos = np.repeat(stop - np.cumsum(count), count) + np.arange(np.sum(count))
+        mark = np.zeros(space.n_nodes, dtype=bool)
+        mark[space.tri_nodes[indices[pos]]] = True
+        return np.flatnonzero(mark)
+
+    # candidates sharing an element are clustered
+    unseen = np.zeros(space.n_nodes, dtype=bool)
+    unseen[cand] = True
     out = []
-    for ci in range(n_comp):
-        comp = cand[labels == ci]
+    for c in cand:
+        if not unseen[c]:
+            continue
+        comp = front = np.array([c])
+        while front.size:
+            unseen[front] = False
+            near = neighbours(front)
+            front = near[unseen[near]]
+            comp = np.concatenate([comp, front])
+        comp.sort()
         seed = comp[np.lexsort((comp, u_full[comp]))[0]]
-        ring = np.zeros(space.n_nodes)
-        ring[comp] = 1.0
-        for _ in range(2):
-            ring = inc @ (inc.T @ ring > 0)
-        patch = np.nonzero(ring)[0]
+        patch = neighbours(neighbours(comp))
         xy = space.node_xy[patch] - space.node_xy[seed]
         scale = max(float(np.max(np.abs(xy))), 1e-30)
         xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
@@ -740,18 +809,27 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _element_stiffness(qp_w: np.ndarray, inv_qp) -> np.ndarray:
+def _element_stiffness(maps: _CellMaps) -> np.ndarray:
     """The element stiffness matrices entry-major, (36, nt): row 6k + l holds
-    entry (k, l) of every element.  qp_w (nt, 7) holds the quadrature
-    weights and inv_qp the entries of J^-1 at the points."""
-    a, b, c, d = inv_qp
+    entry (k, l) of every element.
+
+    An affine cell's matrix is its constant weighted metric (G00, G01, G11)
+    det J / 2, G = J^-1 J^-T, against _KE_AFFINE; a curved cell sums the
+    metric at its 7 quadrature points against _KE.
+    """
+    a, b, c, d = maps.inv
+    g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d])
+    g *= 0.5 * maps.det
+    ke = _KE_AFFINE.T @ g
+    a, b, c, d = maps.qp_inv
     # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
-    g *= qp_w.T[:, None, :]
-    return _KE.T @ g.reshape(21, -1)
+    g *= maps.qp_w[maps.curved].T[:, None, :]
+    ke[:, maps.curved] = _KE.T @ g.reshape(21, -1)
+    return ke
 
 
-def _assemble_interior(space: _P2Space, inv_qp):
+def _assemble_interior(space: _P2Space):
     """Stiffness matrix and load vector of the interior unknowns.
 
     The element matrices are summed straight into the plan's CSR pattern,
@@ -761,7 +839,7 @@ def _assemble_interior(space: _P2Space, inv_qp):
     """
     plan = space.plan
     n_in = plan.interior.size
-    data = np.bincount(plan.slot, _element_stiffness(space.qp_w, inv_qp).ravel(), plan.indices.size + 1)[:-1]
+    data = np.bincount(plan.slot, _element_stiffness(space.maps).ravel(), plan.indices.size + 1)[:-1]
     fe = (-DIM * space.qp_w) @ _N_AT_QP
     b_in = np.bincount(plan.el_dof.ravel(), fe.ravel(), n_in + 1)[:-1]
     return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
@@ -775,16 +853,14 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     _CG_RTOL, or break down (see _pcg).
     """
     space = mesh.space
-    # J^-1 at the 7 quadrature points, shared by the assembly and the fields
-    inv_qp = _element_maps(space.coords, _MAP_QP)[1:]
-    a_in, b_in = _assemble_interior(space, inv_qp)
+    a_in, b_in = _assemble_interior(space)
     x, relres, iters = _pcg(a_in, b_in, space.plan.precond)
     del a_in
 
     u_full = np.zeros(space.n_nodes)
     u_full[space.plan.interior] = x
 
-    qp_u, qp_g, qp_h, grad = _derivatives(space, u_full, inv_qp)
+    qp_u, qp_g, qp_h, grad = _derivatives(space, u_full)
 
     # gradient at the boundary node parameters: edge endpoints and curved midsides
     th0, th1 = mesh.boundary_thetas.T

@@ -171,8 +171,10 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     """Sample the boundary at n_samples uniform theta values.
 
     Curvature of the polar graph: (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2).
-    Points and outward normals come from StarDomain.point and StarDomain.normal
-    (the boundary runs counterclockwise).
+    Points and outward normals are the expressions of StarDomain.point and
+    StarDomain.normal (the boundary runs counterclockwise), formed from the
+    rho and rho' computed here, so each of rho, rho' and rho'' is evaluated
+    once.
     """
     if n_samples < 8:
         raise DomainError("n_samples must be at least 8, got %d" % n_samples)
@@ -182,12 +184,13 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
         raise DomainError("boundary radius must stay positive on the sample grid")
     d1 = domain.radius_d1(theta)
     d2 = domain.radius_d2(theta)
+    ct, st = np.cos(theta), np.sin(theta)
     speed = np.sqrt(rho * rho + d1 * d1)
     curv = (rho * rho + 2.0 * d1 * d1 - rho * d2) / speed**3
     weights = speed * (2.0 * np.pi / n_samples)
-    return BoundaryTrace(
-        thetas=theta, points=domain.point(theta), normals=domain.normal(theta), curvatures=curv, weights=weights
-    )
+    points = domain.center + np.stack([rho * ct, rho * st], axis=-1)
+    normals = np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
+    return BoundaryTrace(thetas=theta, points=points, normals=normals, curvatures=curv, weights=weights)
 
 
 @dataclasses.dataclass(frozen=True)

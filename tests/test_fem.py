@@ -384,8 +384,7 @@ def _reference_kernels(space, u_full):
 def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     space = mesh.space
-    inv_qp = fem._element_maps(space.coords, fem._MAP_QP)[1:]
-    a_in, b_in = fem._assemble_interior(space, inv_qp)
+    a_in, b_in = fem._assemble_interior(space)
     # both sides differentiate the same u, so no CG round-off enters
     u_full = fem.solve_torsion(mesh).u
     ref = _reference_kernels(space, u_full)
@@ -394,7 +393,7 @@ def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     assert a_in.shape == a_ref.shape
     assert abs(a_in - a_ref).max() <= 1e-13 * abs(a_ref).max()
     assert np.max(np.abs(b_in - ref[1])) <= 1e-13 * np.max(np.abs(ref[1]))
-    for got, want in zip(fem._derivatives(space, u_full, inv_qp), ref[2:]):
+    for got, want in zip(fem._derivatives(space, u_full), ref[2:]):
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -421,13 +420,57 @@ def test_element_maps_accurate_off_centre(n_radial, n_angular):
     # FOURIER5 is centred at (0.3, 0.2): from absolute coordinates an element
     # of size h loses about log10(0.36 / h) digits of J to cancellation
     # (9.5e-15 at 16x64, 4.3e-14 at 64x256)
-    coords = fem.generate_mesh(FOURIER5, n_radial, n_angular).space.coords
+    space = fem.generate_mesh(FOURIER5, n_radial, n_angular).space
+    coords, maps = space.coords, space.maps
     dn = _long_double_dshape(fem._QP)
     ref = np.einsum("tkc,qkd->cdqt", coords.astype(np.longdouble), dn).reshape(4, 7, -1)
-    det, *inv = fem._element_maps(coords, fem._MAP_QP)
-    assert np.max(_jacobian_error(det, inv, ref)) <= 1e-15
+    # an affine cell takes J once, at the centroid _QP[0]; a curved one at every point
+    assert np.max(_jacobian_error(maps.det, maps.inv, ref[:, 0])) <= 1e-15
+    det, *inv = fem._element_maps(coords[maps.curved], fem._MAP_QP)
+    assert np.max(_jacobian_error(det, inv, ref[:, :, maps.curved])) <= 1e-15
     det, *inv = fem._inverse_jacobian(coords, np.broadcast_to(fem._DN_AT_QP[1], coords.shape))
     assert np.max(_jacobian_error(det, inv, ref[:, 1])) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [geometry.StarDomain.disk(), geometry.StarDomain.ellipse(1.5, 1.0), FOURIER5],
+    ids=["disk", "ellipse", "fourier5"],
+)
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (16, 64)])
+def test_only_b_tri_cells_are_curved(domain, n_radial, n_angular):
+    # the contract the affine kernels rest on: every cell outside b_tri has
+    # its midside nodes bitwise at the midpoints of their edges, so its map
+    # is affine; a b_tri cell has its node 4 on the curve
+    mesh = fem.generate_mesh(domain, n_radial, n_angular)
+    space = mesh.space
+    coords = space.coords
+    midpoints = 0.5 * (coords[:, fem._EDGE_LOCALS[:, 0]] + coords[:, fem._EDGE_LOCALS[:, 1]])
+    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
+    assert np.array_equal(coords[affine, 3:], midpoints[affine])
+    assert np.array_equal(space.maps.curved, space.b_tri)
+    th_mid = mesh.boundary_thetas.mean(axis=1)
+    assert np.array_equal(coords[space.b_tri, 4], domain.point(th_mid))
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128), (64, 256)])
+def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
+    # q = (x - c).H.(x - c) / 2 interpolated at the P2 nodes: on an affine cell
+    # qp_hess is the constant J^-T href J^-1, with no map-curvature term, so it
+    # is the same at all 7 points and equals H up to the rounding of the nodal
+    # values, which grows like 1 / area: area * |qp_hess - H| measured
+    # <= 2.9e-15 here (the rounding of q alone allows about as much)
+    mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
+    space = mesh.space
+    hess = np.array([[1.0, -0.3], [-0.3, 0.7]])
+    xy = space.node_xy - FOURIER5.center
+    q = 0.5 * np.einsum("ni,ij,nj->n", xy, hess, xy)
+    qp_hess = fem._derivatives(space, q)[2]
+    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
+    h = qp_hess[:, affine]
+    assert np.all(h == h[:, :, :1])
+    err = np.max(np.abs(h[:, :, 0] - np.array([1.0, -0.3, 0.7])[:, None]), axis=0)
+    assert np.max(err * np.sum(space.qp_w[affine], axis=1)) <= 1e-14
 
 
 def test_folded_curved_element_raises_mesh_error():
@@ -535,9 +578,8 @@ def _reference_interior_matrix(space, ke):
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (16, 64), (32, 128), (64, 256)])
 def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
     space = fem.generate_mesh(FOURIER5, n_radial, n_angular).space
-    inv_qp = fem._element_maps(space.coords, fem._MAP_QP)[1:]
-    a_in, _ = fem._assemble_interior(space, inv_qp)
-    ref = _reference_interior_matrix(space, fem._element_stiffness(space.qp_w, inv_qp))
+    a_in, _ = fem._assemble_interior(space)
+    ref = _reference_interior_matrix(space, fem._element_stiffness(space.maps))
     assert np.array_equal(a_in.indptr, ref.indptr)
     assert np.array_equal(a_in.indices, ref.indices)
     assert np.max(np.abs(a_in.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
@@ -580,7 +622,7 @@ def test_polar_preconditioner_inverts_p2_disk_stiffness(n_radial, n_angular):
     # the interior P2 stiffness that solve_torsion assembles on the unit disk;
     # the preconditioner factors it from one sector and must never build it
     space = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
-    a_ref, _ = fem._assemble_interior(space, fem._element_maps(space.coords, fem._MAP_QP)[1:])
+    a_ref, _ = fem._assemble_interior(space)
     # built from an ellipse mesh: only the topology may be read
     precond = fem._Plan(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular)).precond
     # a random vector loads every Fourier mode, Nyquist included; the unit
@@ -646,8 +688,7 @@ def test_cg_iterations_flat_under_refinement():
 )
 def test_solve_matches_direct_solve(domain):
     mesh = fem.generate_mesh(domain, 16, 64)
-    inv_qp = fem._element_maps(mesh.space.coords, fem._MAP_QP)[1:]
-    a_in, b_in = fem._assemble_interior(mesh.space, inv_qp)
+    a_in, b_in = fem._assemble_interior(mesh.space)
     u_direct = spla.spsolve(a_in.tocsc(), b_in)
     u = fem.solve_torsion(mesh).u[mesh.space.plan.interior]
     assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))

@@ -155,7 +155,11 @@ _RADII_DOMAINS = {
 @pytest.mark.parametrize("name", sorted(_RADII_DOMAINS))
 def test_touching_radii_bitwise_equal_to_reference_scan(name, n):
     # n = 1000 leaves a partial last block; the disk ties every pair
-    tr = geometry.boundary_trace(_RADII_DOMAINS[name], n)
+    domain = _RADII_DOMAINS[name]
+    tr = geometry.boundary_trace(domain, n)
+    # the trace forms its points and normals from its own rho and rho'
+    assert np.array_equal(tr.points, domain.point(tr.thetas))
+    assert np.array_equal(tr.normals, domain.normal(tr.thetas))
     cap = geometry._diameter(tr.points)
     assert geometry.touching_radii(tr, cap) == _reference_touching_radii(tr, cap)
 
