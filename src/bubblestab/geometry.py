@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 
 # The package is planar only: every dimension-dependent formula reads this.
@@ -292,9 +291,40 @@ def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
     return float(min(cap, -s_int_max)), float(min(cap, s_ext))
 
 
+def _hull(points: np.ndarray) -> np.ndarray:
+    """Convex hull vertices, counterclockwise, of points ordered
+    counterclockwise by angle about an interior point (Graham's scan, Graham
+    1972).
+
+    A polygon that turns left at every vertex is its own hull.  Otherwise a
+    vertex where it does not is no hull vertex, and the rest keep the angle
+    order: one stack pass over them, started at the one farthest from their
+    centroid (a hull vertex), pops each top that does not turn left.
+    """
+    edge = np.roll(points, -1, axis=0) - points
+    back = np.roll(edge, 1, axis=0)
+    left = back[:, 0] * edge[:, 1] - back[:, 1] * edge[:, 0] > 0.0
+    if left.all():
+        return points
+    cand = points[left]
+    start = int(np.argmax(np.sum((cand - cand.mean(axis=0)) ** 2, axis=1)))
+    cand = np.roll(cand, -start, axis=0)
+    xs, ys = cand[:, 0].tolist(), cand[:, 1].tolist()
+    stack = [0]
+    for k in [*range(1, len(xs)), 0]:
+        while len(stack) > 1:
+            a, b = stack[-2], stack[-1]
+            if (xs[b] - xs[a]) * (ys[k] - ys[b]) - (ys[b] - ys[a]) * (xs[k] - xs[b]) > 0.0:
+                break
+            stack.pop()
+        stack.append(k)
+    return cand[stack[:-1]]
+
+
 def _diameter(points: np.ndarray) -> float:
-    """Largest distance between two of points, which must surround a point
-    (the trace of a star domain does).
+    """Largest distance between two of points, which must be ordered
+    counterclockwise by angle about an interior point, as boundary_trace
+    gives them (see _hull).
 
     The farthest pair is a pair of antipodal vertices of the convex hull
     (rotating calipers, Shamos 1978).  The hull runs counterclockwise, so its
@@ -305,7 +335,7 @@ def _diameter(points: np.ndarray) -> float:
     the squared distances are formed as pdist forms them, so the maximum is
     the same float.
     """
-    hull = points[ConvexHull(points).vertices]
+    hull = _hull(points)
     n = hull.shape[0]
     edge = np.roll(hull, -1, axis=0) - hull
     angle = np.unwrap(np.arctan2(edge[:, 1], edge[:, 0]))

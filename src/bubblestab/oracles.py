@@ -12,7 +12,6 @@ import dataclasses
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.optimize import minimize_scalar
 
 from .geometry import DIM, GeometrySummary
 
@@ -205,7 +204,12 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
     4.148019 at kappa ~ 0.675; N = 9: 4.866 at kappa ~ 0.636).
     ``claimed`` is the reference constant c_constant(dim) used downstream;
     ``discrepancy`` flags disagreement.
+
+    scipy.optimize is imported here, not with the module: no run path other
+    than the oracles command needs it, and it would add to every start-up.
     """
+    from scipy.optimize import minimize_scalar
+
     grid = np.linspace(1e-6, 1.0 - 1e-6, 20001)
     vals = f_kappa(grid, dim, mode)
     i = int(np.argmax(vals))

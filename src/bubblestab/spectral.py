@@ -14,6 +14,7 @@ transforms exactly as 1/length^2.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -23,10 +24,8 @@ from .geometry import StarDomain
 
 
 def unit_ball_volume(dim: int) -> float:
-    """Volume of the unit ball in R^dim."""
-    from scipy.special import gamma
-
-    return float(np.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0))
+    """Volume of the unit ball in R^dim; exactly pi at dim = 2."""
+    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
 def _angles_needed(domain: StarDomain, degree: int) -> int:

@@ -331,3 +331,45 @@ def test_console_script(tmp_path):
 )
 def test_installed_console_script(tmp_path):
     assert_fsup_n4(["bubblestab"], tmp_path)
+
+
+_RUN_PATHS_SCRIPT = """
+import json, sys
+from bubblestab import cli
+
+cfg, sweep_cfg, out = sys.argv[1:]
+codes = [
+    cli.main([command, "--config", config, "--out", out])
+    for command, config in [("verify", cfg), ("sweep", sweep_cfg), ("spectral", cfg), ("convergence", cfg)]
+]
+unused = [name for name in ("scipy.spatial", "scipy.optimize", "scipy.special") if name in sys.modules]
+from bubblestab import oracles
+
+rec = oracles.f_sup(8)
+print(json.dumps({"codes": codes, "unused": unused, "computed": rec.computed, "kappa": rec.argmax_kappa}))
+"""
+
+
+def test_run_paths_import_only_sparse_and_linalg(tmp_path):
+    # a fresh interpreter: every run path, then f_sup, which imports scipy.optimize itself
+    small = {
+        "domain": {"base_radius": 1.0, "cos_coeffs": [0.0, 0.1], "sin_coeffs": [0.05], "center": [0.3, 0.2]},
+        "mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 2},
+        "params": {"n_trace": 256},
+    }
+    sweep = dict(
+        small,
+        sweep={"values": [0.01, 0.02], "mode_k": 3},
+        theorems=["main", "main_cm", "hk", "mean_convex", "obvp"],
+    )
+    argv = [write_cfg(tmp_path, small), write_cfg(tmp_path, sweep, "sweep.json"), str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PATHS_SCRIPT, *argv], capture_output=True, text=True, env=checkout_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["unused"] == []
+    # the value c05 reports
+    assert result["computed"] == 4.148018626398776
+    assert result["kappa"] == pytest.approx(0.6749, abs=1e-4)

@@ -169,21 +169,31 @@ def _pdist_diameter(points):
     return float(np.sqrt(np.max(pdist(points, "sqeuclidean"))))
 
 
-_DIAMETER_DOMAINS = {
-    "disk": geometry.StarDomain.disk(),
-    "ellipse-1.5x1": geometry.StarDomain.ellipse(1.5, 1.0),
-    "ellipse-4x1": geometry.StarDomain.ellipse(4.0, 1.0),
-    **{"cos3-%g" % t: geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, t])) for t in (0.05, 0.2)},
-}
-
-
-@pytest.mark.parametrize("n", [8, 1000, 1024])
-@pytest.mark.parametrize("name", sorted(_DIAMETER_DOMAINS))
+@pytest.mark.parametrize("n", [8, 512, 1000, 1024, 2048])
+@pytest.mark.parametrize("name", sorted(_RADII_DOMAINS))
 def test_diameter_equals_pdist_max(name, n):
     # the disk ties every antipodal pair; at n = 8 the ellipses' hulls are
-    # coarse enough that a vertex faces several antipodal vertices
-    points = geometry.boundary_trace(_DIAMETER_DOMAINS[name], n).points
+    # coarse enough that a vertex faces several antipodal vertices; two-lobe,
+    # cos3-0.3 and some Fourier domains are not convex, so their hull drops
+    # samples
+    points = geometry.boundary_trace(_RADII_DOMAINS[name], n).points
     assert geometry._diameter(points) == _pdist_diameter(points)
+
+
+def test_diameter_equals_pdist_max_on_random_traces():
+    # off-centre traces with up to 8 sin and cos modes of random size
+    rng = np.random.default_rng(20161024)
+    convex = 0
+    for _ in range(240):
+        k = int(rng.integers(1, 9))
+        a = rng.uniform(-1.0, 1.0, k) / np.arange(1, k + 1)
+        b = rng.uniform(-1.0, 1.0, k) / np.arange(1, k + 1)
+        scale = rng.uniform(0.02, 0.9) / float(np.sum(np.abs(a) + np.abs(b)))
+        domain = geometry.StarDomain(1.0, cos_coeffs=scale * a, sin_coeffs=scale * b, center=rng.uniform(-2.0, 2.0, 2))
+        trace = geometry.boundary_trace(domain, int(rng.choice([8, 13, 64, 100, 512, 1000, 1024])))
+        convex += bool(np.min(trace.curvatures) > 0.0)
+        assert geometry._diameter(trace.points) == _pdist_diameter(trace.points)
+    assert 60 <= convex <= 180
 
 
 def test_touching_radii_memory_peak_bounded():

@@ -19,6 +19,14 @@ def test_unit_ball_volumes():
     assert spectral.unit_ball_volume(1) == pytest.approx(2.0)
     assert spectral.unit_ball_volume(2) == pytest.approx(np.pi)
     assert spectral.unit_ball_volume(3) == pytest.approx(4.0 * np.pi / 3.0)
+    # exact at N = 2: a_N, alpha_N and mu0_lower_bound read it on every run
+    assert spectral.unit_ball_volume(2) == np.pi
+    # omega_N = 2 pi omega_(N-2) / N from omega_0 = 1 and omega_1 = 2
+    omega = [1.0, 2.0]
+    for dim in range(2, 10):
+        omega.append(2.0 * np.pi * omega[dim - 2] / dim)
+    for dim in range(1, 10):
+        assert spectral.unit_ball_volume(dim) == pytest.approx(omega[dim], rel=1e-15, abs=0.0)
 
 
 def test_disk_point_constrained_minimum():

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location("golden", os.path.join(ROOT, "tools", "golden.py"))
@@ -44,3 +45,28 @@ def test_golden_compare_of_two_runs_shows_no_moves(tmp_path):
     assert not golden.compare(*runs, file=report)
     assert "DIFFER at /n_radial" in report.getvalue()
     assert "worst rel 1e-06 at /mesh_h" in report.getvalue()
+
+
+def test_golden_run_without_config_and_wall_times(tmp_path):
+    # the oracles cases take no --config; their wall times are shown, never compared
+    cases = [case for case in golden.GOLDEN if case[2] is None]
+    assert [case[:2] for case in cases] == [("oracles", "oracles"), ("oracles_fsup_N8", "oracles --fsup --N 8")]
+    runs = [str(tmp_path / name) for name in ("a", "b")]
+    assert golden.run(runs[0], cases) == {"oracles": 0, "oracles_fsup_N8": 0}
+    shutil.copytree(*runs)
+    assert sorted(os.listdir(os.path.join(runs[0], "oracles_fsup_N8"))) == ["fsup_N8.json"]
+    with open(os.path.join(runs[0], "wall_s.json")) as fh:
+        wall = json.load(fh)
+    assert sorted(wall) == ["oracles", "oracles_fsup_N8"] and all(t > 0.0 for t in wall.values())
+
+    # a copy of the run whose wall times differ compares equal
+    with open(os.path.join(runs[1], "wall_s.json"), "w") as fh:
+        json.dump({case: 1e3 * t for case, t in wall.items()}, fh)
+    report = io.StringIO()
+    assert golden.compare(*runs, file=report)
+    lines = report.getvalue().splitlines()
+    t = wall["oracles_fsup_N8"]
+    assert "  %-22s 0 0  (%.2f %.2f)" % ("oracles_fsup_N8", t, 1e3 * t) in lines
+    assert not any(line.startswith("wall_s.json") for line in lines)
+    for name in ("oracles/oracles.json", "oracles_fsup_N8/fsup_N8.json"):
+        assert "%s: non-float fields equal; worst abs 0 at -; worst rel 0 at -" % name in lines

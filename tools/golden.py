@@ -5,13 +5,16 @@
 
 ``run`` runs the golden set into OUT, one subdirectory per case: ``sweep`` on
 configs/sweep_cos3.json, ``verify`` on the disk and the ellipse,
-``spectral`` on the ellipse, and ``convergence`` on the disk and the ellipse.
-Each case runs as ``python -m bubblestab.cli`` in a subprocess that imports
-the package from --src (default: the src directory next to tools/), so the
-outputs of two checkouts can be made with one script.  The exit codes go to
-OUT/exit_codes.json.
+``spectral`` on the ellipse, ``convergence`` on the disk and the ellipse,
+and ``oracles`` with and without ``--fsup --N 8``.  Each case runs as
+``python -m bubblestab.cli`` in a subprocess that imports the package from
+--src (default: the src directory next to tools/), so the outputs of two
+checkouts can be made with one script.  The exit codes go to
+OUT/exit_codes.json and the wall time of each case, in seconds, to
+OUT/wall_s.json.
 
-``compare`` prints the exit codes of both runs, and per output file whether
+``compare`` prints the exit codes and wall times of both runs; the timings
+are never compared as a file.  Per output file it prints whether
 every non-float field (keys, lengths, strings, integers, booleans, nulls) is
 equal and the worst absolute and relative move of its floats, with where it
 happens.  It exits 0 when the exit codes and every non-float field agree, and
@@ -26,10 +29,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (case, command, config)
+# (case, command with its arguments, config or None)
 GOLDEN = (
     ("sweep_cos3", "sweep", "configs/sweep_cos3.json"),
     ("verify_disk", "verify", "configs/disk.json"),
@@ -37,21 +41,30 @@ GOLDEN = (
     ("spectral_ellipse", "spectral", "configs/ellipse.json"),
     ("convergence_disk", "convergence", "configs/disk.json"),
     ("convergence_ellipse", "convergence", "configs/ellipse.json"),
+    ("oracles", "oracles", None),
+    ("oracles_fsup_N8", "oracles --fsup --N 8", None),
 )
+# what run writes next to the cases, not compared as outputs
+_RUN_FILES = ("exit_codes.json", "wall_s.json")
 
 
 def run(out: str, cases=GOLDEN, src: str = os.path.join(ROOT, "src")) -> dict:
     """Run each (case, command, config) into out/case; returns the exit codes."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    codes = {}
+    codes, wall = {}, {}
     for case, command, config in cases:
         case_dir = os.path.join(out, case)
         os.makedirs(case_dir, exist_ok=True)
-        argv = [sys.executable, "-m", "bubblestab.cli", command, "--config", os.path.join(ROOT, config), "--out", case_dir]
+        argv = [sys.executable, "-m", "bubblestab.cli", *command.split(), "--out", case_dir]
+        if config is not None:
+            argv += ["--config", os.path.join(ROOT, config)]
+        start = time.perf_counter()
         codes[case] = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode
-    with open(os.path.join(out, "exit_codes.json"), "w") as fh:
-        json.dump(codes, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        wall[case] = time.perf_counter() - start
+    for name, payload in zip(_RUN_FILES, (codes, wall)):
+        with open(os.path.join(out, name), "w") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+            fh.write("\n")
     return codes
 
 
@@ -110,18 +123,24 @@ def _files(root: str) -> set:
     for dirpath, _, names in os.walk(root):
         for name in names:
             rel = os.path.relpath(os.path.join(dirpath, name), root)
-            if rel != "exit_codes.json":
+            if rel not in _RUN_FILES:
                 out.add(rel)
     return out
+
+
+def _secs(wall: dict, case: str) -> str:
+    return "%.2f" % wall[case] if case in wall else "-"
 
 
 def compare(a: str, b: str, file=sys.stdout) -> bool:
     """Print the comparison of runs a and b; True when everything but floats agrees."""
     codes_a, codes_b = _load(os.path.join(a, "exit_codes.json")), _load(os.path.join(b, "exit_codes.json"))
+    wall_a, wall_b = _load(os.path.join(a, "wall_s.json")), _load(os.path.join(b, "wall_s.json"))
     same = codes_a == codes_b
-    print("exit codes: %s" % ("equal" if same else "DIFFER"), file=file)
+    print("exit codes: %s (wall s)" % ("equal" if same else "DIFFER"), file=file)
     for case in sorted(codes_a.keys() | codes_b.keys()):
-        print("  %-22s %s %s" % (case, codes_a.get(case), codes_b.get(case)), file=file)
+        times = _secs(wall_a, case), _secs(wall_b, case)
+        print("  %-22s %s %s  (%s %s)" % (case, codes_a.get(case), codes_b.get(case), *times), file=file)
     files_a, files_b = _files(a), _files(b)
     for name in sorted(files_a ^ files_b):
         print("%s: only in %s" % (name, a if name in files_a else b), file=file)
