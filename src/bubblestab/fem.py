@@ -12,7 +12,7 @@ with it: the P2 numbering, the CSR pattern of the interior stiffness with the
 slot of each element-matrix entry in it, the node-element incidence and the
 preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
 table at the centroid against the coordinates of every cell, and the 7-point
-and 6-node tables against those of the curved cells only.  An affine cell's
+table against those of the curved cells only.  An affine cell's
 stiffness is its constant metric against one constant table, and its
 Hessian the constant J^-T href J^-1; the curved cells overwrite their columns
 from the metric at each point.  The kernels work on one (p, nt) array per
@@ -58,9 +58,6 @@ class SolverError(RuntimeError):
 # -- P2 reference element ----------------------------------------------------
 # node order: vertices 0,1,2 then midsides of edges (0,1), (1,2), (2,0)
 
-_REF_NODES = np.array(
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]
-)
 _EDGE_LOCALS = np.array([[0, 1], [1, 2], [2, 0]])
 
 # second derivatives (xi xi, xi eta, eta eta) of the shape functions (constant)
@@ -118,7 +115,6 @@ _QP = np.array(
 )
 _N_AT_QP = _shape(_QP)          # (7, 6)
 _DN_AT_QP = _dshape(_QP)        # (7, 6, 2)
-_DN_AT_NODES = _dshape(_REF_NODES)  # (6, 6, 2)
 
 
 # ke = S @ _KE for an element, where S[3q:3q+3] = w_q (G00, G01, G11) and
@@ -142,7 +138,6 @@ def _map_table(dn: np.ndarray) -> np.ndarray:
 
 
 _MAP_QP = _map_table(_DN_AT_QP)          # (28, 12)
-_MAP_NODES = _map_table(_DN_AT_NODES)    # (24, 12)
 _MAP_CENTROID = _MAP_QP[::7]             # (4, 12): the block of _QP[0], the centroid
 # coords.reshape(nt, 12) @ _QP_TABLE is the (nt, 7, 2) quadrature points
 _QP_TABLE = np.kron(_N_AT_QP.T, np.eye(2))
@@ -158,10 +153,10 @@ def _invert(j00, j01, j10, j11):
 
 def _element_maps(coords: np.ndarray, table: np.ndarray):
     """det J and the entries of J^-1 at the p reference points of table
-    (_MAP_CENTROID, _MAP_QP or _MAP_NODES) in every element, each (p, nt):
-    one GEMM.  _CellMaps takes the one point of _MAP_CENTROID on every cell,
-    as J is constant on a cell with its midside nodes at its edge midpoints,
-    and the 7 and 6 points of the others only on the curved cells.
+    (_MAP_CENTROID or _MAP_QP) in every element, each (p, nt): one GEMM.
+    _CellMaps takes the one point of _MAP_CENTROID on every cell, as J is
+    constant on a cell with its midside nodes at its edge midpoints, and the
+    7 points of _MAP_QP on the curved cells only.
 
     J comes from the coordinates relative to each element's vertex 0 (the
     shape-function derivatives sum to zero, so J is the same in exact
@@ -187,8 +182,8 @@ class _CellMaps:
     affine map, so J is constant on it: det and inv, the entries a, b, c, d
     of J^-1, each (nt,), are taken once, at the centroid, for every cell.
     Only the curved cells (indices curved) keep J^-1 at the 7 quadrature
-    points, qp_inv (each (7, nc)), and at the 6 nodes, node_inv (each
-    (6, nc)); the kernels overwrite what det and inv give on those cells.
+    points, qp_inv (each (7, nc)); the kernels overwrite what det and inv
+    give on those cells.
     qp_w (nt, 7) holds the quadrature weights 0.5 w_q det J of every cell.
     """
 
@@ -197,18 +192,16 @@ class _CellMaps:
     inv: tuple
     qp_w: np.ndarray
     qp_inv: tuple
-    node_inv: tuple
 
     @classmethod
     def of(cls, coords: np.ndarray, curved: np.ndarray) -> "_CellMaps":
         """The maps of the cells coords (nt, 6, 2), of which curved are curved."""
         det, *inv = (e[0] for e in _element_maps(coords, _MAP_CENTROID))
         qp_det, *qp_inv = _element_maps(coords[curved], _MAP_QP)
-        node_inv = _element_maps(coords[curved], _MAP_NODES)[1:]
         qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * det).T)
         qp_w[curved] = ((0.5 * _QW)[:, None] * qp_det).T
         qp_w.setflags(write=False)
-        return cls(curved, det, tuple(inv), qp_w, tuple(qp_inv), tuple(node_inv))
+        return cls(curved, det, tuple(inv), qp_w, tuple(qp_inv))
 
 
 # -- mesh --------------------------------------------------------------------
@@ -635,9 +628,12 @@ class TorsionField:
     """Discrete torsion function on one mesh.
 
     u holds nodal values at all P2 nodes of space (vertices first).  M is the
-    largest |grad u| at the quadrature points, in the area-averaged nodal
-    gradients and at the boundary nodes; min_points are the refined interior
-    minima.  qp_u (nt, 7) holds u at the quadrature points space.qp_xy,
+    largest |grad u| at the 2 n_angular boundary node parameters, the edge
+    endpoints and curved midsides: laplace(u) = 2 makes |grad u|^2
+    subharmonic, so its maximum over the closed domain sits on the boundary
+    (Magnanini-Poggesi 2016), and an interior sample could only add
+    discretisation overshoot.  min_points are the refined interior minima.
+    qp_u (nt, 7) holds u at the quadrature points space.qp_xy,
     weighted by space.qp_w in volume integrals, and qp_hess (3, nt, 7) the
     Hessian entries h00, h01, h11 there, one contiguous plane each.  On an
     affine cell (outside space.b_tri) the Hessian is the same at all 7
@@ -667,7 +663,7 @@ def _gradient(u_t: np.ndarray, inv, dn: np.ndarray):
 
     u_t (6, nt) holds the element nodal values, dn (p, 6, 2) the
     shape-function derivatives at the points and inv the entries of J^-1,
-    each (p, nt), or (nt,) where J is constant.
+    each (p, nt).
     """
     a, b, c, d = inv
     g0, g1 = (dn.transpose(2, 0, 1).reshape(-1, 6) @ u_t).reshape((2, dn.shape[0], -1))
@@ -685,48 +681,31 @@ def _hessian(t, inv):
 
 
 def _derivatives(space: _P2Space, u_full: np.ndarray):
-    """u, gradient and Hessian at the quadrature points, and the nodal
-    gradient by area-weighted averaging, which is formed first so that its
-    temporaries never meet the quadrature fields.
+    """u and the Hessian entries at the quadrature points, (nt, 7) and
+    (3, nt, 7).
 
-    On an affine cell the gradient is J^-T times the reference one at each
-    point and the Hessian is the constant J^-T href J^-1, href the constant
-    reference second derivatives of u.  A curved cell subtracts the map
-    curvature, grad u . d2x/dxi2 (the second derivatives of the map, from
+    On an affine cell the Hessian is the constant J^-T href J^-1, href the
+    constant reference second derivatives of u.  A curved cell subtracts the
+    map curvature, grad u . d2x/dxi2 (the second derivatives of the map, from
     coordinates relative to vertex 0, as in _element_maps), from href, with
-    J^-1 taken at each point.
+    grad u and J^-1 taken at each point.
     """
     maps = space.maps
     cv = maps.curved
     u_el = u_full[space.tri_nodes]
     u_t = u_el.T
-    u_c = u_t[:, cv]
     nt = u_el.shape[0]
 
-    # (gx, gy, 1) x local node x element, weighted by element area
-    vals = np.empty((3, 6, nt))
-    vals[0], vals[1] = _gradient(u_t, maps.inv, _DN_AT_NODES)
-    vals[0][:, cv], vals[1][:, cv] = _gradient(u_c, maps.node_inv, _DN_AT_NODES)
-    vals[2] = 1.0
-    vals *= np.sum(space.qp_w, axis=1)
-    idx = space.tri_nodes.T.ravel()
-    gx, gy, wsum = (np.bincount(idx, weights=v.ravel(), minlength=space.n_nodes) for v in vals)
-    del vals
-    grad = np.stack([gx, gy], axis=-1) / wsum[:, None]
-
     href = _D2N.T @ u_t                                              # reference Hessian, constant
-    qp_g = np.empty((nt, 7, 2))
-    qp_g[..., 0], qp_g[..., 1] = (g.T for g in _gradient(u_t, maps.inv, _DN_AT_QP))
     qp_h = np.empty((3, nt, 7))
     qp_h[:] = np.stack(_hessian(href, maps.inv))[..., None]
 
     rel = space.coords[cv] - space.coords[cv, :1]
-    gx, gy = _gradient(u_c, maps.qp_inv, _DN_AT_QP)
+    gx, gy = _gradient(u_t[:, cv], maps.qp_inv, _DN_AT_QP)
     cx, cy = _D2N.T @ rel[:, :, 0].T, _D2N.T @ rel[:, :, 1].T         # map curvature
     t = [href[i, cv] - gx * cx[i] - gy * cy[i] for i in range(3)]
-    qp_g[cv, :, 0], qp_g[cv, :, 1] = gx.T, gy.T
     qp_h[:, cv] = np.stack(_hessian(t, maps.qp_inv)).transpose(0, 2, 1)
-    return u_el @ _N_AT_QP.T, qp_g, qp_h, grad
+    return u_el @ _N_AT_QP.T, qp_h
 
 
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -860,22 +839,16 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     u_full = np.zeros(space.n_nodes)
     u_full[space.plan.interior] = x
 
-    qp_u, qp_g, qp_h, grad = _derivatives(space, u_full)
+    qp_u, qp_h = _derivatives(space, u_full)
 
-    # gradient at the boundary node parameters: edge endpoints and curved midsides
+    # M (see TorsionField) at the boundary node parameters: edge endpoints and curved midsides
     th0, th1 = mesh.boundary_thetas.T
-    bgrad = _boundary_gradient(mesh, u_full, np.sort(np.concatenate([th0, 0.5 * (th0 + th1)])))
-
-    m_const = max(
-        float(np.max(np.hypot(qp_g[..., 0], qp_g[..., 1]))),
-        float(np.max(np.hypot(grad[:, 0], grad[:, 1]))),
-        float(np.max(np.hypot(bgrad[:, 0], bgrad[:, 1]))),
-    )
+    bgrad = _boundary_gradient(mesh, u_full, np.concatenate([th0, 0.5 * (th0 + th1)]))
 
     return TorsionField(
         mesh=mesh,
         u=u_full,
-        M=m_const,
+        M=float(np.max(np.hypot(bgrad[:, 0], bgrad[:, 1]))),
         min_points=_min_points(space, u_full),
         residual_norm=relres,
         iterations=iters,

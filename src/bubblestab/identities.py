@@ -54,6 +54,11 @@ def _report(name: str, lhs: float, rhs: float, scale: float, applicable: bool = 
     )
 
 
+def _sym_sq(a00, a01, a11):
+    """|A|^2 = a00^2 + 2 a01^2 + a11^2 of the symmetric field A = (a00, a01, a11)."""
+    return a00 * a00 + 2.0 * a01 * a01 + a11 * a11
+
+
 def cs_deficit(field: TorsionField) -> DeficitReport:
     """Deficit integrals and the elementwise floor of the P-function Laplacian.
 
@@ -66,12 +71,11 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     """
     h00, h01, h11 = field.qp_hess
     w = field.space.qp_w
-    off = 2.0 * h01 * h01
     tr = h00 + h11
-    density = h00 * h00 + off + h11 * h11 - tr * tr / DIM
+    density = _sym_sq(h00, h01, h11) - tr * tr / DIM
     w_density = w * density
     deficit = float(np.sum(w_density))
-    hess_h = float(np.sum(w * ((1.0 - h00) ** 2 + off + (1.0 - h11) ** 2)))   # |I - hess u|^2
+    hess_h = float(np.sum(w * _sym_sq(1.0 - h00, -h01, 1.0 - h11)))   # |I - hess u|^2
 
     p_min = float(np.min(np.sum(w_density, axis=1) / np.sum(w, axis=1)))
     return DeficitReport(cs_deficit=deficit, hessian_h_sq=hess_h, p_min_delta=p_min)
@@ -120,9 +124,7 @@ def identity_suite(
     else:
         reports.append(IdentityReport("heintze_karcher", np.nan, np.nan, np.nan, np.nan, applicable=False))
 
-    h00, h01, h11 = field.qp_hess
-    hs = h00 * h00 + 2.0 * h01 * h01 + h11 * h11
-    wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (hs - DIM)))
+    wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (_sym_sq(*field.qp_hess) - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))
     reports.append(_report("wps", wps_lhs, wps_rhs, scale))
 

@@ -70,6 +70,39 @@ def test_ellipse_solve_matches_closed_form():
     assert abs(unu0 - 2 * a * b * b / (a * a + b * b)) < 2e-3
 
 
+def test_m_is_boundary_node_maximum():
+    # laplace(u) = 2 makes |grad u|^2 subharmonic, so M is read at the boundary
+    # nodes alone: here an interior sample, the area-averaged nodal gradient,
+    # would overshoot that by 3.1e-4 relative
+    dom = geometry.StarDomain(1.0, [0.0, 0.0, 0.1])
+    mesh = fem.generate_mesh(dom, 32, 128)
+    field = fem.solve_torsion(mesh)
+    th0, th1 = mesh.boundary_thetas.T
+    grads = [fem._boundary_gradient(mesh, field.u, th) for th in (th0, 0.5 * (th0 + th1))]
+    assert field.M == max(float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads)
+
+
+@pytest.mark.parametrize(
+    "domain,exact,gates",
+    [
+        # disk: M = R; ellipse a > b: u = (x^2/a^2 + y^2/b^2 - 1) a^2 b^2 / (a^2 + b^2),
+        # so M = 2 a^2 b / (a^2 + b^2), at the ends of the minor axis.  Gates are
+        # about 1.3 x the measured relative errors
+        (geometry.StarDomain.disk(), 1.0, (4.9e-4, 1.25e-4, 3.1e-5)),      # 3.74e-4, 9.43e-5, 2.37e-5
+        (geometry.StarDomain.ellipse(1.5, 1.0), 4.5 / 3.25, (2.3e-4, 5.6e-5, 1.4e-5)),  # 1.75e-4, 4.29e-5, 1.06e-5
+        (geometry.StarDomain.ellipse(2.0, 1.0), 1.6, (1.3e-4, 3.2e-5, 7.8e-6)),  # 1.01e-4, 2.44e-5, 6.01e-6
+    ],
+    ids=["disk", "ellipse1.5", "ellipse2"],
+)
+def test_m_converges_to_exact(domain, exact, gates):
+    errs = [
+        abs(fem.solve_torsion(fem.generate_mesh(domain, n, 4 * n)).M - exact) / exact for n in (16, 32, 64)
+    ]
+    assert all(e <= g for e, g in zip(errs, gates)), errs
+    # O(h^2): the error falls by at least 3.5 x per halving of h
+    assert errs[0] >= 3.5 * errs[1] and errs[1] >= 3.5 * errs[2], errs
+
+
 def test_eval_at_points_disk():
     disk = geometry.StarDomain.disk()
     field = fem.solve_torsion(fem.generate_mesh(disk, 16, 64))
@@ -344,31 +377,20 @@ def _reference_kernels(space, u_full):
     href = np.einsum("tk,kde->tde", u_el, _D2N_FULL)
     cmap = np.einsum("tkc,kde->tcde", coords, _D2N_FULL)
 
-    def grad_hess(dn):
+    def hessian(dn):
         inv = inverse_jacobian(dn)
         g = np.einsum("td,tdc->tc", np.einsum("tk,kd->td", u_el, dn), inv)
         tmp = href - np.einsum("tc,tcde->tde", g, cmap)
-        return g, np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
+        return np.einsum("tdc,tde,tef->tcf", inv, tmp, inv)
 
-    qp_g = np.empty((nt, 7, 2))
     qp_h = np.empty((nt, 7, 2, 2))
     for qi in range(7):
-        qp_g[:, qi], qp_h[:, qi] = grad_hess(fem._DN_AT_QP[qi])
-    areas = np.sum(space.qp_w, axis=1)
-    grad = np.zeros((space.n_nodes, 2))
-    wsum = np.zeros(space.n_nodes)
-    for k in range(6):
-        g, _ = grad_hess(fem._DN_AT_NODES[k])
-        idx = space.tri_nodes[:, k]
-        np.add.at(grad, idx, areas[:, None] * g)
-        np.add.at(wsum, idx, areas)
+        qp_h[:, qi] = hessian(fem._DN_AT_QP[qi])
     return (
         a_full[interior, :][:, interior],
         f_full[interior],
         np.einsum("tk,qk->tq", u_el, fem._N_AT_QP),
-        qp_g,
         np.stack([qp_h[..., 0, 0], qp_h[..., 0, 1], qp_h[..., 1, 1]]),
-        grad / wsum[:, None],
     )
 
 
@@ -465,7 +487,7 @@ def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
     hess = np.array([[1.0, -0.3], [-0.3, 0.7]])
     xy = space.node_xy - FOURIER5.center
     q = 0.5 * np.einsum("ni,ij,nj->n", xy, hess, xy)
-    qp_hess = fem._derivatives(space, q)[2]
+    qp_hess = fem._derivatives(space, q)[1]
     affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
     h = qp_hess[:, affine]
     assert np.all(h == h[:, :, :1])
