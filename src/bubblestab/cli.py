@@ -166,7 +166,7 @@ def load_config(path: str) -> dict:
 
     par = cfg["params"]
     _need(_integer(par["basis_degree"]) and par["basis_degree"] >= 1, "params.basis_degree", "must be an integer >= 1")
-    _need(par["x0_policy"] in ("min_point", "center_of_mass"), "params.x0_policy", "must be 'min_point' or 'center_of_mass'")
+    _need(par["x0_policy"] == "min_point", "params.x0_policy", "must be 'min_point'")
     _need(par["mu2"] is None or (_number(par["mu2"]) and par["mu2"] > 0), "params.mu2", "must be null or positive")
     _need(_integer(par["n_trace"]) and par["n_trace"] >= 64, "params.n_trace", "must be an integer >= 64")
     _need(_number(par["residual_threshold"]) and par["residual_threshold"] > 0, "params.residual_threshold", "must be positive")
@@ -193,7 +193,6 @@ def _params_from_config(cfg: dict) -> stability.StabilityParams:
     par = cfg["params"]
     return stability.StabilityParams(
         basis_degree=int(par["basis_degree"]),
-        x0_policy=str(par["x0_policy"]),
         mu2=None if par["mu2"] is None else float(par["mu2"]),
     )
 

@@ -240,7 +240,8 @@ class GradientBounds:
     """A-priori bounds on |grad u| over the closure of the planar domain.
 
     lower = r_interior; upper = c_N d (d + r_ext) / r_ext, the bound that
-    every theorem variant uses, the center-of-mass one included.
+    the constants of main and main_cm use.  hk, mean_convex and obvp read
+    the computed gradient maximum M instead.
     """
 
     lower: float

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .geometry import StarDomain
+from .geometry import DIM, StarDomain
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -135,8 +135,8 @@ def mu2_lower_convex(diameter: float) -> float:
     return float(np.pi**2 / diameter**2)
 
 
-def mu0_lower_bound(r: float, area: float, mu2: float, dim: int = 2) -> float:
-    """Explicit lower bound on mu0 from an interior ball and a Neumann gap.
+def mu0_lower_bound(r: float, area: float, mu2: float) -> float:
+    """Explicit lower bound on mu0 from an interior ball and a Neumann gap, N = DIM.
 
     Evaluated on the domain rescaled by 1/r (where the interior ball has unit
     radius) and scaled back, so the bound transforms exactly as 1/length^2:
@@ -148,8 +148,8 @@ def mu0_lower_bound(r: float, area: float, mu2: float, dim: int = 2) -> float:
     """
     if r <= 0.0 or area <= 0.0 or mu2 <= 0.0:
         raise ValueError("r, area, mu2 must all be positive")
-    omega = unit_ball_volume(dim)
-    big_c = (1.0 + r ** (-dim / 2.0) * np.sqrt(area / omega)) ** 2 * (1.0 + (mu2 * r * r) ** -2) - 1.0
+    omega = unit_ball_volume(DIM)
+    big_c = (1.0 + r ** (-DIM / 2.0) * np.sqrt(area / omega)) ** 2 * (1.0 + (mu2 * r * r) ** -2) - 1.0
     return float(1.0 / (r * r * np.sqrt(big_c)))
 
 

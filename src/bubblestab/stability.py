@@ -2,13 +2,18 @@
 
 Each theorem variant bounds rho_e - rho_i (circumscribed minus inscribed
 touching radius about a distinguished point z) by C * deviation^tau, where
-the deviation measures how far the boundary is from constant mean curvature:
+the deviation measures how far the boundary is from constant mean curvature.
+VARIANTS is the one table of what each variant reads:
 
-  main        L1 norm of H0 - H                     z = torsion minimum
-  main_cm     same, center-of-mass normalization    z = center of mass
-  hk          the Heintze-Karcher deficit           z = torsion minimum
-  mean_convex sup |H0 - H| (needs min H > 0)        z = torsion minimum
-  obvp        L1 norm of u_nu - 1/H                 z = torsion minimum
+  variant      z                deviation (DeviationNorms field)       H > 0
+  main         torsion minimum  L1 norm of H0 - H (h0_minus_h_l1)      no
+  main_cm      center of mass   L1 norm of H0 - H (h0_minus_h_l1)      no
+  hk           torsion minimum  Heintze-Karcher deficit (hk_deficit)   yes
+  mean_convex  torsion minimum  sup |H0 - H| (h0_minus_h_inf)          yes
+  obvp         torsion minimum  L1 norm of u_nu - 1/H (obvp_l1)        yes
+
+A variant marked H > 0 needs a mean-convex boundary, min H > 0, and is not
+applicable (NotApplicable) where min H <= 0.
 
 The high-dimension branch carries tau = 1/(N+2) plus an explicit smallness
 threshold eps on the deviation; when the deviation exceeds eps the trivial
@@ -38,7 +43,24 @@ from .geometry import (
 from .oracles import GradientBounds, c_constant, gradient_bounds
 from .spectral import SpectralEstimate, mu2_lower_convex, spectral_estimate, unit_ball_volume
 
-THEOREMS = ("main", "main_cm", "hk", "mean_convex", "obvp")
+
+@dataclasses.dataclass(frozen=True)
+class Variant:
+    """What one theorem variant reads (the table in the module docstring)."""
+
+    point: str  # "min_point" (the torsion minimum) or "center_of_mass"
+    deviation: str  # the DeviationNorms field it bounds
+    needs_positive_h: bool  # min H > 0, a mean-convex boundary
+
+
+VARIANTS = {
+    "main": Variant("min_point", "h0_minus_h_l1", False),
+    "main_cm": Variant("center_of_mass", "h0_minus_h_l1", False),
+    "hk": Variant("min_point", "hk_deficit", True),
+    "mean_convex": Variant("min_point", "h0_minus_h_inf", True),
+    "obvp": Variant("min_point", "obvp_l1", True),
+}
+THEOREMS = tuple(VARIANTS)
 BRANCHES = ("high_dim", "low_dim")
 # Hoelder exponent of the low-dimension branch for N = 2, any value in (0, 1).
 GAMMA = 0.5
@@ -48,8 +70,8 @@ GAMMA = 0.5
 class DeviationNorms:
     """Boundary deviation measures entering the stability bounds.
 
-    hk_deficit and obvp_l1 need strictly positive mean curvature and are None
-    otherwise.  min_h is the minimum of H over the trace.
+    hk_deficit and obvp_l1 integrate 1/H, so they are None unless min H > 0
+    (min_h, the minimum of H over the trace).
     """
 
     h0_minus_h_l1: float
@@ -66,18 +88,11 @@ def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: Geometry
     h0 = summary.H0
     diff = h0 - h
     min_h = float(np.min(h))
+    hk = obvp = None
     if min_h > 0.0:
         hk = float(np.sum(w / h)) - DIM * summary.area
         u_nu = boundary_normal_derivative(field, trace.thetas)
         obvp = float(np.sum(w * np.abs(u_nu - 1.0 / h)))
-    elif min_h == 0.0:
-        # H touches zero: the surface integral of 1/H diverges, so the
-        # Heintze-Karcher deficit is +inf, not undefined.
-        hk = float("inf")
-        obvp = float("inf")
-    else:
-        hk = None
-        obvp = None
     return DeviationNorms(
         h0_minus_h_l1=float(np.sum(w * np.abs(diff))),
         h0_minus_h_plus_l1=float(np.sum(w * np.maximum(diff, 0.0))),
@@ -112,12 +127,11 @@ class StabilityParams:
 
     sobolev_c: float | None = None
     basis_degree: int = 12
-    x0_policy: str = "min_point"
     mu2: float | None = None
 
 
 class NotApplicable(ValueError):
-    """The theorem variant's hypotheses fail on this domain (min H <= 0 for mean_convex)."""
+    """The theorem variant's hypotheses fail on this domain (min H <= 0 where it needs H > 0)."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,13 +175,16 @@ def assemble_constants(
     """(C, eps, trace) for one theorem variant and branch.
 
     mu is the harmonic-Poincare constant in use, m_grad the gradient maximum,
-    min_h the minimum boundary mean curvature (only mean_convex reads it).
+    min_h the minimum boundary mean curvature (mean_convex's constants read
+    it).  Raises NotApplicable when the variant needs min H > 0 and min_h <= 0.
     eps is None on the low-dimension branch (no smallness condition).
     """
-    if theorem not in THEOREMS:
+    if theorem not in VARIANTS:
         raise ValueError("unknown theorem %r" % theorem)
     if branch not in BRANCHES:
         raise ValueError("unknown branch %r" % branch)
+    if VARIANTS[theorem].needs_positive_h and min_h <= 0.0:
+        raise NotApplicable("%s variant needs strictly positive boundary curvature" % theorem)
     n = float(DIM)
     area = summary.area
     d = summary.diameter
@@ -189,9 +206,6 @@ def assemble_constants(
         "H0": summary.H0,
         "min_H": min_h,
     }
-
-    if theorem == "mean_convex" and min_h <= 0.0:
-        raise NotApplicable("mean_convex variant needs strictly positive boundary curvature")
 
     if branch == "high_dim":
         ex = 1.0 / (n + 2.0)
@@ -248,38 +262,23 @@ def check_stability(
     """Evaluate one stability inequality on a solved domain.
 
     dev holds the deviation norms of this domain (see deviation_norms).  The
+    variant's point z, deviation and H > 0 hypothesis come from VARIANTS; a
+    variant whose hypothesis fails raises NotApplicable.  The
     harmonic-Poincare constant defaults to the explicit lower bound
     (conservative: it only weakens the inequality being verified) and falls
     back to the Galerkin upper estimate when no lower bound is available.
     """
-    if theorem == "main_cm":
-        z = summary.center_of_mass
-    else:
-        if field.min_points.size == 0:
-            raise ValueError("field has no interior minimum point")
-        z = field.min_points[0]
-    rho_i, rho_e = rho_bounds(trace, z)
-    gap = rho_e - rho_i
-
-    if theorem in ("main", "main_cm"):
-        deviation = dev.h0_minus_h_l1
-    elif theorem == "hk":
-        deviation = dev.hk_deficit
-    elif theorem == "mean_convex":
-        deviation = dev.h0_minus_h_inf
-    elif theorem == "obvp":
-        deviation = dev.obvp_l1
-    else:
-        raise ValueError("unknown theorem %r" % theorem)
-    if deviation is None:
-        raise NotApplicable("%s deviation undefined: boundary mean curvature is not positive" % theorem)
-
     if spectral.mu0_lower is not None:
         mu, mu_source = spectral.mu0_lower, "lower_bound"
     else:
         mu, mu_source = spectral.mu0_upper, "galerkin_upper"
-
     c_stab, eps, tr = assemble_constants(theorem, branch, summary, mu, field.M, dev.min_h, params)
+
+    variant = VARIANTS[theorem]
+    z = summary.center_of_mass if variant.point == "center_of_mass" else field.min_points[0]
+    rho_i, rho_e = rho_bounds(trace, z)
+    gap = rho_e - rho_i
+    deviation = getattr(dev, variant.deviation)
     tau = tr["tau"]
     smallness_ok = True if eps is None else bool(deviation < eps)
     if smallness_ok:
@@ -375,12 +374,6 @@ def analyze_domain(
     summary = geometry_summary(domain, trace)
     mesh = generate_mesh(domain, n_radial, n_angular)
     field = solve_torsion(mesh)
-    if params.x0_policy == "min_point":
-        x0 = field.min_points[0] if field.min_points.size else domain.center
-    elif params.x0_policy == "center_of_mass":
-        x0 = summary.center_of_mass
-    else:
-        raise ValueError("x0_policy must be 'min_point' or 'center_of_mass', got %r" % params.x0_policy)
     if float(np.min(trace.curvatures)) >= 0.0:
         # convex (H >= 0): the Payne-Weinberger bound pi^2/d^2 holds
         mu2 = mu2_lower_convex(summary.diameter)
@@ -391,7 +384,7 @@ def analyze_domain(
         r_interior=summary.r_interior,
         area=summary.area,
         degree=params.basis_degree,
-        x0=x0,
+        x0=field.min_points[0],  # z of every min-point variant
         mu2=mu2,
     )
     dev = deviation_norms(trace, field, summary)

@@ -64,6 +64,7 @@ def test_load_config_fills_defaults(tmp_path):
         ({"params": {"basis_degree": True}}, "params.basis_degree"),
         ({"sweep": {"values": [0.1], "mode_k": True}}, "sweep.mode_k"),
         ({"domain": {"base_radius": 10**340}}, "domain.base_radius"),
+        ({"params": {"x0_policy": "center_of_mass"}}, "params.x0_policy"),
     ],
 )
 def test_load_config_names_bad_key(tmp_path, payload, fragment):

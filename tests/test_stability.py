@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -134,22 +136,36 @@ def test_nonpositive_curvature_rejections():
             stability.check_stability(theorem, trace, summary, field, spec, dev)
 
 
+def same_report(a, b):
+    # field by field, so that z compares as an array, bit for bit
+    return type(a) is type(b) and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+    )
+
+
 def test_inapplicable_theorem_keeps_the_other_reports():
-    # cos3 at t = 0.1 has min H exactly 0, so mean_convex does not apply; the
-    # main report must come out as it does when main runs alone
+    # cos3 at t = 0.1 has min H exactly 0, so hk, mean_convex and obvp do not
+    # apply; main and main_cm must come out as they do when they run alone
     dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.1]))
     kw = dict(n_radial=8, n_angular=32, n_trace=256)
-    both = stability.analyze_domain(dom, theorems=("main", "mean_convex"), **kw)
-    alone = stability.analyze_domain(dom, theorems=("main",), **kw)
-    assert both.deviation.min_h == 0.0
-    main, mean_convex = both.reports
-    ref = alone.reports[0]
-    assert (main.theorem, main.c_stab, main.eps, main.gap, main.holds) == (
-        "main", ref.c_stab, ref.eps, ref.gap, ref.holds
-    )
-    assert mean_convex == stability.NotApplicableReport(
-        "mean_convex", "high_dim", "mean_convex variant needs strictly positive boundary curvature"
-    )
+    every = stability.analyze_domain(dom, theorems=stability.THEOREMS, **kw)
+    alone = stability.analyze_domain(dom, theorems=("main", "main_cm"), **kw)
+    assert every.deviation.min_h == 0.0
+    assert every.deviation.hk_deficit is None and every.deviation.obvp_l1 is None
+    main, main_cm, hk, mean_convex, obvp = every.reports
+    assert same_report(main, alone.reports[0]) and same_report(main_cm, alone.reports[1])
+    for theorem, rep in (("hk", hk), ("mean_convex", mean_convex), ("obvp", obvp)):
+        assert rep == stability.NotApplicableReport(
+            theorem, "high_dim", "%s variant needs strictly positive boundary curvature" % theorem
+        )
+
+
+def test_min_point_variants_read_the_spectral_x0(disk_analysis, ellipse_analysis, cos3_analysis):
+    # the Galerkin mu0 is taken at the z of every variant that reads the torsion minimum
+    for analysis in (disk_analysis, ellipse_analysis, cos3_analysis):
+        for r in analysis.reports:
+            if stability.VARIANTS[r.theorem].point == "min_point":
+                assert np.array_equal(r.z, analysis.spectral.x0), r.theorem
 
 
 def test_analyze_domain_computes_deviation_once(monkeypatch):
@@ -185,17 +201,6 @@ def test_sweep_uses_convex_lower_bound(sweep_analyses):
     for t, a in sweep_analyses:
         assert float(np.min(a.trace.curvatures)) >= 0.0, t
         assert all(r.mu_source == "lower_bound" for r in a.reports), t
-
-
-def test_bad_x0_policy():
-    with pytest.raises(ValueError, match="x0_policy"):
-        stability.analyze_domain(
-            geometry.StarDomain.disk(),
-            n_radial=8,
-            n_angular=32,
-            n_trace=256,
-            params=stability.StabilityParams(x0_policy="weird"),
-        )
 
 
 def test_sweep_monotone_degradation(sweep_analyses):

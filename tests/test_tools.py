@@ -33,18 +33,24 @@ def test_golden_compare_of_two_runs_shows_no_moves(tmp_path):
     for line in files:
         assert "non-float fields equal; worst abs 0 at -; worst rel 0 at -" in line
 
-    # a moved float and a changed integer are both reported
+    # two moved floats and a changed integer are all reported; each moved
+    # float gets its own line, the largest relative move first
     path = os.path.join(runs[1], "verify_small", "verify_level1.json")
     with open(path) as fh:
         payload = json.load(fh)
     payload["mesh_h"] *= 1.0 + 1e-6
+    payload["deficit"]["cs_deficit"] *= 1.0 + 1e-3
     payload["n_radial"] += 1
     with open(path, "w") as fh:
         json.dump(payload, fh)
     report = io.StringIO()
     assert not golden.compare(*runs, file=report)
     assert "DIFFER at /n_radial" in report.getvalue()
-    assert "worst rel 1e-06 at /mesh_h" in report.getvalue()
+    assert "worst rel 0.000999 at /deficit/cs_deficit" in report.getvalue()
+    lines = report.getvalue().splitlines()
+    moved = [line.split(":")[0] for line in lines if line.startswith("    ")]
+    assert moved == ["    /deficit/cs_deficit", "    /mesh_h"]
+    assert "    /mesh_h: abs %.3g, rel 1e-06" % (payload["mesh_h"] - payload["mesh_h"] / (1.0 + 1e-6)) in lines
 
 
 def test_golden_run_without_config_and_wall_times(tmp_path):

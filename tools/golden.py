@@ -4,7 +4,8 @@
     python3 tools/golden.py compare A B
 
 ``run`` runs the golden set into OUT, one subdirectory per case: ``sweep`` on
-configs/sweep_cos3.json, ``verify`` on the disk and the ellipse,
+configs/sweep_cos3.json and on configs/sweep_cos3_all.json (all five
+theorems), ``verify`` on the disk and the ellipse,
 ``spectral`` on the ellipse, ``convergence`` on the disk and the ellipse,
 and ``oracles`` with and without ``--fsup --N 8``.  Each case runs as
 ``python -m bubblestab.cli`` in a subprocess that imports the package from
@@ -17,8 +18,9 @@ OUT/wall_s.json.
 are never compared as a file.  Per output file it prints whether
 every non-float field (keys, lengths, strings, integers, booleans, nulls) is
 equal and the worst absolute and relative move of its floats, with where it
-happens.  It exits 0 when the exit codes and every non-float field agree, and
-1 otherwise.
+happens, and under that one indented line per moved float with its absolute
+and relative move, largest relative move first.  It exits 0 when the exit
+codes and every non-float field agree, and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (case, command with its arguments, config or None)
 GOLDEN = (
     ("sweep_cos3", "sweep", "configs/sweep_cos3.json"),
+    ("sweep_cos3_all", "sweep", "configs/sweep_cos3_all.json"),
     ("verify_disk", "verify", "configs/disk.json"),
     ("verify_ellipse", "verify", "configs/ellipse.json"),
     ("spectral_ellipse", "spectral", "configs/ellipse.json"),
@@ -89,6 +92,7 @@ class _Moves:
         self.mismatch = []      # paths whose non-float content differs
         self.worst_abs = (0.0, "")
         self.worst_rel = (0.0, "")
+        self.moved = []         # (rel, abs, path) per moved float
 
     def walk(self, a, b, path: str) -> None:
         if isinstance(a, float) and isinstance(b, float):
@@ -112,6 +116,7 @@ class _Moves:
         move = abs(a - b)
         scale = max(abs(a), abs(b))
         rel = move / scale if scale > 0.0 else 0.0
+        self.moved.append((rel, move, path))
         if not move <= self.worst_abs[0]:
             self.worst_abs = (move, path)
         if not rel <= self.worst_rel[0]:
@@ -161,6 +166,8 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
             ),
             file=file,
         )
+        for rel, move, path in sorted(moves.moved, key=lambda m: m[0], reverse=True):
+            print("    %s: abs %.3g, rel %.3g" % (path, move, rel), file=file)
     return same
 
 
