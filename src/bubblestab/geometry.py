@@ -91,35 +91,45 @@ class StarDomain:
         ks = np.arange(1, self.sin_coeffs.size + 1, dtype=float)
         return kc, ks
 
-    def radius(self, theta: np.ndarray) -> np.ndarray:
+    def radius_derivatives(self, theta: np.ndarray, orders) -> list[np.ndarray]:
+        """d^m rho / d theta^m at theta for each m in orders.
+
+        The m-th derivative of a_k cos(k theta) is a_k k^m times cos (m even)
+        or sin (m odd), with the signs +, -, -, + as m mod 4 = 0, 1, 2, 3; that
+        of b_k sin(k theta) takes the other function, with the signs +, +, -, -.
+        Each table cos or sin(k theta) is evaluated once for all orders.
+        """
         theta = np.asarray(theta, dtype=float)
         kc, ks = self._harmonics()
-        out = np.full(theta.shape, self.base_radius)
-        if kc.size:
-            out = out + np.cos(np.multiply.outer(theta, kc)) @ self.cos_coeffs
-        if ks.size:
-            out = out + np.sin(np.multiply.outer(theta, ks)) @ self.sin_coeffs
+        tables = {}
+
+        def table(fn, k):
+            key = (fn, k is kc)
+            if key not in tables:
+                tables[key] = fn(np.multiply.outer(theta, k))
+            return tables[key]
+
+        out = []
+        for m in orders:
+            odd = m % 2 == 1
+            d = np.full(theta.shape, self.base_radius if m == 0 else 0.0)
+            if kc.size:
+                term = table(np.sin if odd else np.cos, kc) @ (kc**m * self.cos_coeffs)
+                d = d - term if m % 4 in (1, 2) else d + term
+            if ks.size:
+                term = table(np.cos if odd else np.sin, ks) @ (ks**m * self.sin_coeffs)
+                d = d - term if m % 4 in (2, 3) else d + term
+            out.append(d)
         return out
+
+    def radius(self, theta: np.ndarray) -> np.ndarray:
+        return self.radius_derivatives(theta, (0,))[0]
 
     def radius_d1(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        kc, ks = self._harmonics()
-        out = np.zeros(theta.shape)
-        if kc.size:
-            out = out - np.sin(np.multiply.outer(theta, kc)) @ (kc * self.cos_coeffs)
-        if ks.size:
-            out = out + np.cos(np.multiply.outer(theta, ks)) @ (ks * self.sin_coeffs)
-        return out
+        return self.radius_derivatives(theta, (1,))[0]
 
     def radius_d2(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        kc, ks = self._harmonics()
-        out = np.zeros(theta.shape)
-        if kc.size:
-            out = out - np.cos(np.multiply.outer(theta, kc)) @ (kc * kc * self.cos_coeffs)
-        if ks.size:
-            out = out - np.sin(np.multiply.outer(theta, ks)) @ (ks * ks * self.sin_coeffs)
-        return out
+        return self.radius_derivatives(theta, (2,))[0]
 
     def point(self, theta: np.ndarray) -> np.ndarray:
         """Boundary point(s) at parameter theta, shape (..., 2)."""
@@ -178,11 +188,9 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     if n_samples < 8:
         raise DomainError("n_samples must be at least 8, got %d" % n_samples)
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    rho = domain.radius(theta)
+    rho, d1, d2 = domain.radius_derivatives(theta, (0, 1, 2))
     if np.any(rho <= 0.0):
         raise DomainError("boundary radius must stay positive on the sample grid")
-    d1 = domain.radius_d1(theta)
-    d2 = domain.radius_d2(theta)
     ct, st = np.cos(theta), np.sin(theta)
     speed = np.sqrt(rho * rho + d1 * d1)
     curv = (rho * rho + 2.0 * d1 * d1 - rho * d2) / speed**3
@@ -239,13 +247,15 @@ _PAIR_BLOCK = 32
 
 
 def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
-    """Largest uniform interior / exterior tangent-ball radii (r_int, r_ext).
+    """Largest uniform interior / exterior tangent-ball radii (r_int, r_ext)
+    by a scan over all sample pairs, O(n^2).
 
-    For a boundary point x with outward normal nu, the interior ball
-    B(x - s nu, s) stays inside iff s <= |y - x|^2 / (2 nu . (x - y)) for all
-    boundary points y on the inner side; the exterior ball mirrors the sign.
-    The minimum over samples gives the radius at x, and the minimum over x is
-    the uniform radius.  Both are capped at ``cap`` (unconstrained directions
+    geometry_summary calls it only for traces that _certified_max_curvature
+    does not certify convex.  For a boundary point x with outward normal nu,
+    the interior ball B(x - s nu, s) stays inside iff
+    s <= |y - x|^2 / (2 nu . (x - y)) for all boundary points y on the inner
+    side; the exterior ball mirrors the sign.  The minimum over samples gives
+    the radius at x, and the minimum over x is the uniform radius.  Both are capped at ``cap`` (unconstrained directions
     give an infinite supremum).
 
     All pairs are scanned in blocks of _PAIR_BLOCK rows with preallocated
@@ -289,6 +299,91 @@ def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
         np.copyto(bq, -np.inf, where=bm)
         s_int_max = max(s_int_max, float(bq.max()))
     return float(min(cap, -s_int_max)), float(min(cap, s_ext))
+
+
+# Newton steps on kappa' = 0 at most; from within a sample spacing of a
+# nondegenerate maximum, four reach round-off.
+_NEWTON_STEPS = 8
+
+
+def _between_samples(f: np.ndarray) -> float:
+    """h^2/8 * sum_k k^2 |c_k| over both signs of k, for a trigonometric
+    polynomial f sampled at n uniform angles h = 2 pi / n apart whose degree
+    is below n/2 (so rfft(f)/n are its coefficients c_k).
+
+    That sum bounds |f''|, so f stays within this of the chord between any two
+    neighbouring samples (the linear-interpolation error bound).
+    """
+    n = f.size
+    h = 2.0 * np.pi / n
+    k2 = np.arange(n // 2 + 1, dtype=float) ** 2
+    return h * h / 8.0 * (2.0 / n) * float(k2 @ np.abs(np.fft.rfft(f)))
+
+
+def _certified_max_curvature(domain: StarDomain, trace: BoundaryTrace) -> float | None:
+    """max kappa over the whole boundary if the trace certifies it strictly
+    convex, else None.
+
+    The curvature numerator N = rho^2 + 2 rho'^2 - rho rho'' and the squared
+    speed S = rho^2 + rho'^2 are trigonometric polynomials of degree <= 2K for
+    K Fourier modes.  They are read from the trace (N = kappa S^(3/2), S from
+    the weights), and when n > 4K one rfft gives their exact coefficients, so
+    _between_samples bounds how far each dips or rises between samples.  The
+    boundary is certified convex when min N over the samples, less that bound
+    and a round-off allowance, is > 0; n <= 4K is never certified.
+
+    On the interval between two samples kappa is at most
+    (max N + bound_N) / (min S - bound_S)^(3/2).  Every interval where that
+    reaches the largest sampled kappa may hold the maximum, and Newton's
+    method on the analytic kappa' = 0 (rho to its 4th derivative from
+    StarDomain.radius_derivatives) starts from both of its ends.  The result
+    is the largest kappa met, never below the sampled maximum.
+    """
+    n = trace.n_samples
+    kc, ks = domain._harmonics()
+    k_modes = max(kc.size, ks.size)
+    if n <= 4 * k_modes:
+        return None
+    h = 2.0 * np.pi / n
+    speed = trace.weights / h
+    sq = speed * speed
+    num = trace.curvatures * sq * speed
+    # rho, rho' and rho'' are bounded by their coefficient sums, whose total is
+    # scale, and each is off by at most about (K + 1) 2 pi eps scale; N and S
+    # are off by a few times that times scale
+    scale = domain.base_radius + float(
+        (1.0 + kc + kc * kc) @ np.abs(domain.cos_coeffs) + (1.0 + ks + ks * ks) @ np.abs(domain.sin_coeffs)
+    )
+    allowance = 64.0 * (k_modes + 1) * np.finfo(float).eps * scale * scale
+    bound_num = _between_samples(num)
+    if not float(np.min(num)) - bound_num - allowance > 0.0:
+        return None
+
+    top = float(np.max(trace.curvatures))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = (np.maximum(num, np.roll(num, -1)) + bound_num + allowance) / (
+            np.minimum(sq, np.roll(sq, -1)) - _between_samples(sq) - allowance
+        ) ** 1.5
+    lo = np.nonzero(~(upper < top))[0]  # a non-positive speed bound gives NaN: kept
+    theta = trace.thetas[np.union1d(lo, (lo + 1) % n)]
+    best = top
+    for _ in range(_NEWTON_STEPS):
+        r0, r1, r2, r3, r4 = domain.radius_derivatives(theta, range(5))
+        s = r0 * r0 + r1 * r1
+        f = r0 * r0 + 2.0 * r1 * r1 - r0 * r2  # N
+        df = 2.0 * r0 * r1 + 3.0 * r1 * r2 - r0 * r3
+        ddf = 2.0 * r1 * r1 + 2.0 * r0 * r2 + 3.0 * r2 * r2 + 2.0 * r1 * r3 - r0 * r4
+        best = max(best, float(np.max(f / (s * np.sqrt(s)))))
+        # kappa' = g / S^(5/2) with g = N' S - 3 N rho' (rho + rho'')
+        half_ds = r1 * (r0 + r2)
+        g = df * s - 3.0 * f * half_ds
+        dg = ddf * s - df * half_ds - 3.0 * f * (r2 * (r0 + r2) + r1 * (r1 + r3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(dg < 0.0, np.clip(-g / dg, -h, h), 0.0)  # toward a maximum only
+        if not np.max(np.abs(step)) > 1e-13:
+            break
+        theta = theta + step
+    return best
 
 
 def _hull(points: np.ndarray) -> np.ndarray:
@@ -354,6 +449,15 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     Area and centroid use the polar forms (1/2) int rho^2 dtheta and
     (1/(3|Omega|)) int rho^3 e(theta) dtheta on the trace grid; both inherit
     spectral accuracy from the uniform periodic sampling.
+
+    Touching radii, capped at the diameter d: on a trace that
+    _certified_max_curvature certifies strictly convex, r_int = 1 / max kappa,
+    exact by Blaschke's rolling theorem (a convex C^2 curve holds a ball of
+    radius r at every point iff kappa <= 1/r), and r_ext = d, since every
+    exterior ball touching a convex curve stays outside it (the pair scan
+    gives exactly d there too).  Any other trace, n <= 4K included, goes
+    through the O(n^2) pair scan touching_radii, whose sampled r_int lies
+    above 1 / max kappa on convex curves.
     """
     theta = trace.thetas
     rho = domain.radius(theta)
@@ -364,7 +468,11 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
         [np.sum(rho**3 * np.cos(theta)), np.sum(rho**3 * np.sin(theta))]
     )
     diameter = _diameter(trace.points)
-    r_int, r_ext = touching_radii(trace, cap=diameter)
+    kappa_max = _certified_max_curvature(domain, trace)
+    if kappa_max is None:
+        r_int, r_ext = touching_radii(trace, cap=diameter)
+    else:
+        r_int, r_ext = min(diameter, 1.0 / kappa_max), diameter
     h0 = perimeter / (DIM * area)
     return GeometrySummary(
         area=area,

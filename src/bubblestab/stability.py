@@ -75,7 +75,6 @@ class DeviationNorms:
     """
 
     h0_minus_h_l1: float
-    h0_minus_h_plus_l1: float
     h0_minus_h_inf: float
     min_h: float
     hk_deficit: float | None
@@ -95,7 +94,6 @@ def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: Geometry
         obvp = float(np.sum(w * np.abs(u_nu - 1.0 / h)))
     return DeviationNorms(
         h0_minus_h_l1=float(np.sum(w * np.abs(diff))),
-        h0_minus_h_plus_l1=float(np.sum(w * np.maximum(diff, 0.0))),
         h0_minus_h_inf=float(np.max(np.abs(diff))),
         min_h=min_h,
         hk_deficit=hk,

@@ -32,6 +32,53 @@ def test_ellipse_radius_matches_closed_form():
     assert np.max(np.abs(ell.radius(th) - exact)) < 1e-12
 
 
+def _reference_radius_sums(domain, theta):
+    # rho, rho' and rho'' as three separate sums, the form radius_derivatives
+    # replaced, kept as the reference it must match bit for bit
+    kc = np.arange(1, domain.cos_coeffs.size + 1, dtype=float)
+    ks = np.arange(1, domain.sin_coeffs.size + 1, dtype=float)
+    rho = np.full(theta.shape, domain.base_radius)
+    d1 = np.zeros(theta.shape)
+    d2 = np.zeros(theta.shape)
+    if kc.size:
+        rho = rho + np.cos(np.multiply.outer(theta, kc)) @ domain.cos_coeffs
+        d1 = d1 - np.sin(np.multiply.outer(theta, kc)) @ (kc * domain.cos_coeffs)
+        d2 = d2 - np.cos(np.multiply.outer(theta, kc)) @ (kc * kc * domain.cos_coeffs)
+    if ks.size:
+        rho = rho + np.sin(np.multiply.outer(theta, ks)) @ domain.sin_coeffs
+        d1 = d1 + np.cos(np.multiply.outer(theta, ks)) @ (ks * domain.sin_coeffs)
+        d2 = d2 - np.sin(np.multiply.outer(theta, ks)) @ (ks * ks * domain.sin_coeffs)
+    return rho, d1, d2
+
+
+def test_radius_derivatives_bitwise_equal_to_reference_sums():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(-10.0, 10.0, 301)
+    domains = [geometry.StarDomain.disk(), geometry.StarDomain.ellipse(1.5, 1.0)]
+    domains += [
+        geometry.StarDomain(1.0, cos_coeffs=rng.uniform(-0.05, 0.05, kc), sin_coeffs=rng.uniform(-0.05, 0.05, ks))
+        for kc, ks in ((3, 0), (0, 4), (5, 2), (2, 7))
+    ]
+    for domain in domains:
+        ref = _reference_radius_sums(domain, theta)
+        got = (domain.radius(theta), domain.radius_d1(theta), domain.radius_d2(theta))
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+        assert all(np.array_equal(a, b) for a, b in zip(domain.radius_derivatives(theta, (0, 1, 2)), ref))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_radius_derivatives_of_one_mode(order):
+    # a cos k theta + b sin k theta has m-th derivative
+    # k^m (a cos(k theta + m pi/2) + b sin(k theta + m pi/2))
+    theta = np.linspace(0.0, 2.0 * np.pi, 97)
+    a, b, k = 0.03, -0.02, 5
+    domain = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0] * (k - 1) + [a]), sin_coeffs=np.array([0.0] * (k - 1) + [b]))
+    shift = k * theta + order * np.pi / 2.0
+    exact = (order == 0) + k**order * (a * np.cos(shift) + b * np.sin(shift))
+    (got,) = domain.radius_derivatives(theta, (order,))
+    assert np.max(np.abs(got - exact)) <= 1e-13 * k**order
+
+
 def test_disk_trace_curvature_normals_weights():
     disk = geometry.StarDomain.disk()
     tr = geometry.boundary_trace(disk, 256)
@@ -180,17 +227,21 @@ def test_diameter_equals_pdist_max(name, n):
     assert geometry._diameter(points) == _pdist_diameter(points)
 
 
-def test_diameter_equals_pdist_max_on_random_traces():
-    # off-centre traces with up to 8 sin and cos modes of random size
+def _random_traces():
+    # 240 off-centre traces with up to 8 sin and cos modes of random size
     rng = np.random.default_rng(20161024)
-    convex = 0
     for _ in range(240):
         k = int(rng.integers(1, 9))
         a = rng.uniform(-1.0, 1.0, k) / np.arange(1, k + 1)
         b = rng.uniform(-1.0, 1.0, k) / np.arange(1, k + 1)
         scale = rng.uniform(0.02, 0.9) / float(np.sum(np.abs(a) + np.abs(b)))
         domain = geometry.StarDomain(1.0, cos_coeffs=scale * a, sin_coeffs=scale * b, center=rng.uniform(-2.0, 2.0, 2))
-        trace = geometry.boundary_trace(domain, int(rng.choice([8, 13, 64, 100, 512, 1000, 1024])))
+        yield domain, geometry.boundary_trace(domain, int(rng.choice([8, 13, 64, 100, 512, 1000, 1024])))
+
+
+def test_diameter_equals_pdist_max_on_random_traces():
+    convex = 0
+    for _, trace in _random_traces():
         convex += bool(np.min(trace.curvatures) > 0.0)
         assert geometry._diameter(trace.points) == _pdist_diameter(trace.points)
     assert 60 <= convex <= 180
@@ -206,6 +257,104 @@ def test_touching_radii_memory_peak_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 2**20
+
+
+def _rotated(domain, phi):
+    # rho(theta - phi): moves every extremum of kappa off the sample grid
+    k = np.arange(1, max(domain.cos_coeffs.size, domain.sin_coeffs.size) + 1)
+    a = np.zeros(k.size)
+    b = np.zeros(k.size)
+    a[: domain.cos_coeffs.size] = domain.cos_coeffs
+    b[: domain.sin_coeffs.size] = domain.sin_coeffs
+    c, s = np.cos(k * phi), np.sin(k * phi)
+    return geometry.StarDomain(domain.base_radius, cos_coeffs=a * c - b * s, sin_coeffs=a * s + b * c, center=domain.center)
+
+
+def _cos3(t):
+    return geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, t]))
+
+
+_CLOSED_FORM_R_I = {
+    "disk": (geometry.StarDomain.disk(), 1.0),
+    "disk-2-off-centre": (geometry.StarDomain.disk(2.0, center=(0.7, -0.4)), 2.0),
+    "ellipse-1.5x1": (geometry.StarDomain.ellipse(1.5, 1.0), 1.0 / 1.5),
+    "ellipse-2x1": (geometry.StarDomain.ellipse(2.0, 1.0), 0.5),
+    # rho = 1 + t cos 3 theta: max kappa = (1 + 10 t) / (1 + t)^2 at theta = 0
+    **{"cos3-%g" % t: (_cos3(t), (1.0 + t) ** 2 / (1.0 + 10.0 * t)) for t in (0.01, 0.05, 0.09)},
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.1234])
+@pytest.mark.parametrize("name", sorted(_CLOSED_FORM_R_I))
+def test_certified_interior_radius_closed_forms(name, phi, monkeypatch):
+    # r_i = 1 / max kappa (Blaschke); rotated by phi, the maximum falls between
+    # samples and only Newton's method reaches it
+    domain, r_i = _CLOSED_FORM_R_I[name]
+    domain = _rotated(domain, phi)
+    trace = geometry.boundary_trace(domain, 1024)
+    assert geometry._certified_max_curvature(domain, trace) is not None
+    monkeypatch.setattr(geometry, "touching_radii", None)  # no pair scan runs
+    s = geometry.geometry_summary(domain, trace)
+    assert abs(s.r_interior - r_i) <= 1e-12 * r_i
+    assert s.r_exterior == s.diameter
+
+
+def _candidate_traces():
+    # every _RADII_DOMAINS trace and the 240 random ones; not n = 2048: the pair scan's round-off on the disk grows as n^2, to
+    # 3e-11 relative there
+    for name in sorted(_RADII_DOMAINS):
+        for n in (512, 1000, 1024):
+            yield _RADII_DOMAINS[name], geometry.boundary_trace(_RADII_DOMAINS[name], n)
+    yield from _random_traces()
+
+
+def test_certified_interior_radius_below_pair_scan():
+    # the pair scan samples the true r_i = 1 / max kappa from above; the
+    # disk's pair value at n = 1024 is 0.999999999993777 by round-off
+    certified = 0
+    for domain, trace in _candidate_traces():
+        if geometry._certified_max_curvature(domain, trace) is None:
+            continue
+        certified += 1
+        s = geometry.geometry_summary(domain, trace)
+        r_i, r_e = geometry.touching_radii(trace, cap=s.diameter)
+        assert s.r_interior <= r_i * (1.0 + 1e-11)
+        assert s.r_exterior == r_e == s.diameter
+    assert certified >= 80
+
+
+_REFUSED = {
+    # min kappa = 0 exactly at theta = pi, a sample: the sampled min is >= 0
+    "cos3-0.1": (_cos3(0.1), 1024),
+    # rotated by half a sample step: true min kappa -1.2e-6 between
+    # samples, sampled min +6.9e-6
+    "cos3-0.1(1+1e-6)-rotated": (_rotated(_cos3(0.1 * (1.0 + 1e-6)), np.pi / 1024), 1024),
+    "cos3-0.2": (_cos3(0.2), 1024),
+    "cos3-0.3": (_cos3(0.3), 1024),
+    "two-lobe": (_RADII_DOMAINS["two-lobe"], 1024),
+    # convex, but n <= 4K: the rfft of N aliases
+    "cos3-0.05-n12": (_cos3(0.05), 12),
+    "ellipse-1.5x1-n4K": (_CLOSED_FORM_R_I["ellipse-1.5x1"][0], 4 * _CLOSED_FORM_R_I["ellipse-1.5x1"][0].cos_coeffs.size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_certificate_refuses(name):
+    domain, n = _REFUSED[name]
+    trace = geometry.boundary_trace(domain, n)
+    if name.startswith("cos3-0.1"):
+        assert np.min(trace.curvatures) >= 0.0
+    assert geometry._certified_max_curvature(domain, trace) is None
+
+
+def test_refused_traces_keep_the_pair_scan():
+    refused = [_REFUSED[name] for name in sorted(_REFUSED)]
+    traces = [(domain, geometry.boundary_trace(domain, n)) for domain, n in refused]
+    for domain, trace in traces + list(_candidate_traces()):
+        if geometry._certified_max_curvature(domain, trace) is not None:
+            continue
+        s = geometry.geometry_summary(domain, trace)
+        assert (s.r_interior, s.r_exterior) == geometry.touching_radii(trace, cap=s.diameter)
 
 
 def test_rho_bounds_and_outside_rejection():

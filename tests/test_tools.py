@@ -76,3 +76,24 @@ def test_golden_run_without_config_and_wall_times(tmp_path):
     assert not any(line.startswith("wall_s.json") for line in lines)
     for name in ("oracles/oracles.json", "oracles_fsup_N8/fsup_N8.json"):
         assert "%s: non-float fields equal; worst abs 0 at -; worst rel 0 at -" % name in lines
+
+
+def test_golden_compare_lists_every_mismatch(tmp_path):
+    # seven non-float changes in one file are all named after DIFFER at
+    runs = [tmp_path / name for name in ("a", "b")]
+    rows = [{"theorem": "main", "holds": True, "rows": [1, 2, 3], "note": None, "x": 0.5}]
+    for run, flip in zip(runs, (False, True)):
+        (run / "case").mkdir(parents=True)
+        for name in golden._RUN_FILES:
+            (run / name).write_text(json.dumps({"case": 0}))
+        payload = [dict(row) for row in rows * 2]
+        if flip:
+            payload[0].update(theorem="hk", holds=False, rows=[1, 2], note="n/a")
+            payload[1].update(theorem="obvp", holds=None)
+            payload[1]["rows"][0] = 7
+        (run / "case" / "report.json").write_text(json.dumps(payload))
+    report = io.StringIO()
+    assert not golden.compare(*map(str, runs), file=report)
+    (line,) = [line for line in report.getvalue().splitlines() if line.startswith("case/report.json")]
+    differ = line.split("DIFFER at ")[1].split("; worst")[0].split(", ")
+    assert differ == ["[0]/holds", "[0]/note", "[0]/rows (length)", "[0]/theorem", "[1]/holds", "[1]/rows[0]", "[1]/theorem"]

@@ -4,8 +4,9 @@
     python3 tools/golden.py compare A B
 
 ``run`` runs the golden set into OUT, one subdirectory per case: ``sweep`` on
-configs/sweep_cos3.json and on configs/sweep_cos3_all.json (all five
-theorems), ``verify`` on the disk and the ellipse,
+configs/sweep_cos3.json, on configs/sweep_cos3_all.json (all five
+theorems) and on configs/sweep_cos3_nonconvex.json (t = 0.15 to 0.3, whose
+touching radii come from the pair scan), ``verify`` on the disk and the ellipse,
 ``spectral`` on the ellipse, ``convergence`` on the disk and the ellipse,
 and ``oracles`` with and without ``--fsup --N 8``.  Each case runs as
 ``python -m bubblestab.cli`` in a subprocess that imports the package from
@@ -15,11 +16,12 @@ OUT/exit_codes.json and the wall time of each case, in seconds, to
 OUT/wall_s.json.
 
 ``compare`` prints the exit codes and wall times of both runs; the timings
-are never compared as a file.  Per output file it prints whether
-every non-float field (keys, lengths, strings, integers, booleans, nulls) is
-equal and the worst absolute and relative move of its floats, with where it
-happens, and under that one indented line per moved float with its absolute
-and relative move, largest relative move first.  It exits 0 when the exit
+are never compared as a file.  Per output file it prints whether every
+non-float field (keys, lengths, strings, integers, booleans, nulls) is equal,
+or else the path of every one that differs, and the worst absolute and
+relative move of its floats, with where it happens, and under that one
+indented line per moved float with its absolute and relative move, largest
+relative move first.  It exits 0 when the exit
 codes and every non-float field agree, and 1 otherwise.
 """
 from __future__ import annotations
@@ -39,6 +41,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = (
     ("sweep_cos3", "sweep", "configs/sweep_cos3.json"),
     ("sweep_cos3_all", "sweep", "configs/sweep_cos3_all.json"),
+    ("sweep_cos3_nonconvex", "sweep", "configs/sweep_cos3_nonconvex.json"),
     ("verify_disk", "verify", "configs/disk.json"),
     ("verify_ellipse", "verify", "configs/ellipse.json"),
     ("spectral_ellipse", "spectral", "configs/ellipse.json"),
@@ -158,7 +161,7 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
             "%s: non-float fields %s; worst abs %.3g at %s; worst rel %.3g at %s"
             % (
                 name,
-                "equal" if not moves.mismatch else "DIFFER at " + ", ".join(moves.mismatch[:5]),
+                "equal" if not moves.mismatch else "DIFFER at " + ", ".join(moves.mismatch),
                 moves.worst_abs[0],
                 moves.worst_abs[1] or "-",
                 moves.worst_rel[0],
