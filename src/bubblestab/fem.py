@@ -13,10 +13,12 @@ slot of each element-matrix entry in it, the node-element incidence and the
 preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
 table at the centroid against the coordinates of every cell, and the 7-point
 table against those of the curved cells only.  An affine cell's
-stiffness is its constant metric against one constant table, and its
-Hessian the constant J^-T href J^-1; the curved cells overwrite their columns
-from the metric at each point.  The kernels work on one (p, nt) array per
-quantity, and the assembly is one bincount into the plan's slots.  The
+stiffness is its constant metric against one constant table; the curved
+cells overwrite their columns from the metric at each point.  The kernels
+work on one (p, nt) array per quantity, and the assembly is one bincount into
+the plan's slots.  The Hessian of u, which only the volume integrals read, is
+formed on first read: one sample per affine cell, where it is the constant
+J^-T href J^-1, and one per quadrature point of each curved cell.  The
 interior block is solved by conjugate gradients, not by a sparse direct
 factorisation: splu's fill is 87 MB at 64x256, which breaks the benchmark's
 peak_rss_mb bound.  The preconditioner is the exact inverse of
@@ -633,12 +635,9 @@ class TorsionField:
     subharmonic, so its maximum over the closed domain sits on the boundary
     (Magnanini-Poggesi 2016), and an interior sample could only add
     discretisation overshoot.  min_points are the refined interior minima.
-    qp_u (nt, 7) holds u at the quadrature points space.qp_xy,
-    weighted by space.qp_w in volume integrals, and qp_hess (3, nt, 7) the
-    Hessian entries h00, h01, h11 there, one contiguous plane each.  On an
-    affine cell (outside space.b_tri) the Hessian is the same at all 7
-    points.  residual_norm and iterations report the conjugate-gradient
-    solve; area is the quadrature area of the curved cells.
+    residual_norm and iterations report the conjugate-gradient solve; area is
+    the quadrature area of the curved cells.  hessian_samples, formed on first
+    read, carry the volume integrals of the Hessian (see _hessian_samples).
     """
 
     mesh: TriMesh
@@ -648,26 +647,15 @@ class TorsionField:
     residual_norm: float
     iterations: int
     area: float
-    qp_u: np.ndarray
-    qp_hess: np.ndarray
     space: "_P2Space"
+
+    @functools.cached_property
+    def hessian_samples(self):
+        return _hessian_samples(self.space, self.u)
 
 
 # The element kernels run point-major: each quantity at p reference points is
 # one (p, nt) array, so every entry-wise step reads contiguous memory.
-
-
-def _gradient(u_t: np.ndarray, inv, dn: np.ndarray):
-    """Gradient entries (gx, gy), each (p, nt), of the FE solution at p
-    reference points per element.
-
-    u_t (6, nt) holds the element nodal values, dn (p, 6, 2) the
-    shape-function derivatives at the points and inv the entries of J^-1,
-    each (p, nt).
-    """
-    a, b, c, d = inv
-    g0, g1 = (dn.transpose(2, 0, 1).reshape(-1, 6) @ u_t).reshape((2, dn.shape[0], -1))
-    return g0 * a + g1 * c, g0 * b + g1 * d
 
 
 def _hessian(t, inv):
@@ -680,32 +668,43 @@ def _hessian(t, inv):
     return h00, h01, h11
 
 
-def _derivatives(space: _P2Space, u_full: np.ndarray):
-    """u and the Hessian entries at the quadrature points, (nt, 7) and
-    (3, nt, 7).
+def _hessian_samples(space: _P2Space, u_full: np.ndarray):
+    """Weighted samples (w, wu, (h00, h01, h11), cell) of the Hessian of u,
+    each (s,), cell the triangle of each: sum w f(hess) and sum wu f(hess)
+    are the 7-point integrals of f(hess u_h) and u_h f(hess u_h) for any f.
 
-    On an affine cell the Hessian is the constant J^-T href J^-1, href the
-    constant reference second derivatives of u.  A curved cell subtracts the
-    map curvature, grad u . d2x/dxi2 (the second derivatives of the map, from
-    coordinates relative to vertex 0, as in _element_maps), from href, with
-    grad u and J^-1 taken at each point.
+    An affine cell (outside space.b_tri) is one sample, first and in cell
+    order: its constant J^-T href J^-1, href the reference second derivatives
+    of u, weighted by its area and by the integral of u_h over it.  Then the
+    j-th of the nc curved cells is sampled at each quadrature point q, as
+    sample q nc + j: the map curvature grad u . d2x/dxi2 (from coordinates
+    relative to vertex 0, as in _element_maps) is subtracted from href, with
+    grad u and J^-1 taken at the point.
     """
     maps = space.maps
     cv = maps.curved
-    u_el = u_full[space.tri_nodes]
-    u_t = u_el.T
-    nt = u_el.shape[0]
+    u_t = u_full[space.tri_nodes].T                                  # (6, nt)
+    affine = np.ones(u_t.shape[1], dtype=bool)
+    affine[cv] = False
 
     href = _D2N.T @ u_t                                              # reference Hessian, constant
-    qp_h = np.empty((3, nt, 7))
-    qp_h[:] = np.stack(_hessian(href, maps.inv))[..., None]
+    area = 0.5 * maps.det[affine]
+    h_affine = np.stack(_hessian(href[:, affine], [e[affine] for e in maps.inv]))
 
+    a, b, c, d = maps.qp_inv
+    g0, g1 = (_DN_AT_QP.transpose(2, 0, 1).reshape(-1, 6) @ u_t[:, cv]).reshape(2, 7, -1)
+    gx, gy = g0 * a + g1 * c, g0 * b + g1 * d
     rel = space.coords[cv] - space.coords[cv, :1]
-    gx, gy = _gradient(u_t[:, cv], maps.qp_inv, _DN_AT_QP)
     cx, cy = _D2N.T @ rel[:, :, 0].T, _D2N.T @ rel[:, :, 1].T         # map curvature
     t = [href[i, cv] - gx * cx[i] - gy * cy[i] for i in range(3)]
-    qp_h[:, cv] = np.stack(_hessian(t, maps.qp_inv)).transpose(0, 2, 1)
-    return u_el @ _N_AT_QP.T, qp_h
+    h_curved = np.stack(_hessian(t, maps.qp_inv)).reshape(3, -1)     # point-major, (3, 7 nc)
+    qp_w = maps.qp_w[cv].T
+
+    w = np.concatenate([area, qp_w.ravel()])
+    # _QW @ _N_AT_QP is the mean of each shape function over a cell
+    wu = np.concatenate([area * (_QW @ _N_AT_QP @ u_t[:, affine]), (qp_w * (_N_AT_QP @ u_t[:, cv])).ravel()])
+    cell = np.concatenate([np.flatnonzero(affine), np.tile(cv, 7)])
+    return w, wu, tuple(np.concatenate([h_affine, h_curved], axis=1)), cell
 
 
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -825,7 +824,7 @@ def _assemble_interior(space: _P2Space):
 
 
 def solve_torsion(mesh: TriMesh) -> TorsionField:
-    """Solve laplace(u) = 2 with u = 0 on the boundary; recover derivatives.
+    """Solve laplace(u) = 2 with u = 0 on the boundary.
 
     Raises SolverError when conjugate gradients reach the cap of
     50 sqrt(ndof) + 10 iterations before the relative residual drops below
@@ -839,8 +838,6 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     u_full = np.zeros(space.n_nodes)
     u_full[space.plan.interior] = x
 
-    qp_u, qp_h = _derivatives(space, u_full)
-
     # M (see TorsionField) at the boundary node parameters: edge endpoints and curved midsides
     th0, th1 = mesh.boundary_thetas.T
     bgrad = _boundary_gradient(mesh, u_full, np.concatenate([th0, 0.5 * (th0 + th1)]))
@@ -853,8 +850,6 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
         residual_norm=relres,
         iterations=iters,
         area=float(np.sum(space.qp_w)),
-        qp_u=qp_u,
-        qp_hess=qp_h,
         space=space,
     )
 

@@ -158,17 +158,18 @@ class BoundaryTrace:
     weights are arclength quadrature weights |gamma'(theta_i)| * dtheta
     (the trapezoid rule on a uniform periodic grid, spectrally accurate for
     smooth boundaries).  curvatures is the signed curvature with respect to
-    the outward normal, positive on convex arcs.
+    the outward normal, positive on convex arcs, and radii is rho(theta_i).
     """
 
     thetas: np.ndarray
+    radii: np.ndarray
     points: np.ndarray
     normals: np.ndarray
     curvatures: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("thetas", "points", "normals", "curvatures", "weights"):
+        for name in ("thetas", "radii", "points", "normals", "curvatures", "weights"):
             object.__setattr__(self, name, _as_readonly(getattr(self, name)))
 
     @property
@@ -197,7 +198,7 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     weights = speed * (2.0 * np.pi / n_samples)
     points = domain.center + np.stack([rho * ct, rho * st], axis=-1)
     normals = np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
-    return BoundaryTrace(thetas=theta, points=points, normals=normals, curvatures=curv, weights=weights)
+    return BoundaryTrace(thetas=theta, radii=rho, points=points, normals=normals, curvatures=curv, weights=weights)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -447,7 +448,7 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     """Area, perimeter, reference radius, diameter, touching radii, centroid.
 
     Area and centroid use the polar forms (1/2) int rho^2 dtheta and
-    (1/(3|Omega|)) int rho^3 e(theta) dtheta on the trace grid; both inherit
+    (1/(3|Omega|)) int rho^3 e(theta) dtheta on trace.radii; both inherit
     spectral accuracy from the uniform periodic sampling.
 
     Touching radii, capped at the diameter d: on a trace that
@@ -460,7 +461,7 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     above 1 / max kappa on convex curves.
     """
     theta = trace.thetas
-    rho = domain.radius(theta)
+    rho = trace.radii
     dtheta = 2.0 * np.pi / theta.size
     area = 0.5 * float(np.sum(rho * rho)) * dtheta
     perimeter = float(np.sum(trace.weights))

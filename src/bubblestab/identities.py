@@ -2,10 +2,11 @@
 
 Each identity is reported as (lhs, rhs, residual), with the relative residual
 normalized by max(|lhs|, |rhs|, N |Omega|) so that identities whose sides both
-vanish (disk) stay well-scaled.  Volume integrals use the solver's curved-cell
-quadrature caches; boundary integrals use an analytic trace plus the one-sided
-FE normal derivative u_nu on it, which the caller computes once and passes in
-together with the cs_deficit report.
+vanish (disk) stay well-scaled.  Volume integrals are sums over the field's
+weighted Hessian samples (TorsionField.hessian_samples), so the quadrature
+layout stays inside fem; boundary integrals use an analytic trace plus the
+one-sided FE normal derivative u_nu on it, which the caller computes once and
+passes in together with the cs_deficit report.
 """
 from __future__ import annotations
 
@@ -69,16 +70,24 @@ def cs_deficit(field: TorsionField) -> DeficitReport:
     recovered grad P instead loses the sign: curved boundary cells carry O(1)
     Hessian error, so the divergence route floors near -1, not -1e-6.
     """
-    h00, h01, h11 = field.qp_hess
-    w = field.space.qp_w
+    w, _, (h00, h01, h11), cell = field.hessian_samples
     tr = h00 + h11
-    density = _sym_sq(h00, h01, h11) - tr * tr / DIM
-    w_density = w * density
+    w_density = w * (_sym_sq(h00, h01, h11) - tr * tr / DIM)
     deficit = float(np.sum(w_density))
     hess_h = float(np.sum(w * _sym_sq(1.0 - h00, -h01, 1.0 - h11)))   # |I - hess u|^2
 
-    p_min = float(np.min(np.sum(w_density, axis=1) / np.sum(w, axis=1)))
+    p_min = float(np.min(np.bincount(cell, w_density) / np.bincount(cell, w)))
     return DeficitReport(cs_deficit=deficit, hessian_h_sq=hess_h, p_min_delta=p_min)
+
+
+def heintze_karcher_gap(trace: BoundaryTrace, area: float) -> float:
+    """int 1/H - N |Omega| on the trace (>= 0 by Heintze-Karcher); min H > 0."""
+    return float(np.sum(trace.weights / trace.curvatures)) - DIM * area
+
+
+def unu_recip_h_l1(trace: BoundaryTrace, u_nu: np.ndarray) -> float:
+    """L1 norm of u_nu - 1/H on the trace, u_nu on trace.thetas; min H > 0."""
+    return float(np.sum(trace.weights * np.abs(u_nu - 1.0 / trace.curvatures)))
 
 
 def _support(field: TorsionField, trace: BoundaryTrace) -> np.ndarray:
@@ -103,7 +112,6 @@ def identity_suite(
     area = summary.area
     scale = DIM * area
     r_ref = summary.R_ref
-    h0 = summary.H0
     x_nu = _support(field, trace)
     deficit_over = deficit.cs_deficit / (DIM - 1)
 
@@ -112,19 +120,20 @@ def identity_suite(
         _report(
             "sbt",
             deficit_over + float(np.sum(w * (u_nu - r_ref) ** 2)) / r_ref,
-            float(np.sum(w * (h0 - h_curv) * u_nu * u_nu)),
+            float(np.sum(w * (summary.H0 - h_curv) * u_nu * u_nu)),
             scale,
         ),
     ]
 
     if float(np.min(h_curv)) > 0.0:
         lhs = deficit_over + float(np.sum(w * (1.0 - h_curv * u_nu) ** 2 / h_curv))
-        rhs = float(np.sum(w / h_curv)) - scale
+        rhs = heintze_karcher_gap(trace, area)
         reports.append(_report("heintze_karcher", lhs, rhs, scale))
     else:
         reports.append(IdentityReport("heintze_karcher", np.nan, np.nan, np.nan, np.nan, applicable=False))
 
-    wps_lhs = float(np.sum(field.space.qp_w * (-field.qp_u) * (_sym_sq(*field.qp_hess) - DIM)))
+    _, wu, hess, _ = field.hessian_samples
+    wps_lhs = -float(np.sum(wu * (_sym_sq(*hess) - DIM)))
     wps_rhs = 0.5 * float(np.sum(w * (u_nu * u_nu - r_ref * r_ref) * (u_nu - x_nu)))
     reports.append(_report("wps", wps_lhs, wps_rhs, scale))
 
@@ -160,11 +169,7 @@ def serrin_checks(
     r_ref = summary.R_ref
     scale = DIM * summary.area
 
-    if float(np.min(h_curv)) > 0.0:
-        l1 = float(np.sum(w * np.abs(u_nu - 1.0 / h_curv)))
-    else:
-        l1 = None
-
+    l1 = unu_recip_h_l1(trace, u_nu) if float(np.min(h_curv)) > 0.0 else None
     lhs = deficit.cs_deficit / (DIM - 1)
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = _report("fundamental2", lhs, rhs, scale).residual_rel

@@ -40,6 +40,7 @@ from .geometry import (
     geometry_summary,
     rho_bounds,
 )
+from .identities import heintze_karcher_gap, unu_recip_h_l1
 from .oracles import GradientBounds, c_constant, gradient_bounds
 from .spectral import SpectralEstimate, mu2_lower_convex, spectral_estimate, unit_ball_volume
 
@@ -84,14 +85,12 @@ class DeviationNorms:
 def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: GeometrySummary) -> DeviationNorms:
     h = trace.curvatures
     w = trace.weights
-    h0 = summary.H0
-    diff = h0 - h
+    diff = summary.H0 - h
     min_h = float(np.min(h))
     hk = obvp = None
     if min_h > 0.0:
-        hk = float(np.sum(w / h)) - DIM * summary.area
-        u_nu = boundary_normal_derivative(field, trace.thetas)
-        obvp = float(np.sum(w * np.abs(u_nu - 1.0 / h)))
+        hk = heintze_karcher_gap(trace, summary.area)
+        obvp = unu_recip_h_l1(trace, boundary_normal_derivative(field, trace.thetas))
     return DeviationNorms(
         h0_minus_h_l1=float(np.sum(w * np.abs(diff))),
         h0_minus_h_inf=float(np.max(np.abs(diff))),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bubblestab
-from bubblestab import cli, fem, geometry, identities
+from bubblestab import cli, fem, geometry, identities, stability
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -112,10 +112,12 @@ def test_verify_exit_one_on_solver_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: conjugate gradients")
 
 
-def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
-    # wrap each function in every bubblestab namespace that binds it, so a
-    # call through a name imported into another module is counted too
-    targets = {"boundary_normal_derivative": fem.boundary_normal_derivative, "cs_deficit": identities.cs_deficit}
+def count_calls(monkeypatch, targets):
+    """Call counts by name of each function in targets, counted from now on.
+
+    Each function is wrapped in every bubblestab namespace that binds it, so a
+    call through a name imported into another module is counted too.
+    """
     calls = dict.fromkeys(targets, 0)
 
     def counted(name, fn):
@@ -132,10 +134,24 @@ def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
             for attr, val in list(vars(mod).items()):
                 if val is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
+    # u_nu, the deficit report and the Hessian samples that the deficit and
+    # the wps identity both read are each formed once per level
+    calls = count_calls(
+        monkeypatch,
+        {
+            "boundary_normal_derivative": fem.boundary_normal_derivative,
+            "cs_deficit": identities.cs_deficit,
+            "_hessian_samples": fem._hessian_samples,
+        },
+    )
     cfg = write_cfg(tmp_path, DISK_SMALL)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     levels = DISK_SMALL["mesh"]["refinement_levels"]
-    assert calls == {"boundary_normal_derivative": levels, "cs_deficit": levels}
+    assert calls == {"boundary_normal_derivative": levels, "cs_deficit": levels, "_hessian_samples": levels}
 
 
 def sweep_payload(values):
@@ -145,6 +161,15 @@ def sweep_payload(values):
         "sweep": {"values": values, "mode_k": 3},
         "theorems": ["main"],
     }
+
+
+def test_sweep_forms_no_hessian_samples(tmp_path, monkeypatch):
+    # only the volume integrals of verify read the Hessian, so no theorem of a
+    # sweep pays for it
+    calls = count_calls(monkeypatch, {"_hessian_samples": fem._hessian_samples})
+    payload = dict(sweep_payload([0.02, 0.05]), theorems=list(stability.THEOREMS))
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"_hessian_samples": 0}
 
 
 def test_sweep_outputs_and_determinism(tmp_path):

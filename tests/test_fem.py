@@ -415,9 +415,31 @@ def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     assert a_in.shape == a_ref.shape
     assert abs(a_in - a_ref).max() <= 1e-13 * abs(a_ref).max()
     assert np.max(np.abs(b_in - ref[1])) <= 1e-13 * np.max(np.abs(ref[1]))
-    for got, want in zip(fem._derivatives(space, u_full), ref[2:]):
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    qp_u, qp_hess = ref[2:]
+
+    # the Hessian samples: one per affine cell, 7 per curved cell, point-major
+    w, wu, hess, cell = fem._hessian_samples(space, u_full)
+    curved = space.b_tri
+    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), curved)
+    assert np.array_equal(cell, np.concatenate([affine, np.tile(curved, 7)]))
+    # an affine cell's reference Hessian is the same at all 7 points up to
+    # its map-curvature term, which is round-off there
+    want = np.concatenate([qp_hess[:, affine, 0], qp_hess[:, curved].transpose(0, 2, 1).reshape(3, -1)], axis=1)
+    assert np.max(np.abs(np.stack(hess) - want)) <= 1e-12 * np.max(np.abs(want))
+    # per cell, the weights sum to the 7-point area and wu to the 7-point
+    # integral of u_h (an affine cell's area is det J / 2, the 7 weights sum
+    # to it within 1.4e-15 relative); on a curved cell each sample is one
+    # quadrature point
+    area = np.sum(space.qp_w, axis=1)
+    assert np.max(np.abs(np.bincount(cell, w) - area) / area) <= 1e-14
+    int_u = np.sum(space.qp_w * qp_u, axis=1)
+    assert np.max(np.abs(np.bincount(cell, wu) - int_u)) <= 1e-14 * np.max(np.abs(int_u))
+    n_affine = affine.size
+    assert np.array_equal(w[n_affine:], space.qp_w[curved].T.ravel())
+    want = (space.qp_w * qp_u)[curved].T.ravel()
+    assert np.max(np.abs(wu[n_affine:] - want)) <= 1e-14 * np.max(np.abs(want))
+    assert abs(np.sum(w) - np.sum(space.qp_w)) <= 1e-14 * np.sum(space.qp_w)
+    assert abs(np.sum(wu) - np.sum(int_u)) <= 1e-14 * np.sum(np.abs(int_u))
 
 
 def _long_double_dshape(pts):
@@ -477,22 +499,23 @@ def test_only_b_tri_cells_are_curved(domain, n_radial, n_angular):
 
 @pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128), (64, 256)])
 def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
-    # q = (x - c).H.(x - c) / 2 interpolated at the P2 nodes: on an affine cell
-    # qp_hess is the constant J^-T href J^-1, with no map-curvature term, so it
-    # is the same at all 7 points and equals H up to the rounding of the nodal
-    # values, which grows like 1 / area: area * |qp_hess - H| measured
+    # q = (x - c).H.(x - c) / 2 interpolated at the P2 nodes: an affine cell
+    # is one Hessian sample, the constant J^-T href J^-1 with no map-curvature
+    # term, weighted by its area, and it equals H up to the rounding of the
+    # nodal values, which grows like 1 / area: area * |hess - H| measured
     # <= 2.9e-15 here (the rounding of q alone allows about as much)
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
     space = mesh.space
     hess = np.array([[1.0, -0.3], [-0.3, 0.7]])
     xy = space.node_xy - FOURIER5.center
     q = 0.5 * np.einsum("ni,ij,nj->n", xy, hess, xy)
-    qp_hess = fem._derivatives(space, q)[1]
+    w, _, h, cell = fem._hessian_samples(space, q)
+    on_affine = ~np.isin(cell, space.b_tri)
     affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
-    h = qp_hess[:, affine]
-    assert np.all(h == h[:, :, :1])
-    err = np.max(np.abs(h[:, :, 0] - np.array([1.0, -0.3, 0.7])[:, None]), axis=0)
-    assert np.max(err * np.sum(space.qp_w[affine], axis=1)) <= 1e-14
+    assert np.array_equal(cell[on_affine], affine)
+    err = np.max(np.abs(np.stack(h)[:, on_affine] - np.array([1.0, -0.3, 0.7])[:, None]), axis=0)
+    assert np.allclose(w[on_affine], np.sum(space.qp_w[affine], axis=1), rtol=1e-14, atol=0.0)
+    assert np.max(err * w[on_affine]) <= 1e-14
 
 
 def test_folded_curved_element_raises_mesh_error():

@@ -117,6 +117,27 @@ def test_summary_disk_exact_quantities():
     assert np.max(np.abs(s.center_of_mass)) < 1e-12
 
 
+@pytest.mark.parametrize("n_samples", [64, 1024])
+def test_summary_area_and_centroid_read_the_trace_radii(n_samples):
+    # the trace keeps the rho it formed, and area and centroid from it are
+    # the floats a fresh evaluation of rho on the grid gives
+    domains = [geometry.StarDomain.ellipse(2.0, 1.0, center=(0.3, -0.2))]
+    domains.append(geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2)))
+    for domain in domains:
+        tr = geometry.boundary_trace(domain, n_samples)
+        theta = tr.thetas
+        rho = domain.radius(theta)
+        assert np.array_equal(tr.radii, rho)
+        dtheta = 2.0 * np.pi / n_samples
+        area = 0.5 * float(np.sum(rho * rho)) * dtheta
+        com = domain.center + (dtheta / (3.0 * area)) * np.stack(
+            [np.sum(rho**3 * np.cos(theta)), np.sum(rho**3 * np.sin(theta))]
+        )
+        s = geometry.geometry_summary(domain, tr)
+        assert s.area == area
+        assert np.array_equal(s.center_of_mass, com)
+
+
 def test_summary_scaling_homogeneity():
     lam = 2.5
     small = geometry.StarDomain(base_radius=1.0, cos_coeffs=np.array([0, 0, 0.05]), sin_coeffs=np.zeros(0), center=np.zeros(2))

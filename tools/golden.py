@@ -6,14 +6,14 @@
 ``run`` runs the golden set into OUT, one subdirectory per case: ``sweep`` on
 configs/sweep_cos3.json, on configs/sweep_cos3_all.json (all five
 theorems) and on configs/sweep_cos3_nonconvex.json (t = 0.15 to 0.3, whose
-touching radii come from the pair scan), ``verify`` on the disk and the ellipse,
-``spectral`` on the ellipse, ``convergence`` on the disk and the ellipse,
-and ``oracles`` with and without ``--fsup --N 8``.  Each case runs as
-``python -m bubblestab.cli`` in a subprocess that imports the package from
---src (default: the src directory next to tools/), so the outputs of two
-checkouts can be made with one script.  The exit codes go to
-OUT/exit_codes.json and the wall time of each case, in seconds, to
-OUT/wall_s.json.
+touching radii come from the pair scan), ``verify`` on the disk, the ellipse
+and the off-centre, asymmetric configs/fourier5.json, ``spectral`` on the
+ellipse, ``convergence`` on the disk and the ellipse, and ``oracles`` with
+and without ``--fsup --N 8``.  Each case runs as ``python -m bubblestab.cli``
+in a subprocess that imports the package from --src (default: the src
+directory next to tools/), so the outputs of two checkouts can be made with
+one script.  The exit codes go to OUT/exit_codes.json and the wall time of
+each case, in seconds, to OUT/wall_s.json.
 
 ``compare`` prints the exit codes and wall times of both runs; the timings
 are never compared as a file.  Per output file it prints whether every
@@ -44,6 +44,7 @@ GOLDEN = (
     ("sweep_cos3_nonconvex", "sweep", "configs/sweep_cos3_nonconvex.json"),
     ("verify_disk", "verify", "configs/disk.json"),
     ("verify_ellipse", "verify", "configs/ellipse.json"),
+    ("verify_fourier5", "verify", "configs/fourier5.json"),
     ("spectral_ellipse", "spectral", "configs/ellipse.json"),
     ("convergence_disk", "convergence", "configs/disk.json"),
     ("convergence_ellipse", "convergence", "configs/ellipse.json"),
