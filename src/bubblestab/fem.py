@@ -9,8 +9,7 @@ of its edges, so its map is affine and J is constant on it (the standard
 set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
 n_angular) is built once into a read-only plan shared by every domain meshed
 with it: the P2 numbering, the CSR pattern of the interior stiffness with the
-slot of each element-matrix entry in it, the node-element incidence and the
-preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
+slot of each element-matrix entry in it, and the preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
 table at the centroid against the coordinates of every cell, and the 7-point
 table against those of the curved cells only.  An affine cell's
 stiffness is its constant metric against one constant table; the curved
@@ -329,7 +328,6 @@ class _Plan:
       entry-major (row 6k + l, then element), or nnz for an entry touching a
       Dirichlet node; el_dof (nt, 6) does the same for the load vector, with
       n_in for a Dirichlet node.
-    - incidence: the node x element matrix that _min_points reads.
     - precond: the polar FFT preconditioner.
 
     Every array is read-only, and nothing refers to a mesh, space or domain,
@@ -371,13 +369,13 @@ class _Plan:
         dof[interior] = np.arange(n_in, dtype=np.int32)
         el_dof = dof[tri_nodes]
 
-        # int32 counts: the product drops entries that sum to zero, so a
-        # narrower type would wrap the centre's n_angular fan entries away
-        incidence = sp.csr_matrix(
+        # interior node x element, as int32 counts: the product drops
+        # entries that sum to zero, so a narrower type would wrap the
+        # centre's n_angular fan entries away
+        inc_in = sp.csr_matrix(
             (np.ones(6 * nt, dtype=np.int32), (tri_nodes.ravel(), np.repeat(np.arange(nt), 6))),
             shape=(n_nodes, nt),
-        )
-        inc_in = incidence[interior]
+        )[interior]
         pattern = inc_in @ inc_in.T
         del inc_in
         pattern.sort_indices()
@@ -393,9 +391,7 @@ class _Plan:
         del lookup
 
         self.el_dof, self.indptr, self.indices, self.slot = el_dof, indptr, indices, slot.reshape(-1)
-        self.incidence = incidence
-        for arr in (tri_nodes, mid_ends, self.b_tri, dirichlet, interior, el_dof, indptr, indices,
-                    self.slot, incidence.data, incidence.indices, incidence.indptr):
+        for arr in (tri_nodes, mid_ends, self.b_tri, dirichlet, interior, el_dof, indptr, indices, self.slot):
             arr.setflags(write=False)
 
 
@@ -425,9 +421,8 @@ class _P2Space:
     The numbering (tri_nodes, b_tri, dirichlet, n_nodes) is the topology
     plan's.  node_xy, coords (nt, 6, 2), the element maps (see _CellMaps:
     the b_tri cells are the curved ones) and the quadrature weights qp_w
-    (nt, 7) and points qp_xy (nt, 7, 2, formed on first read) are this
-    mesh's; the quadrature is read-only because every solve on the mesh
-    shares it.
+    (nt, 7) are this mesh's; the weights are read-only because every solve
+    on the mesh shares them.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -450,14 +445,6 @@ class _P2Space:
         # only the b_tri cells have a midside (node 4) off its edge's midpoint
         self.maps = _CellMaps.of(self.coords, self.b_tri)
         self.qp_w = self.maps.qp_w
-
-    @functools.cached_property
-    def qp_xy(self) -> np.ndarray:
-        # only domain_quadrature reads the points, so only it pays for them
-        nt = self.coords.shape[0]
-        qp_xy = (self.coords.reshape(nt, 12) @ _QP_TABLE).reshape(nt, 7, 2)
-        qp_xy.setflags(write=False)
-        return qp_xy
 
 
 # -- polar FFT preconditioner ------------------------------------------------
@@ -629,25 +616,35 @@ def _pcg(a_mat, b: np.ndarray, precond):
 class TorsionField:
     """Discrete torsion function on one mesh.
 
-    u holds nodal values at all P2 nodes of space (vertices first).  M is the
-    largest |grad u| at the 2 n_angular boundary node parameters, the edge
-    endpoints and curved midsides: laplace(u) = 2 makes |grad u|^2
-    subharmonic, so its maximum over the closed domain sits on the boundary
-    (Magnanini-Poggesi 2016), and an interior sample could only add
-    discretisation overshoot.  min_points are the refined interior minima.
+    u holds nodal values at all P2 nodes of space (vertices first).
     residual_norm and iterations report the conjugate-gradient solve; area is
-    the quadrature area of the curved cells.  hessian_samples, formed on first
-    read, carry the volume integrals of the Hessian (see _hessian_samples).
+    the quadrature area of the curved cells.  M, min_points and
+    hessian_samples are formed on first read, once per field, so a caller
+    that never reads one never pays for it.  M is the largest |grad u| at the
+    2 n_angular boundary node parameters, the edge endpoints and curved
+    midsides: laplace(u) = 2 makes |grad u|^2 subharmonic, so its maximum
+    over the closed domain sits on the boundary (Magnanini-Poggesi 2016), and
+    an interior sample could only add discretisation overshoot.  min_points
+    are the refined interior minima (see _min_points).  hessian_samples carry
+    the volume integrals of the Hessian (see _hessian_samples).
     """
 
     mesh: TriMesh
     u: np.ndarray
-    M: float
-    min_points: np.ndarray
     residual_norm: float
     iterations: int
     area: float
     space: "_P2Space"
+
+    @functools.cached_property
+    def M(self) -> float:
+        th0, th1 = self.mesh.boundary_thetas.T
+        g = _boundary_gradient(self.mesh, self.u, np.concatenate([th0, 0.5 * (th0 + th1)]))
+        return float(np.max(np.hypot(g[:, 0], g[:, 1])))
+
+    @functools.cached_property
+    def min_points(self) -> np.ndarray:
+        return _min_points(self.space, self.u)
 
     @functools.cached_property
     def hessian_samples(self):
@@ -736,26 +733,28 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     Nodes within 1e-9 * max|u| of the global minimum are clustered by
     element adjacency; each cluster contributes one refined location from a
     least-squares quadratic on its two-ring node patch.  Both walks read the
-    plan's node-element incidence (CSR) and tri_nodes by index arithmetic.
+    plan's interior stiffness pattern, which links exactly the interior nodes
+    that share an element.  u = 0 on the boundary, so every candidate is
+    interior; a patch holds the interior nodes of the two-ring.  The walks run
+    on interior dofs, whose order is that of the node ids.
     """
-    umax = float(np.max(np.abs(u_full)))
-    umin = float(np.min(u_full))
-    tol = 1e-9 * umax
-    cand = np.nonzero(u_full <= umin + tol)[0]
+    plan = space.plan
+    indptr, indices = plan.indptr, plan.indices
+    u = u_full[plan.interior]
+    xy_in = space.node_xy[plan.interior]
+    cand = np.flatnonzero(u <= float(np.min(u)) + 1e-9 * float(np.max(np.abs(u))))
 
-    indptr, indices = space.plan.incidence.indptr, space.plan.incidence.indices
-
-    def neighbours(nodes):
-        # ascending ids of the nodes sharing an element with nodes
-        start, stop = indptr[nodes], indptr[nodes + 1]
+    def neighbours(dofs):
+        # ascending interior dofs sharing an element with dofs
+        start, stop = indptr[dofs], indptr[dofs + 1]
         count = stop - start
         pos = np.repeat(stop - np.cumsum(count), count) + np.arange(np.sum(count))
-        mark = np.zeros(space.n_nodes, dtype=bool)
-        mark[space.tri_nodes[indices[pos]]] = True
+        mark = np.zeros(u.size, dtype=bool)
+        mark[indices[pos]] = True
         return np.flatnonzero(mark)
 
     # candidates sharing an element are clustered
-    unseen = np.zeros(space.n_nodes, dtype=bool)
+    unseen = np.zeros(u.size, dtype=bool)
     unseen[cand] = True
     out = []
     for c in cand:
@@ -768,20 +767,20 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
             front = near[unseen[near]]
             comp = np.concatenate([comp, front])
         comp.sort()
-        seed = comp[np.lexsort((comp, u_full[comp]))[0]]
+        seed = comp[np.lexsort((comp, u[comp]))[0]]
         patch = neighbours(neighbours(comp))
-        xy = space.node_xy[patch] - space.node_xy[seed]
+        xy = xy_in[patch] - xy_in[seed]
         scale = max(float(np.max(np.abs(xy))), 1e-30)
         xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
         design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
-        coef, *_ = np.linalg.lstsq(design, u_full[patch], rcond=None)
+        coef, *_ = np.linalg.lstsq(design, u[patch], rcond=None)
         hess = np.array([[2.0 * coef[3], coef[4]], [coef[4], 2.0 * coef[5]]])
-        z = space.node_xy[seed].copy()
+        z = xy_in[seed].copy()
         det = np.linalg.det(hess)
         if det > 0.0 and hess[0, 0] > 0.0:
             step = np.linalg.solve(hess, -coef[1:3])
             if float(np.hypot(*step)) <= 2.0:
-                z = space.node_xy[seed] + scale * step
+                z = xy_in[seed] + scale * step
         out.append(z)
     out.sort(key=lambda v: (v[0], v[1]))
     return np.asarray(out)
@@ -837,16 +836,9 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
 
     u_full = np.zeros(space.n_nodes)
     u_full[space.plan.interior] = x
-
-    # M (see TorsionField) at the boundary node parameters: edge endpoints and curved midsides
-    th0, th1 = mesh.boundary_thetas.T
-    bgrad = _boundary_gradient(mesh, u_full, np.concatenate([th0, 0.5 * (th0 + th1)]))
-
     return TorsionField(
         mesh=mesh,
         u=u_full,
-        M=float(np.max(np.hypot(bgrad[:, 0], bgrad[:, 1]))),
-        min_points=_min_points(space, u_full),
         residual_norm=relres,
         iterations=iters,
         area=float(np.sum(space.qp_w)),
@@ -909,11 +901,13 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
 def domain_quadrature(mesh: TriMesh):
     """Quadrature points and weights covering the (curved-cell) domain.
 
-    Flat read-only views of the mesh's P2 quadrature, so repeated calls and
-    the solver share one copy.  Nothing in the package calls it; its readers
-    are the perfbench tracer and the quadrature reference that the spectral
-    tests compare the exact polar Gram matrices against.
+    The weights are a flat read-only view of the mesh's P2 quadrature, which
+    the solver shares; the points are formed per call.  Nothing in the
+    package calls it; its readers are the perfbench tracer and the quadrature
+    reference that the spectral tests compare the exact polar Gram matrices
+    against.
     """
     space = mesh.space
-    return space.qp_xy.reshape(-1, 2), space.qp_w.ravel()
+    nt = space.coords.shape[0]
+    return (space.coords.reshape(nt, 12) @ _QP_TABLE).reshape(-1, 2), space.qp_w.ravel()
 

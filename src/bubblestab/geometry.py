@@ -125,12 +125,6 @@ class StarDomain:
     def radius(self, theta: np.ndarray) -> np.ndarray:
         return self.radius_derivatives(theta, (0,))[0]
 
-    def radius_d1(self, theta: np.ndarray) -> np.ndarray:
-        return self.radius_derivatives(theta, (1,))[0]
-
-    def radius_d2(self, theta: np.ndarray) -> np.ndarray:
-        return self.radius_derivatives(theta, (2,))[0]
-
     def point(self, theta: np.ndarray) -> np.ndarray:
         """Boundary point(s) at parameter theta, shape (..., 2)."""
         theta = np.asarray(theta, dtype=float)
@@ -144,8 +138,7 @@ class StarDomain:
         (rho e_r - rho' e_t)/speed with speed = sqrt(rho^2 + rho'^2).
         """
         theta = np.asarray(theta, dtype=float)
-        rho = self.radius(theta)
-        d1 = self.radius_d1(theta)
+        rho, d1 = self.radius_derivatives(theta, (0, 1))
         ct, st = np.cos(theta), np.sin(theta)
         speed = np.sqrt(rho * rho + d1 * d1)
         return np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)

@@ -154,6 +154,17 @@ def test_verify_computes_boundary_inputs_once_per_level(tmp_path, monkeypatch):
     assert calls == {"boundary_normal_derivative": levels, "cs_deficit": levels, "_hessian_samples": levels}
 
 
+def test_verify_and_convergence_form_no_min_points(tmp_path, monkeypatch):
+    # neither command reads a minimum point; spectral, which reports x0, does
+    calls = count_calls(monkeypatch, {"_min_points": fem._min_points})
+    cfg = write_cfg(tmp_path, DISK_SMALL)
+    for command in ("verify", "convergence"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    assert calls == {"_min_points": 0}
+    assert cli.main(["spectral", "--config", cfg, "--out", str(tmp_path / "spectral")]) == 0
+    assert calls == {"_min_points": 1}
+
+
 def sweep_payload(values):
     return {
         "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 1},

@@ -246,12 +246,11 @@ def test_harmonic_deficit_field_disk():
 
 
 def test_solve_shares_mesh_quadrature():
-    # one P2 space per mesh: the solve and domain_quadrature read the same arrays
+    # one P2 space per mesh: the solve and domain_quadrature read the same weights
     mesh = fem.generate_mesh(geometry.StarDomain.disk(), 8, 32)
     field = fem.solve_torsion(mesh)
     assert field.space is mesh.space
-    pts, wts = fem.domain_quadrature(mesh)
-    assert np.shares_memory(pts, field.space.qp_xy)
+    _, wts = fem.domain_quadrature(mesh)
     assert np.shares_memory(wts, field.space.qp_w)
 
 
@@ -319,16 +318,89 @@ def test_p2_topology_matches_reference_loop(n_radial, n_angular):
     assert np.max(np.abs(space.node_xy[b_mid] - on_curve)) <= 1e-15
 
 
+# rho = 1 + 0.5 cos 2theta is symmetric under the point reflection about its
+# center, and u has one minimum in each lobe
+TWO_LOBE = geometry.StarDomain(1.0, [0.0, 0.5], center=(0.2, -0.1))
+
+
 def test_min_points_finds_both_minima():
-    # rho = 1 + 0.5 cos 2theta is symmetric under the point reflection about
-    # its center, and u has one minimum in each lobe
-    center = np.array([0.2, -0.1])
-    dom = geometry.StarDomain(1.0, [0.0, 0.5], center=center)
-    field = fem.solve_torsion(fem.generate_mesh(dom, 16, 64))
+    center = TWO_LOBE.center
+    field = fem.solve_torsion(fem.generate_mesh(TWO_LOBE, 16, 64))
     assert field.min_points.shape == (2, 2)
     assert np.max(np.abs(field.min_points[0] + field.min_points[1] - 2.0 * center)) < 1e-9
     assert field.min_points[0][0] < center[0] - 0.4
     assert field.min_points[1][0] > center[0] + 0.4
+
+
+def _reference_min_points(space, u_full):
+    # the walk over a node x element incidence matrix that _min_points made
+    # before it read the interior stiffness pattern; kept as the reference.
+    # Also says whether a two-ring patch reached a boundary node, which the
+    # pattern leaves out
+    nt = space.tri_nodes.shape[0]
+    incidence = sp.csr_matrix(
+        (np.ones(6 * nt), (space.tri_nodes.ravel(), np.repeat(np.arange(nt), 6))), shape=(space.n_nodes, nt)
+    )
+
+    def neighbours(nodes):
+        mark = np.zeros(space.n_nodes, dtype=bool)
+        for node in nodes:
+            mark[space.tri_nodes[incidence.indices[incidence.indptr[node]:incidence.indptr[node + 1]]]] = True
+        return np.flatnonzero(mark)
+
+    cand = np.nonzero(u_full <= float(np.min(u_full)) + 1e-9 * float(np.max(np.abs(u_full))))[0]
+    unseen = np.zeros(space.n_nodes, dtype=bool)
+    unseen[cand] = True
+    out, on_boundary = [], False
+    for c in cand:
+        if not unseen[c]:
+            continue
+        comp = front = np.array([c])
+        while front.size:
+            unseen[front] = False
+            near = neighbours(front)
+            front = near[unseen[near]]
+            comp = np.concatenate([comp, front])
+        comp.sort()
+        seed = comp[np.lexsort((comp, u_full[comp]))[0]]
+        patch = neighbours(neighbours(comp))
+        on_boundary |= bool(np.any(space.dirichlet[patch]))
+        xy = space.node_xy[patch] - space.node_xy[seed]
+        scale = max(float(np.max(np.abs(xy))), 1e-30)
+        xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
+        design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
+        coef, *_ = np.linalg.lstsq(design, u_full[patch], rcond=None)
+        hess = np.array([[2.0 * coef[3], coef[4]], [coef[4], 2.0 * coef[5]]])
+        z = space.node_xy[seed].copy()
+        if np.linalg.det(hess) > 0.0 and hess[0, 0] > 0.0:
+            step = np.linalg.solve(hess, -coef[1:3])
+            if float(np.hypot(*step)) <= 2.0:
+                z = space.node_xy[seed] + scale * step
+        out.append(z)
+    out.sort(key=lambda v: (v[0], v[1]))
+    return np.asarray(out), on_boundary
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
+@pytest.mark.parametrize(
+    "domain", [TWO_LOBE, FOURIER5, geometry.StarDomain(1.0, [0.0, 0.0, 0.1])], ids=["two_lobe", "fourier5", "cos3-0.1"]
+)
+def test_min_points_match_incidence_walk(domain, n_radial, n_angular):
+    # the stiffness pattern links the interior nodes that share an element,
+    # so the walk over it is the incidence walk wherever no patch reaches
+    # the boundary
+    field = fem.solve_torsion(fem.generate_mesh(domain, n_radial, n_angular))
+    want, on_boundary = _reference_min_points(field.space, field.u)
+    assert not on_boundary
+    assert np.array_equal(field.min_points, want)
+
+
+def test_solve_forms_m_and_min_points_on_first_read():
+    field = fem.solve_torsion(fem.generate_mesh(TWO_LOBE, 8, 32))
+    assert not {"M", "min_points", "hessian_samples"} & vars(field).keys()
+    m, z = field.M, field.min_points
+    assert vars(field)["M"] is m and vars(field)["min_points"] is z
+    assert field.M is m and field.min_points is z
 
 
 # second derivatives of the shape functions as full 2x2 blocks, the layout the
@@ -577,8 +649,7 @@ def test_plan_shared_per_topology(empty_plans):
 
 def _plan_arrays(plan):
     out = {name: v for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    inc, pre = plan.incidence, plan.precond
-    out.update(inc_data=inc.data, inc_indices=inc.indices, inc_indptr=inc.indptr, pre_index=pre.index, pre_factor=pre.factor)
+    out.update(pre_index=plan.precond.index, pre_factor=plan.precond.factor)
     return out
 
 
@@ -690,7 +761,8 @@ def _predicted_iterations(domain):
     # [[1 + q^2, -q], [-q, 1]], q = rho'/rho: condition number lam^2 with
     # lam + 1/lam = 2 + max q^2, and CG's bound for a 1e-10 reduction
     theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    trace = 2.0 + np.max((domain.radius_d1(theta) / domain.radius(theta)) ** 2)
+    rho, d1 = domain.radius_derivatives(theta, (0, 1))
+    trace = 2.0 + np.max((d1 / rho) ** 2)
     lam = 0.5 * (trace + np.sqrt(trace * trace - 4.0))
     return np.log(1e10) / np.log((lam + 1.0) / (lam - 1.0))
 

@@ -8,12 +8,14 @@ configs/sweep_cos3.json, on configs/sweep_cos3_all.json (all five
 theorems) and on configs/sweep_cos3_nonconvex.json (t = 0.15 to 0.3, whose
 touching radii come from the pair scan), ``verify`` on the disk, the ellipse
 and the off-centre, asymmetric configs/fourier5.json, ``spectral`` on the
-ellipse, ``convergence`` on the disk and the ellipse, and ``oracles`` with
-and without ``--fsup --N 8``.  Each case runs as ``python -m bubblestab.cli``
-in a subprocess that imports the package from --src (default: the src
-directory next to tools/), so the outputs of two checkouts can be made with
-one script.  The exit codes go to OUT/exit_codes.json and the wall time of
-each case, in seconds, to OUT/wall_s.json.
+ellipse and on configs/two_lobe.json (rho = 1 + 0.5 cos 2 theta, whose u
+has two minima), ``convergence`` on the disk and the ellipse, and
+``oracles`` with and without ``--fsup --N 8``.  Each case runs as
+``python -m bubblestab.cli`` in a subprocess that imports the package from
+--src (default: the src directory next to tools/), so the outputs of two
+checkouts can be made with one script.  The exit codes go to
+OUT/exit_codes.json and the wall time of each case, in seconds, to
+OUT/wall_s.json.
 
 ``compare`` prints the exit codes and wall times of both runs; the timings
 are never compared as a file.  Per output file it prints whether every
@@ -46,6 +48,7 @@ GOLDEN = (
     ("verify_ellipse", "verify", "configs/ellipse.json"),
     ("verify_fourier5", "verify", "configs/fourier5.json"),
     ("spectral_ellipse", "spectral", "configs/ellipse.json"),
+    ("spectral_two_lobe", "spectral", "configs/two_lobe.json"),
     ("convergence_disk", "convergence", "configs/disk.json"),
     ("convergence_ellipse", "convergence", "configs/ellipse.json"),
     ("oracles", "oracles", None),
