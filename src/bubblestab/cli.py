@@ -227,7 +227,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         u_nu = fem.boundary_normal_derivative(field, trace.thetas)
         deficit = identities.cs_deficit(field)
         reports = identities.identity_suite(field, trace, summary, u_nu, deficit)
-        serrin = identities.serrin_checks(field, trace, summary, u_nu, deficit)
+        serrin = identities.serrin_checks(trace, summary, u_nu, deficit)
         payload = {
             "level": lev,
             "n_radial": mesh.n_radial,

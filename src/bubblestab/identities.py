@@ -90,11 +90,11 @@ def unu_recip_h_l1(trace: BoundaryTrace, u_nu: np.ndarray) -> float:
     return float(np.sum(trace.weights * np.abs(u_nu - 1.0 / trace.curvatures)))
 
 
-def _support(field: TorsionField, trace: BoundaryTrace) -> np.ndarray:
-    """<x - c, nu> on the trace, c the center of the solved domain."""
-    center = field.mesh.domain.center
-    p, nu = trace.points, trace.normals
-    return (p[:, 0] - center[0]) * nu[:, 0] + (p[:, 1] - center[1]) * nu[:, 1]
+def _support(trace: BoundaryTrace) -> np.ndarray:
+    """<x - c, nu> = rho^2 / sqrt(rho^2 + rho'^2) on the trace, c the center
+    of the polar graph: the weights are sqrt(rho^2 + rho'^2) times the
+    uniform theta step."""
+    return trace.radii**2 * (2.0 * np.pi / trace.thetas.size) / trace.weights
 
 
 def identity_suite(
@@ -112,7 +112,7 @@ def identity_suite(
     area = summary.area
     scale = DIM * area
     r_ref = summary.R_ref
-    x_nu = _support(field, trace)
+    x_nu = _support(trace)
     deficit_over = deficit.cs_deficit / (DIM - 1)
 
     reports = [
@@ -161,9 +161,9 @@ class SerrinChecks:
 
 
 def serrin_checks(
-    field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary, u_nu: np.ndarray, deficit: DeficitReport
+    trace: BoundaryTrace, summary: GeometrySummary, u_nu: np.ndarray, deficit: DeficitReport
 ) -> SerrinChecks:
-    """Serrin diagnostics from u_nu on trace.thetas and the cs_deficit(field) report."""
+    """Serrin diagnostics from u_nu on trace.thetas and a cs_deficit report."""
     w = trace.weights
     h_curv = trace.curvatures
     r_ref = summary.R_ref
@@ -174,7 +174,7 @@ def serrin_checks(
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = _report("fundamental2", lhs, rhs, scale).residual_rel
 
-    x_nu = _support(field, trace)
+    x_nu = _support(trace)
     diff = u_nu - r_ref
     return SerrinChecks(
         unu_recip_h_l1=l1,

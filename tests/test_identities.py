@@ -88,7 +88,7 @@ def test_nonconvex_heintze_karcher_flagged():
     for name in NAMES:
         if name != "heintze_karcher":
             assert by_name[name].applicable
-    assert identities.serrin_checks(f, tr, s, *boundary_inputs(f, tr)).unu_recip_h_l1 is None
+    assert identities.serrin_checks(tr, s, *boundary_inputs(f, tr)).unu_recip_h_l1 is None
 
 
 def test_refinement_decreases_residuals(ellipse_analysis):
@@ -102,7 +102,7 @@ def test_refinement_decreases_residuals(ellipse_analysis):
 
 def test_serrin_checks_disk(disk_analysis):
     f, tr = disk_analysis.field, disk_analysis.trace
-    sc = identities.serrin_checks(f, tr, disk_analysis.summary, *boundary_inputs(f, tr))
+    sc = identities.serrin_checks(tr, disk_analysis.summary, *boundary_inputs(f, tr))
     assert sc.unu_recip_h_l1 is not None and sc.unu_recip_h_l1 < 2e-3
     assert sc.fundamental2_residual_rel < 1e-3
     assert abs(sc.support_min - 1.0) < 1e-12
@@ -112,7 +112,7 @@ def test_serrin_checks_disk(disk_analysis):
 
 def test_serrin_checks_ellipse(ellipse_analysis):
     f, tr = ellipse_analysis.field, ellipse_analysis.trace
-    sc = identities.serrin_checks(f, tr, ellipse_analysis.summary, *boundary_inputs(f, tr))
+    sc = identities.serrin_checks(tr, ellipse_analysis.summary, *boundary_inputs(f, tr))
     # genuine asymmetry: the normal derivative really deviates from R
     assert sc.unu_minus_r_max > 0.2
     assert sc.unu_minus_r_l1 > 1.0
@@ -123,3 +123,12 @@ def test_report_scale_floor():
     r = identities._report("toy", 1e-12, 3e-12, 10.0)
     assert r.residual_abs == pytest.approx(2e-12)
     assert r.residual_rel == pytest.approx(2e-13)
+
+
+def test_support_is_projection_on_the_normal():
+    # rho^2 / sqrt(rho^2 + rho'^2) from the trace alone is <x - c, nu>, also
+    # off-centre
+    dom = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
+    tr = geometry.boundary_trace(dom, 512)
+    want = np.einsum("ic,ic->i", tr.points - dom.center, tr.normals)
+    assert np.max(np.abs(identities._support(tr) - want)) <= 4 * np.finfo(float).eps * np.max(want)
