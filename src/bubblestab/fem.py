@@ -98,11 +98,12 @@ def _dshape(pts: np.ndarray) -> np.ndarray:
     return np.stack([dx, dy], axis=-1)
 
 
-# 7-point degree-5 rule; weights sum to 1, reference area factor 1/2 applied
-# at assembly time
-_QW = np.array([0.225] + [0.132394152788506] * 3 + [0.125939180544827] * 3)
-_QA1, _QB1 = 0.059715871789770, 0.470142064105115
-_QA2, _QB2 = 0.797426985353087, 0.101286507323456
+# 7-point degree-5 rule from its closed form, so the weights sum to 1 to the
+# last bit; reference area factor 1/2 applied at assembly time
+_S15 = np.sqrt(15.0)
+_QW = np.array([9.0 / 40.0] + [(155.0 + _S15) / 1200.0] * 3 + [(155.0 - _S15) / 1200.0] * 3)
+_QA1, _QB1 = (9.0 - 2.0 * _S15) / 21.0, (6.0 + _S15) / 21.0
+_QA2, _QB2 = (9.0 + 2.0 * _S15) / 21.0, (6.0 - _S15) / 21.0
 _QP = np.array(
     [
         [1.0 / 3.0, 1.0 / 3.0],

@@ -235,6 +235,18 @@ def test_domain_quadrature_moments():
     assert abs(np.sum(wts * pts[:, 0] ** 2) - np.pi / 4) < 1e-5
 
 
+@pytest.mark.parametrize("domain", [geometry.StarDomain.disk(), FOURIER5], ids=["disk", "fourier5"])
+def test_seven_point_area_of_affine_cell(domain):
+    # the closed-form weights sum to 1, so each affine cell's 7-point area is
+    # det J / 2 to rounding; weights held to 15 digits left it 1.3e-15 short
+    assert np.sum(fem._QW) == 1.0
+    maps = fem.generate_mesh(domain, 8, 32).space.maps
+    affine = np.ones(maps.det.size, dtype=bool)
+    affine[maps.curved] = False
+    half = 0.5 * maps.det[affine]
+    assert np.all(np.abs(np.sum(maps.qp_w[affine], axis=1) - half) <= 2 * np.spacing(half))
+
+
 def test_harmonic_deficit_field_disk():
     # on the unit disk u equals q = (|x|^2 - 1)/2, so h = q - u is
     # numerically tiny and its Hessian defect integral is the fem error
