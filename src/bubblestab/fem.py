@@ -9,15 +9,17 @@ of its edges, so its map is affine and J is constant on it (the standard
 set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
 n_angular) is built once into a read-only plan shared by every domain meshed
 with it: the P2 numbering, the CSR pattern of the interior stiffness with the
-slot of each element-matrix entry in it, and the preconditioner.  Per mesh, J is formed once: one GEMM of the (4 x 12) map
-table at the centroid against the coordinates of every cell, and the 7-point
-table against those of the curved cells only.  An affine cell's
-stiffness is its constant metric against one constant table; the curved
-cells overwrite their columns from the metric at each point.  The kernels
-work on one (p, nt) array per quantity, and the assembly is one bincount into
-the plan's slots.  The Hessian of u, which only the volume integrals read, is
-formed on first read: one sample per affine cell, where it is the constant
-J^-T href J^-1, and one per quadrature point of each curved cell.  The
+slot of each element-matrix entry in it, and the preconditioner.  Per mesh, J
+is formed once: one GEMM of the (4 x 12) map table at the centroid against
+the coordinates of every cell, and the 7-point table against those of the
+curved cells only.  An affine cell's stiffness is its constant metric against
+one constant table; the curved cells overwrite their columns from the metric
+at each point.  The kernels work on one (p, nt) array per quantity, and the
+assembly is one bincount into the plan's slots.  The Hessian of u, which only
+the volume integrals read, is formed on first read: one sample per affine
+cell, where it is the constant J^-T href J^-1, and one per quadrature point
+of each curved cell.  M and the minimum points are formed on first read too;
+the search for the minima walks the interior stiffness pattern.  The
 interior block is solved by conjugate gradients, not by a sparse direct
 factorisation: splu's fill is 87 MB at 64x256, which breaks the benchmark's
 peak_rss_mb bound.  The preconditioner is the exact inverse of
