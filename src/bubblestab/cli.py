@@ -439,6 +439,14 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
     return 0
 
 
+def _dimension(text: str) -> int:
+    """--N as argparse reads it: oracles.f_kappa needs N >= 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("dim must be >= 2, got %d" % n)
+    return n
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bubblestab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -448,7 +456,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         if name == "oracles":
             p.add_argument("--fsup", action="store_true", help="report only the f supremum")
-            p.add_argument("--N", type=int, default=2, help="dimension for --fsup")
+            p.add_argument("--N", type=_dimension, default=2, help="dimension for --fsup, >= 2")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,7 +9,10 @@ of its edges, so its map is affine and J is constant on it (the standard
 set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
 n_angular) is built once into a read-only plan shared by every domain meshed
 with it: the P2 numbering, the CSR pattern of the interior stiffness with the
-slot of each element-matrix entry in it, and the preconditioner.  Per mesh, J
+slot of each element-matrix entry in it, and the preconditioner.  The P2
+nodes are numbered once, on the preconditioner's polar half-step lattice,
+interior nodes first, so the interior unknowns are a prefix of the nodal
+vector and the preconditioner reads them without a permutation.  Per mesh, J
 is formed once: one GEMM of the (4 x 12) map table at the centroid against
 the coordinates of every cell, and the 7-point table against those of the
 curved cells only.  An affine cell's stiffness is its constant metric against
@@ -221,15 +224,16 @@ class TriMesh:
     vertices[0] is the center; vertex 1 + (j-1)*n_angular + i sits at radial
     fraction radial_fractions[j-1] of rho(theta_i).  triangles follow the
     order stated by generate_mesh, from which the P2 lookups read each
-    triangle's ring and sector.  boundary_edges pair with boundary_thetas
-    giving the theta parameters of each edge's endpoints.  h is the longest
-    edge.  ``space`` is the P2 node table with its quadrature, built on first
-    use and shared by every solve and integral on this mesh.
+    triangle's ring and sector.  boundary_thetas (n_angular, 2) holds the
+    theta parameters of the endpoints of each boundary edge, sector by
+    sector.  h is the longest edge.  ``space`` is the P2 node table with its
+    quadrature, built on first use and shared by every solve and integral on
+    this mesh; it numbers the P2 nodes on the polar lattice (see _Plan), not
+    by these vertex ids.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
-    boundary_edges: np.ndarray
     boundary_thetas: np.ndarray
     h: float
     n_radial: int
@@ -290,7 +294,6 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     if np.any(signed <= 0.0):
         raise MeshError("mesh has a degenerate or inverted triangle")
 
-    bedges = np.stack([vid[-1, :-1], vid[-1, 1:]], axis=-1)
     edge_theta = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
     bthetas = np.stack([edge_theta[:-1], edge_theta[1:]], axis=-1)
 
@@ -301,7 +304,6 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     return TriMesh(
         vertices=verts,
         triangles=triangles,
-        boundary_edges=bedges,
         boundary_thetas=bthetas,
         h=h,
         n_radial=n_radial,
@@ -313,24 +315,46 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
 
 # -- per-topology plan ------------------------------------------------------
 
+# J and K, less (2j, 2i), of local nodes 0..5 in a fan triangle, an (a, d, c)
+# and an (a, c, b) triangle of ring j and sector i (the fan is ring 0)
+_LATTICE_J = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0]])
+_LATTICE_K = np.array([[0, 0, 2, 0, 1, 2], [0, 0, 2, 0, 1, 1], [0, 2, 2, 1, 2, 1]])
+
+
+def _polar_lattice(n_radial: int, n_angular: int):
+    """(J, K), each (nt, 6), of the six P2 nodes of every triangle on the
+    polar half-step lattice, K mod 2 n_angular.
+
+    Vertex i of ring j sits at (2j, 2i) and the centre at J = 0; a midside
+    node sits halfway between its endpoints, except that a fan spoke takes the
+    angle of its outer vertex.  Each triangle's ring j and sector i come from
+    the triangle order of generate_mesh.
+    """
+    n_a, n_r = n_angular, n_radial
+    kind = np.concatenate([np.zeros(n_a, dtype=np.int64), np.tile([1, 2], n_a * (n_r - 1))])
+    ring = np.concatenate([np.zeros(n_a, dtype=np.int64), np.repeat(np.arange(1, n_r), 2 * n_a)])
+    sector = np.concatenate([np.arange(n_a), np.tile(np.repeat(np.arange(n_a), 2), n_r - 1)])
+    return _LATTICE_J[kind] + 2 * ring[:, None], (_LATTICE_K[kind] + 2 * sector[:, None]) % (2 * n_a)
+
 
 class _Plan:
     """Everything fem needs of a mesh that depends only on (n_radial, n_angular).
 
-    - tri_nodes (nt, 6): the P2 node ids of each triangle, vertices first,
-      then the midsides of edges (0, 1), (1, 2), (2, 0); midside m is node
-      nv + m and mid_ends[m] are its edge's endpoints.  Edges are numbered in
-      order of first appearance, triangle by triangle, which the mesh order
-      turns into index arithmetic.
+    - tri_nodes (nt, 6): the P2 node ids of each triangle's local nodes,
+      its vertices and then the midsides of edges (0, 1), (1, 2), (2, 0).
+      A node's id is its place on the polar lattice (_polar_lattice): 0 for
+      the centre, and 1 + slot n_angular + K // 2 for the node at (J, K),
+      where slot is 0 on ring J = 1 and 2J - 3 + K mod 2 beyond it.  Each
+      (slot, sector K // 2) pair holds exactly one node, so the ids below
+      n_in = 1 + (4 n_radial - 3) n_angular are the interior nodes, laid out
+      as the preconditioner reads them, and the 2 n_angular ids from n_in to
+      n_nodes are the nodes on the boundary curve (J = 2 n_radial).
     - b_tri: the outer-ring (a, d, c) triangle of each sector, whose local
       edge (1, 2) is the boundary edge, running forward.
-    - dirichlet (n_nodes,) and interior: the boundary nodes and, in the
-      solver's order, the rest.
     - the CSR pattern (indptr, indices) of the interior stiffness block, and
       slot (36 nt,) int32: the position in it of each element-matrix entry,
       entry-major (row 6k + l, then element), or nnz for an entry touching a
-      Dirichlet node; el_dof (nt, 6) does the same for the load vector, with
-      n_in for a Dirichlet node.
+      boundary node.
     - precond: the polar FFT preconditioner.
 
     Every array is read-only, and nothing refers to a mesh, space or domain,
@@ -339,46 +363,26 @@ class _Plan:
 
     def __init__(self, mesh: TriMesh):
         n_r, n_a = self.n_radial, self.n_angular = mesh.n_radial, mesh.n_angular
-        nv = mesh.vertices.shape[0]
         nt = mesh.triangles.shape[0]
+        n_in = self.n_in = 1 + (4 * n_r - 3) * n_a
+        self.n_nodes = n_in + 2 * n_a
 
-        # midside ids, less nv: spoke i of the fan is 2i and its arc 2i + 1;
-        # ring j >= 1 starts at 2 n_a + 3 n_a (j - 1) with, per sector i, its
-        # radial edge at angle i, its outer arc and its diagonal a-c
-        i = np.arange(n_a)
-        ring = (2 + 3 * np.arange(n_r - 1))[:, None] * n_a + 3 * i        # (n_r - 1, n_a)
-        inner_arc = np.concatenate([2 * i + 1, (ring[:-1] + 1).ravel()]).reshape(n_r - 1, n_a)
-        adc = np.stack([ring, ring + 1, ring + 2], axis=-1)
-        acb = np.stack([ring + 2, np.roll(ring, -1, axis=1), inner_arc], axis=-1)
-        fan = np.stack([2 * i, 2 * i + 1, 2 * np.roll(i, -1)], axis=-1)
-        tri_nodes = np.empty((nt, 6), dtype=np.int64)
-        tri_nodes[:, :3] = mesh.triangles
-        tri_nodes[:, 3:] = nv + np.concatenate([fan, np.stack([adc, acb], axis=2).reshape(-1, 3)])
-        n_nodes = nv + n_a * (3 * n_r - 1)
-        mid_ends = np.empty((n_nodes - nv, 2), dtype=np.int64)
-        mid_ends[tri_nodes[:, 3:] - nv] = mesh.triangles[:, _EDGE_LOCALS]
-
-        self.b_tri = nt - 2 * n_a + 2 * i
-        dirichlet = np.zeros(n_nodes, dtype=bool)
-        dirichlet[mesh.boundary_edges.ravel()] = True
-        dirichlet[tri_nodes[self.b_tri, 4]] = True
-        interior = np.nonzero(~dirichlet)[0]
-        self.tri_nodes, self.mid_ends, self.dirichlet, self.interior = tri_nodes, mid_ends, dirichlet, interior
+        jj, kk = _polar_lattice(n_r, n_a)
+        lattice_slot = np.where(jj == 1, 0, 2 * jj - 3 + kk % 2)
+        tri_nodes = self.tri_nodes = np.where(jj == 0, 0, 1 + lattice_slot * n_a + kk // 2)
+        del lattice_slot
+        self.b_tri = nt - 2 * n_a + 2 * np.arange(n_a)
         # built while little else is held: its set-up peak is the larger one
-        self.precond = _PolarPreconditioner(self, mesh.radial_fractions)
-
-        n_in = interior.size
-        dof = np.full(n_nodes, n_in, dtype=np.int32)
-        dof[interior] = np.arange(n_in, dtype=np.int32)
-        el_dof = dof[tri_nodes]
+        self.precond = _PolarPreconditioner(self, (jj, kk), mesh.radial_fractions)
+        del jj, kk
 
         # interior node x element, as int32 counts: the product drops
         # entries that sum to zero, so a narrower type would wrap the
         # centre's n_angular fan entries away
         inc_in = sp.csr_matrix(
             (np.ones(6 * nt, dtype=np.int32), (tri_nodes.ravel(), np.repeat(np.arange(nt), 6))),
-            shape=(n_nodes, nt),
-        )[interior]
+            shape=(self.n_nodes, nt),
+        )[:n_in]
         pattern = inc_in @ inc_in.T
         del inc_in
         pattern.sort_indices()
@@ -387,14 +391,15 @@ class _Plan:
         # point lookups in a matrix holding each entry's own index
         lookup = sp.csr_array((np.arange(nnz, dtype=np.int32), indices, indptr), shape=(n_in, n_in))
         slot = np.full((6, 6, nt), nnz, dtype=np.int32)
+        cols = tri_nodes.T
         for k in range(6):
-            rows = np.broadcast_to(el_dof[:, k], (6, nt))
-            keep = (rows < n_in) & (el_dof.T < n_in)
-            slot[k][keep] = lookup[rows[keep], el_dof.T[keep]]
+            rows = np.broadcast_to(tri_nodes[:, k], (6, nt))
+            keep = (rows < n_in) & (cols < n_in)
+            slot[k][keep] = lookup[rows[keep], cols[keep]]
         del lookup
 
-        self.el_dof, self.indptr, self.indices, self.slot = el_dof, indptr, indices, slot.reshape(-1)
-        for arr in (tri_nodes, mid_ends, self.b_tri, dirichlet, interior, el_dof, indptr, indices, self.slot):
+        self.indptr, self.indices, self.slot = indptr, indices, slot.reshape(-1)
+        for arr in (tri_nodes, self.b_tri, indptr, indices, self.slot):
             arr.setflags(write=False)
 
 
@@ -421,29 +426,35 @@ def _plan(mesh: TriMesh) -> _Plan:
 class _P2Space:
     """Node table for P2 elements; boundary midside nodes sit on the curve.
 
-    The numbering (tri_nodes, b_tri, dirichlet, n_nodes) is the topology
-    plan's.  node_xy, coords (nt, 6, 2), the element maps (see _CellMaps:
-    the b_tri cells are the curved ones) and the quadrature weights qp_w
-    (nt, 7) are this mesh's; the weights are read-only because every solve
-    on the mesh shares them.
+    The numbering (tri_nodes, b_tri, n_nodes) is the topology plan's polar
+    lattice numbering: the interior nodes are the ids below plan.n_in, the
+    boundary nodes the rest.  node_xy, coords (nt, 6, 2), the element maps
+    (see _CellMaps: the b_tri cells are the curved ones) and the quadrature
+    weights qp_w (nt, 7) are this mesh's; the weights are read-only because
+    every solve on the mesh shares them.
     """
 
     def __init__(self, mesh: TriMesh):
         # no back reference to mesh: mesh.space -> space -> mesh would be a
         # cycle, keeping every dead mesh's arrays alive until a gc pass
         plan = self.plan = _plan(mesh)
-        self.tri_nodes, self.b_tri, self.dirichlet = plan.tri_nodes, plan.b_tri, plan.dirichlet
-        self.n_nodes = plan.dirichlet.size
+        self.tri_nodes, self.b_tri, self.n_nodes = plan.tri_nodes, plan.b_tri, plan.n_nodes
 
-        verts = mesh.vertices
-        node_xy = np.empty((self.n_nodes, 2))
-        node_xy[: verts.shape[0]] = verts
-        node_xy[verts.shape[0]:] = 0.5 * (verts[plan.mid_ends[:, 0]] + verts[plan.mid_ends[:, 1]])
-        # curve the boundary midsides
+        # each cell's vertices, then the means of its edges' endpoints
+        # (_EDGE_LOCALS[:, 0] is 0, 1, 2), then the curved boundary midsides;
+        # the triangles sharing a node give it the same point, as a + b == b + a.
+        # np.take and per-coordinate scatters run several times faster than
+        # fancy indexing of whole rows; filling coords in place keeps the peak down.
+        coords = self.coords = np.empty(self.tri_nodes.shape + (2,))        # (nt, 6, 2)
+        corner, mid = coords[:, :3], coords[:, 3:]
+        corner[:] = np.take(mesh.vertices, mesh.triangles, axis=0)
+        np.add(corner, np.take(corner, _EDGE_LOCALS[:, 1], axis=1), out=mid)
+        mid *= 0.5
         th = mesh.boundary_thetas
-        node_xy[self.tri_nodes[self.b_tri, 4]] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
-        self.node_xy = node_xy
-        self.coords = node_xy[self.tri_nodes]          # (nt, 6, 2)
+        coords[self.b_tri, 4] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
+        self.node_xy = np.empty((self.n_nodes, 2))
+        for c in range(2):
+            self.node_xy[:, c][self.tri_nodes] = coords[..., c]
 
         # only the b_tri cells have a midside (node 4) off its edge's midpoint
         self.maps = _CellMaps.of(self.coords, self.b_tri)
@@ -451,30 +462,6 @@ class _P2Space:
 
 
 # -- polar FFT preconditioner ------------------------------------------------
-
-# J and K, less (2j, 2i), of local nodes 0..5 in a fan triangle, an (a, d, c)
-# and an (a, c, b) triangle of ring j and sector i (the fan is ring 0)
-_LATTICE_J = np.array([[0, 2, 2, 1, 2, 1], [0, 2, 2, 1, 2, 1], [0, 2, 0, 1, 1, 0]])
-_LATTICE_K = np.array([[0, 0, 2, 0, 1, 2], [0, 0, 2, 0, 1, 1], [0, 2, 2, 1, 2, 1]])
-
-
-def _polar_lattice(plan: _Plan) -> np.ndarray:
-    """(J, K) point of every P2 node of plan on the polar half-step lattice.
-
-    Vertex 1 + (j-1)*n_angular + i sits at (2j, 2i) and the centre at (0, 0);
-    a midside node sits halfway between its endpoints, except that a fan spoke
-    takes the angle of its outer vertex.  Each triangle's ring j and sector i
-    come from the triangle order of generate_mesh.
-    """
-    n_a, n_r = plan.n_angular, plan.n_radial
-    kind = np.concatenate([np.zeros(n_a, dtype=np.int64), np.tile([1, 2], n_a * (n_r - 1))])
-    ring = np.concatenate([np.zeros(n_a, dtype=np.int64), np.repeat(np.arange(1, n_r), 2 * n_a)])
-    sector = np.concatenate([np.arange(n_a), np.tile(np.repeat(np.arange(n_a), 2), n_r - 1)])
-    lat = np.empty((plan.dirichlet.size, 2), dtype=np.int64)
-    lat[plan.tri_nodes, 0] = _LATTICE_J[kind] + 2 * ring[:, None]
-    lat[plan.tri_nodes, 1] = (_LATTICE_K[kind] + 2 * sector[:, None]) % (2 * n_a)
-    lat[0] = 0
-    return lat
 
 
 class _PolarPreconditioner:
@@ -489,8 +476,10 @@ class _PolarPreconditioner:
     because an element spans two lattice rings.  Stacked, with the centre,
     which couples only to Fourier mode 0, bordered into slots 0-2 of mode 0,
     they form one banded matrix, Cholesky-factored once.  The 2-D stiffness
-    is scale-invariant, so it needs only the topology: the plan's P2
-    numbering and the mesh's radial fractions.
+    is scale-invariant, so it needs only the topology: the plan's lattice
+    numbering, in which interior node 1 + s n_angular + k is slot s of
+    sector k, so the interior vector past the centre is the (slot, sector)
+    array itself, and the mesh's radial fractions.
 
     On the disk an apply is the exact solve, and CG stops after one
     iteration.  Elsewhere the count is set by the shape alone: in the polar
@@ -500,68 +489,63 @@ class _PolarPreconditioner:
     ln(1e10) / ln((lam + 1)/(lam - 1)) iterations at any mesh size.
     """
 
-    def __init__(self, plan: _Plan, radial_fractions: np.ndarray):
+    def __init__(self, plan: _Plan, lattice, radial_fractions: np.ndarray):
         n_a, n_s = plan.n_angular, 4 * plan.n_radial - 3
         n_m = n_a // 2 + 1
-        lat = _polar_lattice(plan)
-        slot = np.where(lat[:, 0] == 1, 0, 2 * lat[:, 0] - 3 + lat[:, 1] % 2)
-        sector = lat[:, 1] // 2
-        # interior dofs in the solver's order; the centre (node 0) is dof 0
-        interior = plan.interior
-        self.index = (slot[interior[1:]] * n_a + sector[interior[1:]]).astype(np.int32)
         self.shape = (n_s, n_a)
 
         # the P2 triangles of sector 0 laid on the unit disk as generate_mesh
         # and _P2Space place them: vertices at their radial fraction, midsides
         # at the mean of their endpoints, boundary midsides on the circle
-        tri0 = plan.tri_nodes[np.all(lat[plan.tri_nodes, 1] <= 2, axis=1)]
-        radius = np.concatenate([[0.0], radial_fractions])[lat[tri0[:, :3], 0] // 2]
-        angle = (np.pi / n_a) * lat[tri0[:, :3], 1]
+        jj, kk = lattice
+        sector0 = np.all(kk <= 2, axis=1)
+        tri0 = plan.tri_nodes[sector0]
+        radius = np.concatenate([[0.0], radial_fractions])[jj[sector0, :3] // 2]
+        angle = (np.pi / n_a) * kk[sector0, :3]
         xy = np.empty(tri0.shape + (2,))
         xy[:, :3, 0], xy[:, :3, 1] = radius * np.cos(angle), radius * np.sin(angle)
         mid = xy[:, 3:]
         mid[:] = 0.5 * (xy[:, _EDGE_LOCALS[:, 0]] + xy[:, _EDGE_LOCALS[:, 1]])
-        on_circle = plan.dirichlet[tri0[:, 3:]]
+        on_circle = tri0[:, 3:] >= plan.n_in
         mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
 
         # their element matrices by the assembly's kernel
         ke = _element_stiffness(_CellMaps.of(xy, np.nonzero(np.any(on_circle, axis=1))[0]))
         a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
-        keep = ~(plan.dirichlet[a] | plan.dirichlet[b])
+        keep = (a < plan.n_in) & (b < plan.n_in)
         a, b, v = a[keep], b[keep], v[keep]
+        # (slot, sector) of each node past the centre
+        slot_a, sector_a = np.divmod(a - 1, n_a)
+        slot_b, sector_b = np.divmod(b - 1, n_a)
 
         # upper band storage ab[5 + i - j, j] = A[i, j]; row 1 + m n_s + s is slot
         # s of mode m and row 0 the centre.  An entry from (s, k) to (s', k')
         # adds v exp(2 pi i m (k' - k) / n_a) to block m.
         centre = np.sum(v[(a == 0) & (b == 0)]) * n_a
         to_centre = (a == 0) & (b != 0)
-        border = np.bincount(slot[b[to_centre]], v[to_centre], 3) * np.sqrt(n_a)
-        up = (a != 0) & (b != 0) & (slot[a] <= slot[b])
-        a, b, v = a[up], b[up], v[up]
+        border = np.bincount(slot_b[to_centre], v[to_centre], 3) * np.sqrt(n_a)
+        up = (a != 0) & (b != 0) & (slot_a <= slot_b)
         n = 1 + n_m * n_s
         m = np.arange(n_m)[:, None]
-        flat = ((5 + slot[a] - slot[b]) * n + 1 + m * n_s + slot[b]).ravel()
-        vals = (v * np.exp(2j * np.pi * m * (sector[b] - sector[a]) / n_a)).ravel()
+        flat = ((5 + slot_a[up] - slot_b[up]) * n + 1 + m * n_s + slot_b[up]).ravel()
+        vals = (v[up] * np.exp(2j * np.pi * m * (sector_b[up] - sector_a[up]) / n_a)).ravel()
         ab = np.bincount(flat, vals.real, 6 * n) + 1j * np.bincount(flat, vals.imag, 6 * n)
         ab = ab.reshape(6, n)
         ab[5, 0] = centre
         ab[[4, 3, 2], [1, 2, 3]] = border
         self.factor = cholesky_banded(ab, lower=False, check_finite=False)
         # every solve on this topology shares the plan's arrays
-        self.index.setflags(write=False)
         self.factor.setflags(write=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         n_s, n_a = self.shape
-        g = np.empty(self.index.size)
-        g[self.index] = r[1:]
         rhs = np.empty(self.factor.shape[1], dtype=complex)
         rhs[0] = r[0]
-        rhs[1:] = np.fft.rfft(g.reshape(n_s, n_a), norm="ortho").T.ravel()
+        rhs[1:] = np.fft.rfft(r[1:].reshape(n_s, n_a), norm="ortho").T.ravel()
         z = cho_solve_banded((self.factor, False), rhs, check_finite=False)
         out = np.empty_like(r)
         out[0] = z[0].real
-        out[1:] = np.fft.irfft(z[1:].reshape(-1, n_s).T, n=n_a, norm="ortho").ravel()[self.index]
+        out[1:] = np.fft.irfft(z[1:].reshape(-1, n_s).T, n=n_a, norm="ortho").ravel()
         return out
 
 
@@ -619,7 +603,8 @@ def _pcg(a_mat, b: np.ndarray, precond):
 class TorsionField:
     """Discrete torsion function on one mesh.
 
-    u holds nodal values at all P2 nodes of space (vertices first).
+    u holds nodal values at all P2 nodes of space, in the plan's lattice
+    numbering: the interior nodes first, the boundary nodes, where u = 0, last.
     residual_norm and iterations report the conjugate-gradient solve; area is
     the quadrature area of the curved cells.  M, min_points and
     hessian_samples are formed on first read, once per field, so a caller
@@ -739,17 +724,17 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     plan's interior stiffness pattern, which links exactly the interior nodes
     that share an element.  u = 0 on the boundary, so every candidate is
     interior; a patch holds the interior nodes of the two-ring.  The walks run
-    on interior dofs, whose order is that of the node ids.
+    on the interior node ids, which are the pattern's rows.
     """
     plan = space.plan
     indptr, indices = plan.indptr, plan.indices
-    u = u_full[plan.interior]
-    xy_in = space.node_xy[plan.interior]
+    u = u_full[: plan.n_in]
+    xy_in = space.node_xy[: plan.n_in]
     cand = np.flatnonzero(u <= float(np.min(u)) + 1e-9 * float(np.max(np.abs(u))))
 
-    def neighbours(dofs):
-        # ascending interior dofs sharing an element with dofs
-        start, stop = indptr[dofs], indptr[dofs + 1]
+    def neighbours(nodes):
+        # ascending interior nodes sharing an element with nodes
+        start, stop = indptr[nodes], indptr[nodes + 1]
         count = stop - start
         pos = np.repeat(stop - np.cumsum(count), count) + np.arange(np.sum(count))
         mark = np.zeros(u.size, dtype=bool)
@@ -814,14 +799,15 @@ def _assemble_interior(space: _P2Space):
 
     The element matrices are summed straight into the plan's CSR pattern,
     one bincount over its slots; the last bin collects the entries that
-    touch a Dirichlet node and is dropped, so no full matrix, COO triplet or
-    duplicate sum ever exists.
+    touch a boundary node and is dropped, so no full matrix, COO triplet or
+    duplicate sum ever exists.  The load vector is the bincount over the node
+    ids, cut at n_in.
     """
     plan = space.plan
-    n_in = plan.interior.size
+    n_in = plan.n_in
     data = np.bincount(plan.slot, _element_stiffness(space.maps).ravel(), plan.indices.size + 1)[:-1]
     fe = (-DIM * space.qp_w) @ _N_AT_QP
-    b_in = np.bincount(plan.el_dof.ravel(), fe.ravel(), n_in + 1)[:-1]
+    b_in = np.bincount(plan.tri_nodes.ravel(), fe.ravel())[:n_in]
     return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
 
 
@@ -838,7 +824,7 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     del a_in
 
     u_full = np.zeros(space.n_nodes)
-    u_full[space.plan.interior] = x
+    u_full[: x.size] = x
     return TorsionField(
         mesh=mesh,
         u=u_full,

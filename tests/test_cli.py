@@ -316,6 +316,15 @@ def test_usage_errors(tmp_path):
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_oracles_rejects_dimension_below_two(tmp_path, capsys, n):
+    # a usage error, caught by argparse before oracles.f_kappa sees it
+    assert cli.main(["oracles", "--fsup", "--N", n, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --N: dim must be >= 2" in err
+    assert not list(tmp_path.iterdir())
+
+
 def checkout_env():
     """Environment whose PYTHONPATH puts the imported bubblestab first."""
     env = dict(os.environ)

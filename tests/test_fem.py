@@ -27,7 +27,7 @@ def test_mesh_counts_and_h():
     mesh = fem.generate_mesh(disk, 8, 32)
     assert len(mesh.vertices) == 1 + 8 * 32
     assert len(mesh.triangles) == 32 + 2 * 32 * 7
-    assert len(mesh.boundary_edges) == 32
+    assert len(mesh.boundary_thetas) == 32
     assert 0.0 < mesh.h < 0.5
 
 
@@ -279,39 +279,39 @@ def test_boundary_midside_nodes_on_curve():
     mesh = fem.generate_mesh(ell, 8, 32)
     field = fem.solve_torsion(mesh)
     space = field.space
-    bmask = space.dirichlet
-    pts = space.node_xy[bmask]
+    pts = space.node_xy[space.plan.n_in :]
     a, b = 1.5, 1.0
     lvl = pts[:, 0] ** 2 / a**2 + pts[:, 1] ** 2 / b**2
     assert np.max(np.abs(lvl - 1.0)) < 1e-4  # truncated Fourier boundary
 
 
 def _reference_edge_tables(mesh):
-    # the dict loop that numbered P2 edges before the array version; kept as
-    # the reference the vectorised tables must reproduce exactly
-    tris = mesh.triangles
-    nv = mesh.vertices.shape[0]
+    # a dict loop over the mesh's triangles: the P2 node ids that each vertex
+    # and each edge receives, and the triangle and local edge of each boundary
+    # edge, an edge of one triangle, in sector order
+    tris, tri_nodes = mesh.triangles, mesh.space.tri_nodes
     edge_locals = ((0, 1), (1, 2), (2, 0))
-    edge_id, edge_tri = {}, {}
-    tri_nodes = np.empty((tris.shape[0], 6), dtype=np.int64)
-    tri_nodes[:, :3] = tris
+    vertex_ids, edge_ids, edge_tris = {}, {}, {}
     for t in range(tris.shape[0]):
+        for k in range(3):
+            vertex_ids.setdefault(int(tris[t, k]), set()).add(int(tri_nodes[t, k]))
         for le, (la, lb) in enumerate(edge_locals):
             a, b = int(tris[t, la]), int(tris[t, lb])
             key = (a, b) if a < b else (b, a)
-            if key not in edge_id:
-                edge_id[key] = len(edge_id)
-                edge_tri[key] = (t, le)
-            tri_nodes[t, 3 + le] = nv + edge_id[key]
+            edge_ids.setdefault(key, set()).add(int(tri_nodes[t, 3 + le]))
+            edge_tris.setdefault(key, []).append((t, le))
+    outer = mesh.vertices.shape[0] - mesh.n_angular + np.arange(mesh.n_angular)
+    bedges = np.stack([outer, np.roll(outer, -1)], axis=-1)
+    assert {key for key, on in edge_tris.items() if len(on) == 1} == {tuple(sorted(e)) for e in bedges.tolist()}
     b_tri, b_local, b_forward, b_mid = [], [], [], []
-    for a, b in mesh.boundary_edges:
+    for a, b in bedges.tolist():
         key = (min(a, b), max(a, b))
-        t, le = edge_tri[key]
+        (t, le), = edge_tris[key]
         b_tri.append(t)
         b_local.append(le)
         b_forward.append(int(tris[t, edge_locals[le][0]]) == a)
-        b_mid.append(nv + edge_id[key])
-    return tri_nodes, np.array(b_tri), np.array(b_local), np.array(b_forward), np.array(b_mid)
+        b_mid.append(next(iter(edge_ids[key])))
+    return vertex_ids, edge_ids, np.array(b_tri), np.array(b_local), np.array(b_forward), np.array(b_mid)
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (32, 128)])
@@ -319,8 +319,12 @@ def test_p2_topology_matches_reference_loop(n_radial, n_angular):
     dom = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
     mesh = fem.generate_mesh(dom, n_radial, n_angular)
     space = mesh.space
-    tri_nodes, b_tri, b_local, b_forward, b_mid = _reference_edge_tables(mesh)
-    assert np.array_equal(space.tri_nodes, tri_nodes)
+    vertex_ids, edge_ids, b_tri, b_local, b_forward, b_mid = _reference_edge_tables(mesh)
+    # each vertex and each edge maps to exactly one node id, shared by all of
+    # its triangles, and the vertices and edges together take every id once
+    ids = [i for owner in (vertex_ids, edge_ids) for i in owner.values()]
+    assert all(len(i) == 1 for i in ids)
+    assert sorted(next(iter(i)) for i in ids) == list(range(space.n_nodes))
     assert np.array_equal(space.b_tri, b_tri)
     # the lookups read every boundary edge as local edge (1, 2), running forward
     assert np.all(b_local == 1) and np.all(b_forward)
@@ -376,7 +380,7 @@ def _reference_min_points(space, u_full):
         comp.sort()
         seed = comp[np.lexsort((comp, u_full[comp]))[0]]
         patch = neighbours(neighbours(comp))
-        on_boundary |= bool(np.any(space.dirichlet[patch]))
+        on_boundary |= bool(np.any(patch >= space.plan.n_in))
         xy = space.node_xy[patch] - space.node_xy[seed]
         scale = max(float(np.max(np.abs(xy))), 1e-30)
         xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
@@ -455,7 +459,7 @@ def _reference_kernels(space, u_full):
     a_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
     f_full = np.zeros(space.n_nodes)
     np.add.at(f_full, space.tri_nodes.ravel(), fe.ravel())
-    interior = np.nonzero(~space.dirichlet)[0]
+    n_in = space.plan.n_in
 
     u_el = u_full[space.tri_nodes]
     href = np.einsum("tk,kde->tde", u_el, _D2N_FULL)
@@ -471,8 +475,8 @@ def _reference_kernels(space, u_full):
     for qi in range(7):
         qp_h[:, qi] = hessian(fem._DN_AT_QP[qi])
     return (
-        a_full[interior, :][:, interior],
-        f_full[interior],
+        a_full[:n_in, :n_in],
+        f_full[:n_in],
         np.einsum("tk,qk->tq", u_el, fem._N_AT_QP),
         np.stack([qp_h[..., 0, 0], qp_h[..., 0, 1], qp_h[..., 1, 1]]),
     )
@@ -661,13 +665,13 @@ def test_plan_shared_per_topology(empty_plans):
 
 def _plan_arrays(plan):
     out = {name: v for name, v in vars(plan).items() if isinstance(v, np.ndarray)}
-    out.update(pre_index=plan.precond.index, pre_factor=plan.precond.factor)
+    out.update(pre_factor=plan.precond.factor)
     return out
 
 
 def test_plan_arrays_read_only(empty_plans):
     arrays = _plan_arrays(fem.generate_mesh(FOURIER5, 8, 32).space.plan)
-    assert {"tri_nodes", "mid_ends", "b_tri", "dirichlet", "interior", "el_dof", "indptr", "indices", "slot"} <= set(arrays)
+    assert {"tri_nodes", "b_tri", "indptr", "indices", "slot"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
 
@@ -689,15 +693,13 @@ def test_ninth_topology_evicts_oldest(empty_plans):
 
 def _reference_interior_matrix(space, ke):
     # the element matrices ke (36, nt) assembled as before the plan: COO
-    # triplets without the Dirichlet rows and columns, converted to CSR with
-    # the duplicates summed
-    interior = np.nonzero(~space.dirichlet)[0]
-    dof = np.full(space.n_nodes, -1)
-    dof[interior] = np.arange(interior.size)
-    el = dof[space.tri_nodes].T
+    # triplets without the Dirichlet rows and columns (ids >= n_in),
+    # converted to CSR with the duplicates summed
+    n_in = space.plan.n_in
+    el = space.tri_nodes.T
     rows, cols = np.repeat(el, 6, axis=0).ravel(), np.tile(el, (6, 1)).ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    shape = (interior.size, interior.size)
+    keep = (rows < n_in) & (cols < n_in)
+    shape = (n_in, n_in)
     ref = sp.coo_matrix((ke.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
     ref.sum_duplicates()
     return ref
@@ -721,14 +723,14 @@ def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
 def _reference_polar_lattice(mesh):
     # the midside averaging, wrapping in theta, that placed the P2 nodes on
     # the polar lattice before the per-triangle patterns; kept as the
-    # reference they must reproduce exactly
+    # reference they must reproduce exactly.  Mesh vertex 1 + (j-1) n_a + i
+    # sits at (2j, 2i), whatever its node id
     n_a = mesh.n_angular
     tri_nodes = mesh.space.tri_nodes
-    nv = mesh.vertices.shape[0]
     lat = np.zeros((mesh.space.n_nodes, 2), dtype=np.int64)
-    v = np.arange(nv - 1)
-    lat[1:nv, 0] = 2 * (v // n_a + 1)
-    lat[1:nv, 1] = 2 * (v % n_a)
+    v = mesh.triangles - 1
+    lat[tri_nodes[:, :3], 0] = np.where(v < 0, 0, 2 * (v // n_a + 1))
+    lat[tri_nodes[:, :3], 1] = np.where(v < 0, 0, 2 * (v % n_a))
     for e, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):
         p, q = tri_nodes[:, la], tri_nodes[:, lb]
         kp = np.where(p == 0, lat[q, 1], lat[p, 1])
@@ -741,8 +743,38 @@ def _reference_polar_lattice(mesh):
 
 @pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
 def test_polar_lattice_matches_reference(n_radial, n_angular):
+    # node id 1 + s n_angular + k is slot s of sector k; read back to (J, K)
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
-    assert np.array_equal(fem._polar_lattice(mesh.space.plan), _reference_polar_lattice(mesh))
+    ids = np.arange(1, mesh.space.n_nodes)
+    slot, sector = np.divmod(ids - 1, n_angular)
+    jj = np.where(slot == 0, 1, (slot + 3) // 2)
+    kk = 2 * sector + np.where(slot == 0, 0, (slot + 1) % 2)
+    ref = _reference_polar_lattice(mesh)
+    assert np.array_equal(ref[0], [0, 0])
+    assert np.array_equal(ref[1:], np.stack([jj, kk], axis=-1))
+    # the per-triangle lattice the plan numbers from
+    got = fem._polar_lattice(n_radial, n_angular)
+    off_centre = mesh.space.tri_nodes != 0
+    assert np.array_equal(got[0][off_centre], ref[mesh.space.tri_nodes, 0][off_centre])
+    assert np.array_equal(got[1][off_centre], ref[mesh.space.tri_nodes, 1][off_centre])
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (16, 64)])
+def test_node_ids_biject_onto_slots_and_end_on_the_curve(n_radial, n_angular):
+    # every (slot, sector) pair holds exactly one node past the centre, and
+    # the ids from n_in on are exactly the nodes on the boundary curve
+    mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
+    space = mesh.space
+    n_in = space.plan.n_in
+    assert n_in == 1 + (4 * n_radial - 3) * n_angular
+    assert space.n_nodes == n_in + 2 * n_angular
+    jj, kk = _reference_polar_lattice(mesh)[1:].T
+    slot = np.where(jj == 1, 0, 2 * jj - 3 + kk % 2)
+    assert np.array_equal(np.sort(slot * n_angular + kk // 2), np.arange(space.n_nodes - 1))
+    rel = space.node_xy - FOURIER5.center
+    gap = FOURIER5.radius(np.arctan2(rel[:, 1], rel[:, 0])) - np.hypot(rel[:, 0], rel[:, 1])
+    assert np.max(np.abs(gap[n_in:])) <= 1e-14
+    assert np.min(gap[:n_in]) > 1e-4
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (16, 64)])
@@ -819,7 +851,7 @@ def test_solve_matches_direct_solve(domain):
     mesh = fem.generate_mesh(domain, 16, 64)
     a_in, b_in = fem._assemble_interior(mesh.space)
     u_direct = spla.spsolve(a_in.tocsc(), b_in)
-    u = fem.solve_torsion(mesh).u[mesh.space.plan.interior]
+    u = fem.solve_torsion(mesh).u[: mesh.space.plan.n_in]
     assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
 
 
