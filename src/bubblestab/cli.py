@@ -456,9 +456,12 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=".", help="output directory")
         if name == "oracles":
             p.add_argument("--fsup", action="store_true", help="report only the f supremum")
-            p.add_argument("--N", type=_dimension, default=2, help="dimension for --fsup, >= 2")
+            p.add_argument("--N", type=_dimension, help="dimension for --fsup, >= 2 (default 2)")
+            oracles_parser = p
     try:
         args = parser.parse_args(argv)
+        if args.command == "oracles" and args.N is not None and not args.fsup:
+            oracles_parser.error("argument --N: only valid with --fsup")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
@@ -471,7 +474,7 @@ def main(argv=None) -> int:
         if args.command == "spectral":
             return cmd_spectral(cfg, args.out)
         if args.command == "oracles":
-            return cmd_oracles(cfg, args.out, fsup_dim=args.N if args.fsup else None)
+            return cmd_oracles(cfg, args.out, fsup_dim=(args.N or 2) if args.fsup else None)
         return cmd_convergence(cfg, args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

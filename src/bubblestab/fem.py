@@ -9,7 +9,7 @@ of its edges, so its map is affine and J is constant on it (the standard
 set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
 n_angular) is built once into a read-only plan shared by every domain meshed
 with it: the P2 numbering, the CSR pattern of the interior stiffness with the
-slot of each element-matrix entry in it, and the preconditioner.  The P2
+slots of the element-matrix entries in it, and the preconditioner.  The P2
 nodes are numbered once, on the preconditioner's polar half-step lattice,
 interior nodes first, so the interior unknowns are a prefix of the nodal
 vector and the preconditioner reads them without a permutation.  Per mesh, J
@@ -17,24 +17,26 @@ is formed once: one GEMM of the (4 x 12) map table at the centroid against
 the coordinates of every cell, and the 7-point table against those of the
 curved cells only.  An affine cell's stiffness is its constant metric against
 one constant table; the curved cells overwrite their columns from the metric
-at each point.  The kernels work on one (p, nt) array per quantity, and the
-assembly is one bincount into the plan's slots.  The Hessian of u, which only
-the volume integrals read, is formed on first read: one sample per affine
-cell, where it is the constant J^-T href J^-1, and one per quadrature point
-of each curved cell.  M and the minimum points are formed on first read too;
-the search for the minima walks the interior stiffness pattern.  The
-interior block is solved by conjugate gradients, not by a sparse direct
-factorisation: splu's fill is 87 MB at 64x256, which breaks the benchmark's
-peak_rss_mb bound.  The preconditioner is the exact inverse of
-the P2 stiffness that the same assembly gives on the unit-disk mesh of the
-topology, which an FFT in theta makes block-banded (Swarztrauber-Sweet 1973),
-so one apply costs a few matrix-vector products.  On the disk CG stops after
-one iteration.  Elsewhere the operator differs from the disk's only by the
-radial map between them (equivalent-operator preconditioning,
-Axelsson-Karatson 2009), so the count is set by max |rho'/rho| and not by
-the mesh size: 15 iterations on the 1.5x1 ellipse and 6-13 on
-rho = 1 + t cos 3 theta for t <= 0.1, where diagonal scaling needed a count
-that doubled with each refinement.
+at each point.  The kernels work on one (p, nt) array per quantity; the
+stiffness kernel forms only the 21 distinct entries of each symmetric
+element matrix, and the assembly adds them in place into the CSR data
+through the plan's slots, to the bit the sums of the full matrices.  The
+Hessian of u, which only the volume integrals read, is formed on first read:
+one sample per affine cell, where it is the constant J^-T href J^-1, and one
+per quadrature point of each curved cell.  M and the minimum points are
+formed on first read too; the search for the minima walks the interior
+stiffness pattern.  The interior block is solved by conjugate gradients,
+not by a sparse direct factorisation: splu's fill is 87 MB at 64x256, which
+breaks the benchmark's peak_rss_mb bound.  The preconditioner is the exact
+inverse of the P2 stiffness that the same assembly gives on the unit-disk
+mesh of the topology, which an FFT in theta makes block-banded
+(Swarztrauber-Sweet 1973), so one apply costs a few matrix-vector products.
+On the disk CG stops after one iteration.  Elsewhere the operator differs
+from the disk's only by the radial map between them (equivalent-operator
+preconditioning, Axelsson-Karatson 2009), so the count is set by
+max |rho'/rho| and not by the mesh size: 15 iterations on the 1.5x1 ellipse
+and 6-13 on rho = 1 + t cos 3 theta for t <= 0.1, where diagonal scaling
+needed a count that doubled with each refinement.
 """
 from __future__ import annotations
 
@@ -124,14 +126,22 @@ _N_AT_QP = _shape(_QP)          # (7, 6)
 _DN_AT_QP = _dshape(_QP)        # (7, 6, 2)
 
 
+# The (k, l) of the 21 distinct entries of a symmetric element matrix: the 15
+# strict-upper ones (k < l) first, row by row, then the diagonal (k, k)
+_UPPER = np.array([(k, l) for k in range(6) for l in range(k + 1, 6)] + [(k, k) for k in range(6)])
+# ke[_FULL] is the full matrix, row-major (k, l), of the 21 entries ke
+_FULL = np.zeros((6, 6), dtype=np.int64)
+_FULL[_UPPER[:, 0], _UPPER[:, 1]] = _FULL[_UPPER[:, 1], _UPPER[:, 0]] = np.arange(21)
+_FULL = _FULL.ravel()
+
 # ke = S @ _KE for an element, where S[3q:3q+3] = w_q (G00, G01, G11) and
-# G = J^-1 J^-T is the metric at quadrature point q; ke is row-major (k, l)
-_DD = _DN_AT_QP[:, :, None, :, None] * _DN_AT_QP[:, None, :, None, :]   # (q, k, l, d, e)
-_KE = np.stack([_DD[..., 0, 0], _DD[..., 0, 1] + _DD[..., 1, 0], _DD[..., 1, 1]], axis=1).reshape(21, 36)
+# G = J^-1 J^-T is the metric at quadrature point q; ke holds the _UPPER entries
+_DD = _DN_AT_QP[:, _UPPER[:, 0], :, None] * _DN_AT_QP[:, _UPPER[:, 1], None, :]   # (q, entry, d, e)
+_KE = np.stack([_DD[..., 0, 0], _DD[..., 0, 1] + _DD[..., 1, 0], _DD[..., 1, 1]], axis=1).reshape(21, 21)
 del _DD
 # sum_q w_q K_q: ke = (G00, G01, G11) @ _KE_AFFINE for a constant metric G,
 # exact because the 7-point rule integrates grad N_k . grad N_l exactly
-_KE_AFFINE = (_QW @ _KE.reshape(7, 108)).reshape(3, 36)
+_KE_AFFINE = (_QW @ _KE.reshape(7, 63)).reshape(3, 21)
 
 
 def _map_table(dn: np.ndarray) -> np.ndarray:
@@ -257,6 +267,17 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     That order is the contract the P2 lookups read: fan triangle i is
     triangle i, and the (a, d, c) triangle of ring j >= 1 and sector i is
     n_angular*(2j - 1) + 2i, with its (a, c, b) partner next.
+
+    h is the longest spoke, ring chord or diagonal, read off the
+    (n_radial, n_angular) vertex lattice without gathering the triangles.
+    No triangle can be degenerate or inverted, so none is checked: with
+    s_j the radial fractions, rho_i = rho(theta_i) > 0, dtheta = 2 pi /
+    n_angular and A = s_j rho_i, B = s_j rho_i+1, C = s_j+1 rho_i+1,
+    D = s_j+1 rho_i, twice the signed area is s_1^2 rho_i rho_i+1 sin dtheta
+    for a fan triangle, (D - A) C sin dtheta for (a, d, c) and
+    A (C - B) sin dtheta for (a, c, b), all positive as s increases.  Any
+    cell whose map has det J <= 0, such as a curved one that folds over,
+    still raises MeshError when the P2 space is built.
     """
     if n_radial < 4:
         raise MeshError("n_radial must be >= 4, got %d" % n_radial)
@@ -286,21 +307,17 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     rings = np.stack([np.stack([a, d, c], axis=-1), np.stack([a, c, b], axis=-1)], axis=2)
     triangles = np.concatenate([fan, rings.reshape(-1, 3)])
 
-    p = verts[triangles]
-    signed = 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
-    if np.any(signed <= 0.0):
-        raise MeshError("mesh has a degenerate or inverted triangle")
-
     edge_theta = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
     bthetas = np.stack([edge_theta[:-1], edge_theta[1:]], axis=-1)
 
-    edge_vec = np.concatenate(
-        [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
-    )
-    h = float(np.max(np.hypot(edge_vec[:, 0], edge_vec[:, 1])))
+    # every edge is a spoke (centre or ring j to ring j + 1, same angle), a
+    # ring chord (angle i to i + 1) or a diagonal a-c (ring j, angle i to
+    # ring j + 1, angle i + 1): the same differences, up to sign, that the
+    # triangles' edges give, so h is the same float
+    ring = verts[1:].reshape(n_radial, n_angular, 2)
+    on = np.roll(ring, -1, axis=1)          # each vertex's neighbour one sector on
+    edges = (ring[0] - verts[0], ring[1:] - ring[:-1], on - ring, on[1:] - ring[:-1])
+    h = float(max(np.max(np.hypot(e[..., 0], e[..., 1])) for e in edges))
     return TriMesh(
         vertices=verts,
         triangles=triangles,
@@ -352,9 +369,12 @@ class _Plan:
     - b_tri: the outer-ring (a, d, c) triangle of each sector, whose local
       edge (1, 2) is the boundary edge, running forward.
     - the CSR pattern (indptr, indices) of the interior stiffness block, and
-      slot (36 nt,) int32: the position in it of each element-matrix entry,
-      entry-major (row 6k + l, then element), or nnz for an entry touching a
-      boundary node.
+      two int32 tables of positions in it, entry-major (entry, then
+      element), with nnz for an entry touching a boundary node: slot_up
+      (21 nt,) places each element's _UPPER entry (k, l) at (i, j) =
+      (tri_nodes[k], tri_nodes[l]), and slot_lo (15 nt,) its 15 strict-upper
+      entries again at (j, i).  Together they hold 36 nt int32, one per entry
+      of the full element matrices.
     - precond: the polar FFT preconditioner.
 
     Every array is read-only, and nothing refers to a mesh, space or domain,
@@ -369,7 +389,7 @@ class _Plan:
 
         jj, kk = _polar_lattice(n_r, n_a)
         lattice_slot = np.where(jj == 1, 0, 2 * jj - 3 + kk % 2)
-        tri_nodes = self.tri_nodes = np.where(jj == 0, 0, 1 + lattice_slot * n_a + kk // 2)
+        tri_nodes = self.tri_nodes = np.where(jj == 0, 0, 1 + lattice_slot * n_a + kk // 2).astype(np.int32)
         del lattice_slot
         self.b_tri = nt - 2 * n_a + 2 * np.arange(n_a)
         # built while little else is held: its set-up peak is the larger one
@@ -388,18 +408,21 @@ class _Plan:
         pattern.sort_indices()
         indptr, indices, nnz = pattern.indptr, pattern.indices, pattern.nnz
         del pattern
-        # point lookups in a matrix holding each entry's own index
+        # point lookups in a matrix holding each entry's own index; the 21
+        # (i, j) of _UPPER, then the 15 strict-upper ones as (j, i)
         lookup = sp.csr_array((np.arange(nnz, dtype=np.int32), indices, indptr), shape=(n_in, n_in))
-        slot = np.full((6, 6, nt), nnz, dtype=np.int32)
-        cols = tri_nodes.T
-        for k in range(6):
-            rows = np.broadcast_to(tri_nodes[:, k], (6, nt))
-            keep = (rows < n_in) & (cols < n_in)
-            slot[k][keep] = lookup[rows[keep], cols[keep]]
+        rows = np.concatenate([_UPPER[:, 0], _UPPER[:15, 1]])
+        cols = np.concatenate([_UPPER[:, 1], _UPPER[:15, 0]])
+        slot = np.full((36, nt), nnz, dtype=np.int32)
+        for r in range(0, 36, 6):
+            i, j = tri_nodes.T[rows[r : r + 6]], tri_nodes.T[cols[r : r + 6]]
+            keep = (i < n_in) & (j < n_in)
+            slot[r : r + 6][keep] = lookup[i[keep], j[keep]]
         del lookup
 
-        self.indptr, self.indices, self.slot = indptr, indices, slot.reshape(-1)
-        for arr in (tri_nodes, self.b_tri, indptr, indices, self.slot):
+        self.indptr, self.indices = indptr, indices
+        self.slot_up, self.slot_lo = slot[:21].ravel(), slot[21:].ravel()
+        for arr in (tri_nodes, self.b_tri, indptr, indices, self.slot_up, self.slot_lo):
             arr.setflags(write=False)
 
 
@@ -440,16 +463,19 @@ class _P2Space:
         plan = self.plan = _plan(mesh)
         self.tri_nodes, self.b_tri, self.n_nodes = plan.tri_nodes, plan.b_tri, plan.n_nodes
 
-        # each cell's vertices, then the means of its edges' endpoints
-        # (_EDGE_LOCALS[:, 0] is 0, 1, 2), then the curved boundary midsides;
-        # the triangles sharing a node give it the same point, as a + b == b + a.
-        # np.take and per-coordinate scatters run several times faster than
-        # fancy indexing of whole rows; filling coords in place keeps the peak down.
+        # each cell's vertices, then the means of its edges' endpoints, edge
+        # by edge and one coordinate at a time, then the curved boundary
+        # midsides; the triangles sharing a node give it the same point, as
+        # a + b == b + a.  np.take and per-coordinate passes run several times
+        # faster than fancy indexing of whole rows, and filling coords in
+        # place keeps the peak down.
         coords = self.coords = np.empty(self.tri_nodes.shape + (2,))        # (nt, 6, 2)
-        corner, mid = coords[:, :3], coords[:, 3:]
-        corner[:] = np.take(mesh.vertices, mesh.triangles, axis=0)
-        np.add(corner, np.take(corner, _EDGE_LOCALS[:, 1], axis=1), out=mid)
-        mid *= 0.5
+        coords[:, :3] = np.take(mesh.vertices, mesh.triangles, axis=0)
+        for e, (k, l) in enumerate(_EDGE_LOCALS):
+            for c in range(2):
+                mid = coords[:, 3 + e, c]
+                np.add(coords[:, k, c], coords[:, l, c], out=mid)
+                mid *= 0.5
         th = mesh.boundary_thetas
         coords[self.b_tri, 4] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
         self.node_xy = np.empty((self.n_nodes, 2))
@@ -509,8 +535,11 @@ class _PolarPreconditioner:
         on_circle = tri0[:, 3:] >= plan.n_in
         mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
 
-        # their element matrices by the assembly's kernel
-        ke = _element_stiffness(_CellMaps.of(xy, np.nonzero(np.any(on_circle, axis=1))[0]))
+        # their full element matrices, row 6k + l, by the assembly's kernel
+        # with its tables expanded by index: on so few cells a GEMM's rounding
+        # depends on its row count, and the 36-row product keeps the factor
+        # bitwise that of the full-matrix kernel
+        ke = _element_stiffness(_CellMaps.of(xy, np.nonzero(np.any(on_circle, axis=1))[0]), _FULL)
         a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
         keep = (a < plan.n_in) & (b < plan.n_in)
         a, b, v = a[keep], b[keep], v[keep]
@@ -774,41 +803,56 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _element_stiffness(maps: _CellMaps) -> np.ndarray:
-    """The element stiffness matrices entry-major, (36, nt): row 6k + l holds
-    entry (k, l) of every element.
+def _element_stiffness(maps: _CellMaps, entries: np.ndarray = np.arange(21)) -> np.ndarray:
+    """The 21 distinct entries of the symmetric element stiffness matrices,
+    entry-major, (21, nt): row r holds entry _UPPER[r] of every element, the
+    15 strict-upper entries first, then the diagonal.  entries = _FULL picks
+    the tables' columns by index and gives the full matrices, (36, nt) with
+    row 6k + l holding entry (k, l).
 
     An affine cell's matrix is its constant weighted metric (G00, G01, G11)
     det J / 2, G = J^-1 J^-T, against _KE_AFFINE; a curved cell sums the
-    metric at its 7 quadrature points against _KE.
+    metric at its 7 quadrature points against _KE.  Each is one GEMM over
+    every cell (or every curved cell): a GEMM split into row or column blocks
+    need not round as the whole one does.
     """
     a, b, c, d = maps.inv
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d])
     g *= 0.5 * maps.det
-    ke = _KE_AFFINE.T @ g
+    ke = np.take(_KE_AFFINE, entries, axis=1).T @ g
     a, b, c, d = maps.qp_inv
     # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
     g *= maps.qp_w[maps.curved].T[:, None, :]
-    ke[:, maps.curved] = _KE.T @ g.reshape(21, -1)
+    ke[:, maps.curved] = np.take(_KE, entries, axis=1).T @ g.reshape(21, -1)
     return ke
 
 
 def _assemble_interior(space: _P2Space):
     """Stiffness matrix and load vector of the interior unknowns.
 
-    The element matrices are summed straight into the plan's CSR pattern,
-    one bincount over its slots; the last bin collects the entries that
+    The 21 distinct entries of each element matrix are added in place into
+    a zeroed CSR data array of the plan's pattern: np.add.at sends all 21
+    through plan.slot_up to (i, j), then the 15 strict-upper ones again
+    through plan.slot_lo to (j, i).  The last slot collects the entries that
     touch a boundary node and is dropped, so no full matrix, COO triplet or
-    duplicate sum ever exists.  The load vector is the bincount over the node
-    ids, cut at n_in.
+    duplicate sum ever exists.  Each sum is the one the full 36-entry
+    matrices summed in (local entry, element) order give, to the bit: two
+    nodes share at most two triangles, so an off-diagonal entry gets at most
+    two terms, whose order cannot change their sum, and the diagonal entries
+    come last in the same (local entry, element) order.  The load vector is
+    the bincount over the node ids, cut at n_in.
     """
     plan = space.plan
     n_in = plan.n_in
-    data = np.bincount(plan.slot, _element_stiffness(space.maps).ravel(), plan.indices.size + 1)[:-1]
+    ke = _element_stiffness(space.maps)
+    data = np.zeros(plan.indices.size + 1)
+    np.add.at(data, plan.slot_up, ke.ravel())
+    np.add.at(data, plan.slot_lo, ke[:15].ravel())
+    del ke
     fe = (-DIM * space.qp_w) @ _N_AT_QP
     b_in = np.bincount(plan.tri_nodes.ravel(), fe.ravel())[:n_in]
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
+    return sp.csr_matrix((data[:-1], plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
 
 
 def solve_torsion(mesh: TriMesh) -> TorsionField:

@@ -325,6 +325,22 @@ def test_oracles_rejects_dimension_below_two(tmp_path, capsys, n):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("n", ["2", "5"])
+def test_oracles_rejects_dimension_without_fsup(tmp_path, capsys, n):
+    # --N only sets the dimension of --fsup; alone it would be ignored
+    assert cli.main(["oracles", "--N", n, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "argument --N: only valid with --fsup" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracles_fsup_defaults_to_dimension_two(tmp_path, capsys):
+    assert cli.main(["oracles", "--fsup", "--out", str(tmp_path)]) == 0
+    rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rec["computed"] == pytest.approx(1.0, abs=1e-6)
+    assert [p.name for p in tmp_path.iterdir()] == ["fsup_N2.json"]
+
+
 def checkout_env():
     """Environment whose PYTHONPATH puts the imported bubblestab first."""
     env = dict(os.environ)

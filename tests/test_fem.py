@@ -617,8 +617,10 @@ def test_folded_curved_element_raises_mesh_error():
 
 
 def test_solve_memory_peak_bounded():
-    # the assembly sets the solve's peak; building the full matrix and then
-    # slicing out the interior block needed 9.4 element-matrix arrays
+    # the assembly sets the solve's peak, in units of one full (36, nt)
+    # element-matrix array: building the full matrix and then slicing out the
+    # interior block needed 9.4, one bincount over 36 slots 2.63, and the
+    # 21-entry kernel added in place into the CSR data 1.24
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     mesh.space
     ke_bytes = 36 * mesh.triangles.shape[0] * 8
@@ -628,7 +630,7 @@ def test_solve_memory_peak_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 7 * ke_bytes
+    assert peak <= 2 * ke_bytes
 
 
 @pytest.fixture
@@ -639,8 +641,8 @@ def empty_plans(monkeypatch):
 
 
 def test_cold_plan_memory_peak_bounded(empty_plans):
-    # building the topology plan, the space and the solve together stays
-    # inside the bound of test_solve_memory_peak_bounded
+    # building the topology plan, the space and the solve together: 3.31
+    # full element-matrix arrays (4.78 with the 36-entry bincount assembly)
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     ke_bytes = 36 * mesh.triangles.shape[0] * 8
     tracemalloc.start()
@@ -651,7 +653,7 @@ def test_cold_plan_memory_peak_bounded(empty_plans):
     finally:
         tracemalloc.stop()
     assert list(empty_plans) == [(32, 128)]
-    assert peak <= 7 * ke_bytes
+    assert peak <= 4 * ke_bytes
 
 
 def test_plan_shared_per_topology(empty_plans):
@@ -671,7 +673,7 @@ def _plan_arrays(plan):
 
 def test_plan_arrays_read_only(empty_plans):
     arrays = _plan_arrays(fem.generate_mesh(FOURIER5, 8, 32).space.plan)
-    assert {"tri_nodes", "b_tri", "indptr", "indices", "slot"} <= set(arrays)
+    assert {"tri_nodes", "b_tri", "indptr", "indices", "slot_up", "slot_lo"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
 
@@ -691,33 +693,102 @@ def test_ninth_topology_evicts_oldest(empty_plans):
         assert arr.dtype == got[name].dtype and np.array_equal(arr, got[name]), name
 
 
+def _reference_element_stiffness(maps):
+    # the 36-entry kernel the 21-entry one replaced: the full element
+    # matrices entry-major, (36, nt), row 6k + l holding entry (k, l)
+    dd = fem._DN_AT_QP[:, :, None, :, None] * fem._DN_AT_QP[:, None, :, None, :]   # (q, k, l, d, e)
+    ke_qp = np.stack([dd[..., 0, 0], dd[..., 0, 1] + dd[..., 1, 0], dd[..., 1, 1]], axis=1).reshape(21, 36)
+    ke_affine = (fem._QW @ ke_qp.reshape(7, 108)).reshape(3, 36)
+    a, b, c, d = maps.inv
+    g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d])
+    g *= 0.5 * maps.det
+    ke = ke_affine.T @ g
+    a, b, c, d = maps.qp_inv
+    g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
+    g *= maps.qp_w[maps.curved].T[:, None, :]
+    ke[:, maps.curved] = ke_qp.T @ g.reshape(21, -1)
+    return ke
+
+
 def _reference_interior_matrix(space, ke):
-    # the element matrices ke (36, nt) assembled as before the plan: COO
-    # triplets without the Dirichlet rows and columns (ids >= n_in),
-    # converted to CSR with the duplicates summed
+    # the full element matrices ke (36, nt) assembled as before the plan: COO
+    # triplets in (local entry, element) order without the Dirichlet rows and
+    # columns (ids >= n_in), converted to CSR with each entry's duplicates
+    # summed left to right in that order.  scipy's sum_duplicates is not
+    # used: it sorts the duplicates first, in no fixed order
     n_in = space.plan.n_in
     el = space.tri_nodes.T
     rows, cols = np.repeat(el, 6, axis=0).ravel(), np.tile(el, (6, 1)).ravel()
     keep = (rows < n_in) & (cols < n_in)
-    shape = (n_in, n_in)
-    ref = sp.coo_matrix((ke.ravel()[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
-    ref.sum_duplicates()
-    return ref
+    rows, cols, vals = rows[keep], cols[keep], ke.ravel()[keep]
+    order = np.lexsort((cols, rows))    # stable: duplicates keep their order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])])
+    entry = np.repeat(np.arange(first.size), np.diff(np.r_[first, rows.size]))
+    rank = np.arange(rows.size) - first[entry]
+    data = np.zeros(first.size)
+    for r in range(rank.max() + 1):
+        at = rank == r
+        data[entry[at]] += vals[at]
+    indptr = np.searchsorted(rows[first], np.arange(n_in + 1))
+    return sp.csr_matrix((data, cols[first], indptr), shape=(n_in, n_in))
+
+
+_ASSEMBLY_DOMAINS = {
+    "fourier5": FOURIER5,
+    "ellipse": geometry.StarDomain.ellipse(1.5, 1.0),
+    "two_lobe": geometry.StarDomain(1.0, [0.0, 0.0, 0.5]),
+}
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (16, 64), (32, 128), (64, 256)])
 def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
-    space = fem.generate_mesh(FOURIER5, n_radial, n_angular).space
-    a_in, _ = fem._assemble_interior(space)
-    ref = _reference_interior_matrix(space, fem._element_stiffness(space.maps))
-    assert np.array_equal(a_in.indptr, ref.indptr)
-    assert np.array_equal(a_in.indices, ref.indices)
-    assert np.max(np.abs(a_in.data - ref.data)) <= 1e-13 * np.max(np.abs(ref.data))
+    # the 21 distinct entries scattered through slot_up and slot_lo sum to
+    # the bit what the full matrices summed in (local entry, element) order
+    # give: an off-diagonal entry gets at most two terms, and the diagonal
+    # ones keep that order
+    for name, domain in _ASSEMBLY_DOMAINS.items():
+        space = fem.generate_mesh(domain, n_radial, n_angular).space
+        a_in, _ = fem._assemble_interior(space)
+        ke = _reference_element_stiffness(space.maps)
+        assert np.array_equal(fem._element_stiffness(space.maps)[fem._FULL], ke), name
+        ref = _reference_interior_matrix(space, ke)
+        assert np.array_equal(a_in.indptr, ref.indptr), name
+        assert np.array_equal(a_in.indices, ref.indices), name
+        assert np.array_equal(a_in.data, ref.data), name
     # the centre (dof 0, whose row starts with itself) sums one diagonal entry
     # per fan triangle; a count kept in a narrow integer type wraps at 128
     # sectors and drops this entry
     assert a_in.indices[0] == 0
-    assert np.count_nonzero(space.plan.slot == 0) == n_angular
+    assert np.count_nonzero(space.plan.slot_up == 0) == n_angular
+    assert not np.any(space.plan.slot_lo == 0)
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (64, 256)])
+def test_preconditioner_factor_matches_full_kernel(monkeypatch, empty_plans, n_radial, n_angular):
+    # the preconditioner forms its few element matrices by the kernel with
+    # its tables expanded to all 36 entries, so its factor is bitwise the one
+    # the full-matrix reference kernel gives
+    mesh = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular)
+    plan = mesh.space.plan
+    monkeypatch.setattr(fem, "_element_stiffness", lambda maps, entries: _reference_element_stiffness(maps))
+    ref = fem._PolarPreconditioner(plan, fem._polar_lattice(n_radial, n_angular), mesh.radial_fractions)
+    assert np.array_equal(plan.precond.factor, ref.factor)
+
+
+def _reference_h(mesh):
+    # the longest edge of every triangle, from the gathered vertices: how
+    # generate_mesh took h before it read h off the vertex lattice
+    p = mesh.vertices[mesh.triangles]
+    edge_vec = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
+    return float(np.max(np.hypot(edge_vec[:, 0], edge_vec[:, 1])))
+
+
+@pytest.mark.parametrize("name", sorted(_ASSEMBLY_DOMAINS))
+@pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128), (64, 256)])
+def test_mesh_h_is_longest_triangle_edge(name, n_radial, n_angular):
+    mesh = fem.generate_mesh(_ASSEMBLY_DOMAINS[name], n_radial, n_angular)
+    assert mesh.h == _reference_h(mesh)
 
 
 def _reference_polar_lattice(mesh):

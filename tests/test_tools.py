@@ -97,3 +97,32 @@ def test_golden_compare_lists_every_mismatch(tmp_path):
     (line,) = [line for line in report.getvalue().splitlines() if line.startswith("case/report.json")]
     differ = line.split("DIFFER at ")[1].split("; worst")[0].split(", ")
     assert differ == ["[0]/holds", "[0]/note", "[0]/rows (length)", "[0]/theorem", "[1]/holds", "[1]/rows[0]", "[1]/theorem"]
+
+
+def test_golden_compare_ranks_moves_by_field_scale(tmp_path):
+    # a coordinate that is 0 by symmetry holds only round-off: relative to
+    # its own size it moves by O(1), relative to its point by O(1e-14), so a
+    # real move of 2e-4 heads the list.  A CSV field is a column
+    runs = [tmp_path / name for name in ("a", "b")]
+    payloads = (
+        {"x0": [0.75, 9.1e-15], "probe_diff": 1.0e-9, "rows": [{"z": [0.5, 2e-15]}, {"z": [0.25, 0.0]}]},
+        {"x0": [0.75, 4e-16], "probe_diff": 1.0002e-9, "rows": [{"z": [0.5, -3e-15]}, {"z": [0.25, 0.0]}]},
+    )
+    tables = ("t,gap\n0.1,0.001\n0.2,2e-15\n", "t,gap\n0.1,0.001\n0.2,1e-15\n")
+    for run, payload, table in zip(runs, payloads, tables):
+        (run / "case").mkdir(parents=True)
+        for name in golden._RUN_FILES:
+            (run / name).write_text(json.dumps({"case": 0}))
+        (run / "case" / "report.json").write_text(json.dumps(payload))
+        (run / "case" / "sweep.csv").write_text(table)
+    report = io.StringIO()
+    assert golden.compare(*map(str, runs), file=report)
+    lines = report.getvalue().splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("case/report.json")))
+    assert "worst abs 2e-13 at /probe_diff; worst rel 0.0002 at /probe_diff" in lines[start]
+    moved = lines[start + 1 : start + 4]
+    assert [line.split(":")[0] for line in moved] == ["    /probe_diff", "    /x0[1]", "    /rows[0]/z[1]"]
+    assert moved[1] == "    /x0[1]: abs %.3g, rel %.3g" % (9.1e-15 - 4e-16, (9.1e-15 - 4e-16) / 0.75)
+    assert moved[2] == "    /rows[0]/z[1]: abs 5e-15, rel 1e-14"
+    start = lines.index(next(line for line in lines if line.startswith("case/sweep.csv")))
+    assert lines[start + 1 :] == ["    [2][1]: abs 1e-15, rel 1e-12"]

@@ -23,8 +23,13 @@ non-float field (keys, lengths, strings, integers, booleans, nulls) is equal,
 or else the path of every one that differs, and the worst absolute and
 relative move of its floats, with where it happens, and under that one
 indented line per moved float with its absolute and relative move, largest
-relative move first.  It exits 0 when the exit
-codes and every non-float field agree, and 1 otherwise.
+relative move first.  A move is relative to the largest magnitude its field
+takes in either file, a field being a JSON path with its list indices
+dropped (all the rows' z, both coordinates) or a CSV column, so a
+coordinate that is 0 by symmetry, and holds only round-off, is ranked by
+the size of its point unless the point's other coordinate is 0 too.  It
+exits 0 when the exit codes and every non-float field agree, and 1
+otherwise.
 """
 from __future__ import annotations
 
@@ -33,6 +38,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -93,13 +99,18 @@ def _load(path: str):
 
 
 class _Moves:
-    """Walks two parsed files side by side."""
+    """Walks two parsed files side by side.
 
-    def __init__(self):
+    field(path) names the field of the float at path; scale holds the
+    largest magnitude of each field in either file.
+    """
+
+    def __init__(self, field):
+        self.field = field
         self.mismatch = []      # paths whose non-float content differs
-        self.worst_abs = (0.0, "")
-        self.worst_rel = (0.0, "")
-        self.moved = []         # (rel, abs, path) per moved float
+        self.scale = {}
+        self.worst_abs = (0.0, "-")
+        self.moved = []         # (abs, path) per moved float
 
     def walk(self, a, b, path: str) -> None:
         if isinstance(a, float) and isinstance(b, float):
@@ -118,16 +129,35 @@ class _Moves:
             self.mismatch.append(path)
 
     def _floats(self, a: float, b: float, path: str) -> None:
+        field = self.field(path)
+        for v in (abs(a), abs(b)):
+            if v > self.scale.get(field, 0.0):
+                self.scale[field] = v
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         move = abs(a - b)
-        scale = max(abs(a), abs(b))
-        rel = move / scale if scale > 0.0 else 0.0
-        self.moved.append((rel, move, path))
+        self.moved.append((move, path))
         if not move <= self.worst_abs[0]:
             self.worst_abs = (move, path)
-        if not rel <= self.worst_rel[0]:
-            self.worst_rel = (rel, path)
+
+    def ranked(self) -> list:
+        """(rel, abs, path) per moved float, the largest relative move first;
+        a move to or from NaN or inf counts as infinitely large."""
+        out = []
+        for move, path in self.moved:
+            scale = self.scale.get(self.field(path), 0.0)
+            rel = move / scale if scale > 0.0 else 0.0
+            out.append((math.inf if math.isnan(rel) else rel, move, path))
+        return sorted(out, key=lambda m: m[0], reverse=True)
+
+
+def _json_field(path: str) -> str:
+    return re.sub(r"\[\d+\]", "", path)
+
+
+def _csv_field(path: str) -> str:
+    # a cell's path is [row][column]
+    return re.sub(r"^\[\d+\]", "", path)
 
 
 def _files(root: str) -> set:
@@ -158,22 +188,22 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
         print("%s: only in %s" % (name, a if name in files_a else b), file=file)
         same = False
     for name in sorted(files_a & files_b):
-        moves = _Moves()
+        moves = _Moves(_csv_field if name.endswith(".csv") else _json_field)
         moves.walk(_load(os.path.join(a, name)), _load(os.path.join(b, name)), "")
         same = same and not moves.mismatch
+        ranked = moves.ranked()
+        worst_rel = ranked[0][::2] if ranked else (0.0, "-")
         print(
             "%s: non-float fields %s; worst abs %.3g at %s; worst rel %.3g at %s"
             % (
                 name,
                 "equal" if not moves.mismatch else "DIFFER at " + ", ".join(moves.mismatch),
-                moves.worst_abs[0],
-                moves.worst_abs[1] or "-",
-                moves.worst_rel[0],
-                moves.worst_rel[1] or "-",
+                *moves.worst_abs,
+                *worst_rel,
             ),
             file=file,
         )
-        for rel, move, path in sorted(moves.moved, key=lambda m: m[0], reverse=True):
+        for rel, move, path in ranked:
             print("    %s: abs %.3g, rel %.3g" % (path, move, rel), file=file)
     return same
 
