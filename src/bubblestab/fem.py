@@ -632,7 +632,7 @@ def _pcg(a_mat, b: np.ndarray, precond):
 class TorsionField:
     """Discrete torsion function on one mesh.
 
-    u holds nodal values at all P2 nodes of space, in the plan's lattice
+    u holds nodal values at all P2 nodes of mesh.space, in the plan's lattice
     numbering: the interior nodes first, the boundary nodes, where u = 0, last.
     residual_norm and iterations report the conjugate-gradient solve; area is
     the quadrature area of the curved cells.  M, min_points and
@@ -651,7 +651,10 @@ class TorsionField:
     residual_norm: float
     iterations: int
     area: float
-    space: "_P2Space"
+
+    @property
+    def space(self) -> "_P2Space":
+        return self.mesh.space
 
     @functools.cached_property
     def M(self) -> float:
@@ -875,7 +878,6 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
         residual_norm=relres,
         iterations=iters,
         area=float(np.sum(space.qp_w)),
-        space=space,
     )
 
 

@@ -14,6 +14,8 @@ import numpy as np
 
 # The package is planar only: every dimension-dependent formula reads this.
 DIM = 2
+# StarDomain.ellipse drops the Fourier coefficients below this times max(a, b).
+_ELLIPSE_TOL = 1e-15
 
 
 class DomainError(ValueError):
@@ -64,13 +66,13 @@ class StarDomain:
         return cls(base_radius=radius, center=np.asarray(center, dtype=float))
 
     @classmethod
-    def ellipse(cls, a: float, b: float, center=(0.0, 0.0), tol: float = 1e-15) -> "StarDomain":
+    def ellipse(cls, a: float, b: float, center=(0.0, 0.0)) -> "StarDomain":
         """Ellipse with semi-axes a, b as a truncated Fourier radius.
 
         rho(theta) = a b / sqrt(b^2 cos^2 + a^2 sin^2) is analytic, so its
         Fourier coefficients decay geometrically; the series is truncated once
-        coefficients fall below tol * max(a, b).  For moderate aspect ratios
-        the truncation error sits at round-off level.
+        coefficients fall below _ELLIPSE_TOL * max(a, b).  For moderate aspect
+        ratios the truncation error sits at round-off level.
         """
         if a <= 0.0 or b <= 0.0:
             raise DomainError("ellipse semi-axes must be positive")
@@ -81,7 +83,7 @@ class StarDomain:
         base = float(f[0].real) / n
         ak = 2.0 * f[1:].real / n
         bk = -2.0 * f[1:].imag / n
-        keep = max(np.nonzero(np.abs(ak) + np.abs(bk) > tol * max(a, b))[0], default=-1) + 1
+        keep = max(np.nonzero(np.abs(ak) + np.abs(bk) > _ELLIPSE_TOL * max(a, b))[0], default=-1) + 1
         return cls(base_radius=base, cos_coeffs=ak[:keep], sin_coeffs=bk[:keep], center=np.asarray(center, dtype=float))
 
     # -- radius and derivatives ---------------------------------------------
@@ -127,21 +129,24 @@ class StarDomain:
 
     def point(self, theta: np.ndarray) -> np.ndarray:
         """Boundary point(s) at parameter theta, shape (..., 2)."""
-        theta = np.asarray(theta, dtype=float)
-        rho = self.radius(theta)
-        return self.center + np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
+        return self._frame(theta, *self.radius_derivatives(theta, (0, 1)))[0]
 
     def normal(self, theta: np.ndarray) -> np.ndarray:
-        """Outward unit normal(s) at parameter theta, shape (..., 2).
+        """Outward unit normal(s) at parameter theta, shape (..., 2)."""
+        return self._frame(theta, *self.radius_derivatives(theta, (0, 1)))[1]
 
-        The tangent is (rho' e_r + rho e_t)/speed, so the outward normal is
+    def _frame(self, theta: np.ndarray, rho: np.ndarray, d1: np.ndarray):
+        """(points, outward unit normals, speed) at theta from rho and rho'.
+
+        The point is center + rho e_r.  The counterclockwise tangent is
+        (rho' e_r + rho e_t)/speed, so the outward normal is
         (rho e_r - rho' e_t)/speed with speed = sqrt(rho^2 + rho'^2).
         """
-        theta = np.asarray(theta, dtype=float)
-        rho, d1 = self.radius_derivatives(theta, (0, 1))
         ct, st = np.cos(theta), np.sin(theta)
         speed = np.sqrt(rho * rho + d1 * d1)
-        return np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
+        points = self.center + np.stack([rho * ct, rho * st], axis=-1)
+        normals = np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
+        return points, normals, speed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,15 +174,32 @@ class BoundaryTrace:
     def n_samples(self) -> int:
         return self.thetas.size
 
+    @property
+    def min_curvature(self) -> float:
+        """min H over the samples.  Its sign decides what applies:
+        Payne-Weinberger needs H >= 0 (curvature_nonnegative), every integral
+        of 1/H needs H > 0 (curvature_positive).  Properties, not fields, so
+        that dataclasses.replace cannot leave them stale."""
+        return float(np.min(self.curvatures))
+
+    @property
+    def curvature_nonnegative(self) -> bool:
+        """H >= 0 at every sample."""
+        return self.min_curvature >= 0.0
+
+    @property
+    def curvature_positive(self) -> bool:
+        """H > 0 at every sample."""
+        return self.min_curvature > 0.0
+
 
 def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     """Sample the boundary at n_samples uniform theta values.
 
     Curvature of the polar graph: (rho^2 + 2 rho'^2 - rho rho'') / (rho^2 + rho'^2)^(3/2).
-    Points and outward normals are the expressions of StarDomain.point and
-    StarDomain.normal (the boundary runs counterclockwise), formed from the
-    rho and rho' computed here, so each of rho, rho' and rho'' is evaluated
-    once.
+    Points and outward normals come from StarDomain._frame, as in
+    StarDomain.point and StarDomain.normal, so each of rho, rho' and rho'' is
+    evaluated once.
     """
     if n_samples < 8:
         raise DomainError("n_samples must be at least 8, got %d" % n_samples)
@@ -185,12 +207,9 @@ def boundary_trace(domain: StarDomain, n_samples: int) -> BoundaryTrace:
     rho, d1, d2 = domain.radius_derivatives(theta, (0, 1, 2))
     if np.any(rho <= 0.0):
         raise DomainError("boundary radius must stay positive on the sample grid")
-    ct, st = np.cos(theta), np.sin(theta)
-    speed = np.sqrt(rho * rho + d1 * d1)
+    points, normals, speed = domain._frame(theta, rho, d1)
     curv = (rho * rho + 2.0 * d1 * d1 - rho * d2) / speed**3
     weights = speed * (2.0 * np.pi / n_samples)
-    points = domain.center + np.stack([rho * ct, rho * st], axis=-1)
-    normals = np.stack([(rho * ct + d1 * st) / speed, (rho * st - d1 * ct) / speed], axis=-1)
     return BoundaryTrace(thetas=theta, radii=rho, points=points, normals=normals, curvatures=curv, weights=weights)
 
 
@@ -235,7 +254,7 @@ def rho_bounds(trace: BoundaryTrace, z) -> tuple[float, float]:
     return float(np.min(dist)), float(np.max(dist))
 
 
-# Rows of the pair kernel per block: each (32, n) float temporary is 256 KB at
+# Rows of the pair scan per block: each (32, n) float temporary is 256 KB at
 # n = 1024, so the working set of one block stays in cache.
 _PAIR_BLOCK = 32
 
@@ -249,50 +268,26 @@ def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
     the interior ball B(x - s nu, s) stays inside iff
     s <= |y - x|^2 / (2 nu . (x - y)) for all boundary points y on the inner
     side; the exterior ball mirrors the sign.  The minimum over samples gives
-    the radius at x, and the minimum over x is the uniform radius.  Both are capped at ``cap`` (unconstrained directions
-    give an infinite supremum).
-
-    All pairs are scanned in blocks of _PAIR_BLOCK rows with preallocated
-    temporaries: q = |y - x|^2 and P = (2 nu_x) . (y - x), so q / P is the
-    signed ratio above.  Doubling is exact, so P < -2 tiny selects exactly the
-    pairs with nu . (y - x) < -tiny and q / P equals q / (2 nu . (y - x)) bit
-    for bit: the result is the same float as a direct pair-by-pair minimum
-    (the reference scan in tests/test_geometry.py).  The exterior pass runs
-    only in blocks that have a pair with P > 2 tiny, which never happens on a
-    convex trace.
+    the radius at x, and the minimum over x is the uniform radius.  Both are
+    capped at ``cap`` (unconstrained directions give an infinite supremum).
+    The exterior pass runs only in blocks that have a pair on the outer side,
+    which never happens on a convex trace.
     """
-    x = np.ascontiguousarray(trace.points[:, 0])
-    y = np.ascontiguousarray(trace.points[:, 1])
-    nx2 = 2.0 * trace.normals[:, 0]
-    ny2 = 2.0 * trace.normals[:, 1]
-    n = x.size
-    tiny2 = 2.0 * (1e-14 * max(cap, 1.0))
-    b = min(_PAIR_BLOCK, n)
-    dx, dy, p, q = (np.empty((b, n)) for _ in range(4))
-    mask = np.empty((b, n), dtype=bool)
-    s_int_max = -np.inf  # interior radius = -max of q/P over pairs with P < -2 tiny
-    s_ext = np.inf
-    for lo in range(0, n, b):
-        hi = min(lo + b, n)
-        m = hi - lo
-        bx, by, bp, bq, bm = dx[:m], dy[:m], p[:m], q[:m], mask[:m]
-        np.subtract(x, x[lo:hi, None], out=bx)  # y - x
-        np.subtract(y, y[lo:hi, None], out=by)
-        np.multiply(bx, bx, out=bq)
-        np.multiply(by, by, out=bp)
-        bq += bp
-        bx *= nx2[lo:hi, None]
-        by *= ny2[lo:hi, None]
-        np.add(bx, by, out=bp)
+    x, y = trace.points.T
+    nx, ny = trace.normals.T
+    tiny = 1e-14 * max(cap, 1.0)
+    s_int, s_ext = -np.inf, np.inf  # r_int = -max s over p < -tiny, r_ext = min s over p > tiny
+    for lo in range(0, x.size, _PAIR_BLOCK):
+        rows = slice(lo, lo + _PAIR_BLOCK)
+        dx = x - x[rows, None]  # y - x
+        dy = y - y[rows, None]
+        p = dx * nx[rows, None] + dy * ny[rows, None]
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
-            np.divide(bq, bp, out=bq)
-        if bp.max() > tiny2:
-            np.greater(bp, tiny2, out=bm)
-            s_ext = min(s_ext, float(np.min(bq, where=bm, initial=np.inf)))
-        np.greater_equal(bp, -tiny2, out=bm)
-        np.copyto(bq, -np.inf, where=bm)
-        s_int_max = max(s_int_max, float(bq.max()))
-    return float(min(cap, -s_int_max)), float(min(cap, s_ext))
+            s = (dx * dx + dy * dy) / (2.0 * p)
+        s_int = max(s_int, float(np.max(s, where=p < -tiny, initial=-np.inf)))
+        if p.max() > tiny:
+            s_ext = min(s_ext, float(np.min(s, where=p > tiny, initial=np.inf)))
+    return float(min(cap, -s_int)), float(min(cap, s_ext))
 
 
 # Newton steps on kappa' = 0 at most; from within a sample spacing of a

@@ -125,7 +125,7 @@ def identity_suite(
         ),
     ]
 
-    if float(np.min(h_curv)) > 0.0:
+    if trace.curvature_positive:
         lhs = deficit_over + float(np.sum(w * (1.0 - h_curv * u_nu) ** 2 / h_curv))
         rhs = heintze_karcher_gap(trace, area)
         reports.append(_report("heintze_karcher", lhs, rhs, scale))
@@ -169,7 +169,7 @@ def serrin_checks(
     r_ref = summary.R_ref
     scale = DIM * summary.area
 
-    l1 = unu_recip_h_l1(trace, u_nu) if float(np.min(h_curv)) > 0.0 else None
+    l1 = unu_recip_h_l1(trace, u_nu) if trace.curvature_positive else None
     lhs = deficit.cs_deficit / (DIM - 1)
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = _report("fundamental2", lhs, rhs, scale).residual_rel

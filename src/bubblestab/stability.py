@@ -83,18 +83,16 @@ class DeviationNorms:
 
 
 def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: GeometrySummary) -> DeviationNorms:
-    h = trace.curvatures
     w = trace.weights
-    diff = summary.H0 - h
-    min_h = float(np.min(h))
+    diff = summary.H0 - trace.curvatures
     hk = obvp = None
-    if min_h > 0.0:
+    if trace.curvature_positive:
         hk = heintze_karcher_gap(trace, summary.area)
         obvp = unu_recip_h_l1(trace, boundary_normal_derivative(field, trace.thetas))
     return DeviationNorms(
         h0_minus_h_l1=float(np.sum(w * np.abs(diff))),
         h0_minus_h_inf=float(np.max(np.abs(diff))),
-        min_h=min_h,
+        min_h=trace.min_curvature,
         hk_deficit=hk,
         obvp_l1=obvp,
     )
@@ -371,8 +369,8 @@ def analyze_domain(
     summary = geometry_summary(domain, trace)
     mesh = generate_mesh(domain, n_radial, n_angular)
     field = solve_torsion(mesh)
-    if float(np.min(trace.curvatures)) >= 0.0:
-        # convex (H >= 0): the Payne-Weinberger bound pi^2/d^2 holds
+    if trace.curvature_nonnegative:
+        # convex: the Payne-Weinberger bound pi^2/d^2 holds
         mu2 = mu2_lower_convex(summary.diameter)
     else:
         mu2 = params.mu2

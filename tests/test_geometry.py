@@ -175,8 +175,7 @@ def test_touching_radii_concave_boundary_bounds_exterior():
 
 def _reference_touching_radii(trace, cap):
     # the 256-row dense scan that touching_radii replaced, kept verbatim
-    # (less its argmins) as the reference the block kernel must match bit
-    # for bit
+    # (less its argmins) as the reference the pair scan must match bit for bit
     pts, nrm = trace.points, trace.normals
     n = pts.shape[0]
     tiny = 1e-14 * max(cap, 1.0)

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bubblestab import fem, geometry, stability
+from bubblestab import fem, geometry, identities, stability
+from test_geometry import _reference_touching_radii
 
 
 def two_lobe():
@@ -158,6 +159,28 @@ def test_inapplicable_theorem_keeps_the_other_reports():
         assert rep == stability.NotApplicableReport(
             theorem, "high_dim", "%s variant needs strictly positive boundary curvature" % theorem
         )
+
+
+def test_exact_zero_curvature_splits_every_reader():
+    # cos3 at t = 0.1 on 1,024 samples has sampled min H exactly 0.0: every
+    # reader of H >= 0 applies and every reader of H > 0 does not, and the
+    # convexity certificate refuses the trace, so its radii come from the pair scan
+    dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.1]))
+    a = stability.analyze_domain(dom, n_radial=8, n_angular=32, n_trace=1024, theorems=stability.THEOREMS)
+    tr = a.trace
+    assert tr.min_curvature == 0.0 and tr.curvature_nonnegative and not tr.curvature_positive
+    assert geometry._certified_max_curvature(dom, tr) is None
+    main, main_cm, hk, mean_convex, obvp = a.reports
+    assert main.mu_source == main_cm.mu_source == "lower_bound"  # Payne-Weinberger
+    assert all(isinstance(r, stability.NotApplicableReport) for r in (hk, mean_convex, obvp))
+    assert a.deviation.hk_deficit is None and a.deviation.obvp_l1 is None
+    u_nu = fem.boundary_normal_derivative(a.field, tr.thetas)
+    deficit = identities.cs_deficit(a.field)
+    suite = {r.name: r for r in identities.identity_suite(a.field, tr, a.summary, u_nu, deficit)}
+    assert not suite["heintze_karcher"].applicable
+    assert identities.serrin_checks(tr, a.summary, u_nu, deficit).unu_recip_h_l1 is None
+    radii = _reference_touching_radii(tr, a.summary.diameter)
+    assert (a.summary.r_interior, a.summary.r_exterior) == radii
 
 
 def test_min_point_variants_read_the_spectral_x0(disk_analysis, ellipse_analysis, cos3_analysis):

@@ -122,7 +122,33 @@ def test_golden_compare_ranks_moves_by_field_scale(tmp_path):
     assert "worst abs 2e-13 at /probe_diff; worst rel 0.0002 at /probe_diff" in lines[start]
     moved = lines[start + 1 : start + 4]
     assert [line.split(":")[0] for line in moved] == ["    /probe_diff", "    /x0[1]", "    /rows[0]/z[1]"]
-    assert moved[1] == "    /x0[1]: abs %.3g, rel %.3g" % (9.1e-15 - 4e-16, (9.1e-15 - 4e-16) / 0.75)
-    assert moved[2] == "    /rows[0]/z[1]: abs 5e-15, rel 1e-14"
+    # both coordinates sit below 1e-12 of the file's largest float, 0.75:
+    # round-off, listed last with the absolute move only
+    assert moved[1] == "    /x0[1]: abs %.3g" % (9.1e-15 - 4e-16)
+    assert moved[2] == "    /rows[0]/z[1]: abs 5e-15"
     start = lines.index(next(line for line in lines if line.startswith("case/sweep.csv")))
-    assert lines[start + 1 :] == ["    [2][1]: abs 1e-15, rel 1e-12"]
+    assert lines[start + 1 :] == ["    [2][1]: abs 1e-15"]
+
+
+def test_golden_compare_lists_round_off_last(tmp_path):
+    # x0 is 0 by symmetry in both coordinates, so its field holds nothing
+    # larger than round-off; its 1e-14 move must rank below the 1e-9 relative
+    # move of r_exterior, and below z[1], which is small but not round-off
+    runs = [tmp_path / name for name in ("a", "b")]
+    payloads = (
+        {"x0": [1.7e-14, 2.5e-15], "r_exterior": 2.0, "z": [0.5, 1e-10]},
+        {"x0": [2.7e-14, 2.5e-15], "r_exterior": 2.0 + 2e-9, "z": [0.5, 1.5e-10]},
+    )
+    for run, payload in zip(runs, payloads):
+        (run / "case").mkdir(parents=True)
+        for name in golden._RUN_FILES:
+            (run / name).write_text(json.dumps({"case": 0}))
+        (run / "case" / "report.json").write_text(json.dumps(payload))
+    report = io.StringIO()
+    assert golden.compare(*map(str, runs), file=report)
+    lines = report.getvalue().splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("case/report.json")))
+    assert lines[start].endswith("worst rel %.3g at /r_exterior" % ((2.0 + 2e-9 - 2.0) / (2.0 + 2e-9)))
+    assert [line.split(":")[0] for line in lines[start + 1 :]] == ["    /r_exterior", "    /z[1]", "    /x0[0]"]
+    assert lines[-2] == "    /z[1]: abs %.3g, rel %.3g" % (1.5e-10 - 1e-10, (1.5e-10 - 1e-10) / 0.5)
+    assert lines[-1] == "    /x0[0]: abs %.3g" % (2.7e-14 - 1.7e-14)

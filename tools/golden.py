@@ -27,7 +27,10 @@ relative move first.  A move is relative to the largest magnitude its field
 takes in either file, a field being a JSON path with its list indices
 dropped (all the rows' z, both coordinates) or a CSV column, so a
 coordinate that is 0 by symmetry, and holds only round-off, is ranked by
-the size of its point unless the point's other coordinate is 0 too.  It
+the size of its point.  A move between two values that are each below
+_ROUND_OFF times the largest float magnitude in either file (a point whose
+coordinates are both 0 by symmetry) is round-off: it is listed last, with
+its absolute move only, and never counts as the worst relative move.  It
 exits 0 when the exit codes and every non-float field agree, and 1
 otherwise.
 """
@@ -62,6 +65,8 @@ GOLDEN = (
 )
 # what run writes next to the cases, not compared as outputs
 _RUN_FILES = ("exit_codes.json", "wall_s.json")
+# relative to a file's largest float magnitude, the size of round-off
+_ROUND_OFF = 1e-12
 
 
 def run(out: str, cases=GOLDEN, src: str = os.path.join(ROOT, "src")) -> dict:
@@ -102,15 +107,17 @@ class _Moves:
     """Walks two parsed files side by side.
 
     field(path) names the field of the float at path; scale holds the
-    largest magnitude of each field in either file.
+    largest magnitude of each field in either file, and largest that of
+    every float in either file.
     """
 
     def __init__(self, field):
         self.field = field
         self.mismatch = []      # paths whose non-float content differs
         self.scale = {}
+        self.largest = 0.0
         self.worst_abs = (0.0, "-")
-        self.moved = []         # (abs, path) per moved float
+        self.moved = []         # (abs, path, the two values) per moved float
 
     def walk(self, a, b, path: str) -> None:
         if isinstance(a, float) and isinstance(b, float):
@@ -133,22 +140,29 @@ class _Moves:
         for v in (abs(a), abs(b)):
             if v > self.scale.get(field, 0.0):
                 self.scale[field] = v
+            if v > self.largest and not math.isinf(v):
+                self.largest = v
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
         move = abs(a - b)
-        self.moved.append((move, path))
+        self.moved.append((move, path, (a, b)))
         if not move <= self.worst_abs[0]:
             self.worst_abs = (move, path)
 
-    def ranked(self) -> list:
-        """(rel, abs, path) per moved float, the largest relative move first;
-        a move to or from NaN or inf counts as infinitely large."""
-        out = []
-        for move, path in self.moved:
+    def ranked(self) -> tuple:
+        """(real, round_off): (rel, abs, path) per moved float, the largest
+        relative move first, and (abs, path) per round-off move, the largest
+        first.  A move to or from NaN or inf counts as infinitely large."""
+        real, round_off = [], []
+        limit = _ROUND_OFF * self.largest
+        for move, path, (a, b) in self.moved:
+            if abs(a) < limit and abs(b) < limit:
+                round_off.append((move, path))
+                continue
             scale = self.scale.get(self.field(path), 0.0)
             rel = move / scale if scale > 0.0 else 0.0
-            out.append((math.inf if math.isnan(rel) else rel, move, path))
-        return sorted(out, key=lambda m: m[0], reverse=True)
+            real.append((math.inf if math.isnan(rel) else rel, move, path))
+        return sorted(real, key=lambda m: m[0], reverse=True), sorted(round_off, reverse=True)
 
 
 def _json_field(path: str) -> str:
@@ -191,7 +205,7 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
         moves = _Moves(_csv_field if name.endswith(".csv") else _json_field)
         moves.walk(_load(os.path.join(a, name)), _load(os.path.join(b, name)), "")
         same = same and not moves.mismatch
-        ranked = moves.ranked()
+        ranked, round_off = moves.ranked()
         worst_rel = ranked[0][::2] if ranked else (0.0, "-")
         print(
             "%s: non-float fields %s; worst abs %.3g at %s; worst rel %.3g at %s"
@@ -205,6 +219,8 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
         )
         for rel, move, path in ranked:
             print("    %s: abs %.3g, rel %.3g" % (path, move, rel), file=file)
+        for move, path in round_off:
+            print("    %s: abs %.3g" % (path, move), file=file)
     return same
 
 
