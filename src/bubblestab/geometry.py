@@ -259,35 +259,43 @@ def rho_bounds(trace: BoundaryTrace, z) -> tuple[float, float]:
 _PAIR_BLOCK = 32
 
 
-def touching_radii(trace: BoundaryTrace, cap: float) -> tuple[float, float]:
-    """Largest uniform interior / exterior tangent-ball radii (r_int, r_ext)
-    by a scan over all sample pairs, O(n^2).
+def touching_radii(trace: BoundaryTrace) -> tuple[float, float, float]:
+    """Largest uniform interior / exterior tangent-ball radii and the
+    diameter, (r_int, r_ext, d), by one scan over all sample pairs, O(n^2).
 
     geometry_summary calls it only for traces that _certified_max_curvature
     does not certify convex.  For a boundary point x with outward normal nu,
     the interior ball B(x - s nu, s) stays inside iff
     s <= |y - x|^2 / (2 nu . (x - y)) for all boundary points y on the inner
     side; the exterior ball mirrors the sign.  The minimum over samples gives
-    the radius at x, and the minimum over x is the uniform radius.  Both are
-    capped at ``cap`` (unconstrained directions give an infinite supremum).
-    The exterior pass runs only in blocks that have a pair on the outer side,
-    which never happens on a convex trace.
+    the radius at x, and the minimum over x is the uniform radius.  d is the
+    largest |y - x|, the same float as the maximum of pdist, and both radii
+    are capped at d (unconstrained directions give an infinite supremum).
+    Pairs with |nu . (y - x)| <= tiny, 1e-14 times the bounding-box diagonal
+    (between d and sqrt(2) d) or 1, whichever is larger, constrain neither
+    radius: a sample within round-off of x would give s ~ 0.  The exterior
+    pass runs only in blocks that have a pair on the outer side, which never
+    happens on a convex trace.
     """
     x, y = trace.points.T
     nx, ny = trace.normals.T
-    tiny = 1e-14 * max(cap, 1.0)
+    tiny = 1e-14 * max(float(np.hypot(np.ptp(x), np.ptp(y))), 1.0)
+    dd_max = 0.0
     s_int, s_ext = -np.inf, np.inf  # r_int = -max s over p < -tiny, r_ext = min s over p > tiny
     for lo in range(0, x.size, _PAIR_BLOCK):
         rows = slice(lo, lo + _PAIR_BLOCK)
         dx = x - x[rows, None]  # y - x
         dy = y - y[rows, None]
+        dd = dx * dx + dy * dy
+        dd_max = max(dd_max, float(dd.max()))
         p = dx * nx[rows, None] + dy * ny[rows, None]
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on the diagonal
-            s = (dx * dx + dy * dy) / (2.0 * p)
+            s = dd / (2.0 * p)
         s_int = max(s_int, float(np.max(s, where=p < -tiny, initial=-np.inf)))
         if p.max() > tiny:
             s_ext = min(s_ext, float(np.min(s, where=p > tiny, initial=np.inf)))
-    return float(min(cap, -s_int)), float(min(cap, s_ext))
+    d = float(np.sqrt(dd_max))
+    return min(d, -s_int), min(d, s_ext), d
 
 
 # Newton steps on kappa' = 0 at most; from within a sample spacing of a
@@ -375,60 +383,30 @@ def _certified_max_curvature(domain: StarDomain, trace: BoundaryTrace) -> float 
     return best
 
 
-def _hull(points: np.ndarray) -> np.ndarray:
-    """Convex hull vertices, counterclockwise, of points ordered
-    counterclockwise by angle about an interior point (Graham's scan, Graham
-    1972).
-
-    A polygon that turns left at every vertex is its own hull.  Otherwise a
-    vertex where it does not is no hull vertex, and the rest keep the angle
-    order: one stack pass over them, started at the one farthest from their
-    centroid (a hull vertex), pops each top that does not turn left.
-    """
-    edge = np.roll(points, -1, axis=0) - points
-    back = np.roll(edge, 1, axis=0)
-    left = back[:, 0] * edge[:, 1] - back[:, 1] * edge[:, 0] > 0.0
-    if left.all():
-        return points
-    cand = points[left]
-    start = int(np.argmax(np.sum((cand - cand.mean(axis=0)) ** 2, axis=1)))
-    cand = np.roll(cand, -start, axis=0)
-    xs, ys = cand[:, 0].tolist(), cand[:, 1].tolist()
-    stack = [0]
-    for k in [*range(1, len(xs)), 0]:
-        while len(stack) > 1:
-            a, b = stack[-2], stack[-1]
-            if (xs[b] - xs[a]) * (ys[k] - ys[b]) - (ys[b] - ys[a]) * (xs[k] - xs[b]) > 0.0:
-                break
-            stack.pop()
-        stack.append(k)
-    return cand[stack[:-1]]
-
-
 def _diameter(points: np.ndarray) -> float:
-    """Largest distance between two of points, which must be ordered
-    counterclockwise by angle about an interior point, as boundary_trace
-    gives them (see _hull).
+    """Largest distance between two of points, which must be the vertices
+    of a convex polygon in counterclockwise order, as boundary_trace gives
+    them on a trace that _certified_max_curvature certifies convex (the
+    traces it refuses take d from touching_radii's pair scan).
 
-    The farthest pair is a pair of antipodal vertices of the convex hull
-    (rotating calipers, Shamos 1978).  The hull runs counterclockwise, so its
-    edge directions increase; the vertices antipodal to edge i are those
-    whose normal cone holds the opposite direction, and the ones antipodal
-    to vertex i run from those of edge i - 1 to those of edge i.  Each range
-    is widened by one vertex on both sides against round-off in the angles;
-    the squared distances are formed as pdist forms them, so the maximum is
-    the same float.
+    The farthest pair is a pair of antipodal vertices (rotating calipers,
+    Shamos 1978).  The polygon runs counterclockwise, so its edge directions
+    increase; the vertices antipodal to edge i are those whose normal cone
+    holds the opposite direction, and the ones antipodal to vertex i run
+    from those of edge i - 1 to those of edge i.  Each range is widened by
+    one vertex on both sides against round-off in the angles; the squared
+    distances are formed as pdist forms them, so the maximum is the same
+    float.
     """
-    hull = _hull(points)
-    n = hull.shape[0]
-    edge = np.roll(hull, -1, axis=0) - hull
+    n = points.shape[0]
+    edge = np.roll(points, -1, axis=0) - points
     angle = np.unwrap(np.arctan2(edge[:, 1], edge[:, 0]))
     far = np.searchsorted(np.concatenate([angle, angle + 2.0 * np.pi]), angle + np.pi)
     first = np.concatenate([[far[-1] - n], far[:-1]]) - 1
     count = far + 2 - first
     i = np.repeat(np.arange(n), count)
     j = (np.repeat(first - np.cumsum(count) + count, count) + np.arange(i.size)) % n
-    d = hull[i] - hull[j]
+    d = points[i] - points[j]
     return float(np.sqrt(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
 
 
@@ -439,13 +417,14 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     (1/(3|Omega|)) int rho^3 e(theta) dtheta on trace.radii; both inherit
     spectral accuracy from the uniform periodic sampling.
 
-    Touching radii, capped at the diameter d: on a trace that
-    _certified_max_curvature certifies strictly convex, r_int = 1 / max kappa,
-    exact by Blaschke's rolling theorem (a convex C^2 curve holds a ball of
-    radius r at every point iff kappa <= 1/r), and r_ext = d, since every
-    exterior ball touching a convex curve stays outside it (the pair scan
-    gives exactly d there too).  Any other trace, n <= 4K included, goes
-    through the O(n^2) pair scan touching_radii, whose sampled r_int lies
+    Diameter d and touching radii, capped at d: on a trace that
+    _certified_max_curvature certifies strictly convex, d comes from
+    _diameter's calipers on the samples, r_int = 1 / max kappa, exact by
+    Blaschke's rolling theorem (a convex C^2 curve holds a ball of radius r
+    at every point iff kappa <= 1/r), and r_ext = d, since every exterior
+    ball touching a convex curve stays outside it (the pair scan gives
+    exactly d there too).  Any other trace, n <= 4K included, takes all
+    three from the O(n^2) pair scan touching_radii, whose sampled r_int lies
     above 1 / max kappa on convex curves.
     """
     theta = trace.thetas
@@ -456,11 +435,11 @@ def geometry_summary(domain: StarDomain, trace: BoundaryTrace) -> GeometrySummar
     com = domain.center + (dtheta / (3.0 * area)) * np.stack(
         [np.sum(rho**3 * np.cos(theta)), np.sum(rho**3 * np.sin(theta))]
     )
-    diameter = _diameter(trace.points)
     kappa_max = _certified_max_curvature(domain, trace)
     if kappa_max is None:
-        r_int, r_ext = touching_radii(trace, cap=diameter)
+        r_int, r_ext, diameter = touching_radii(trace)
     else:
+        diameter = _diameter(trace.points)
         r_int, r_ext = min(diameter, 1.0 / kappa_max), diameter
     h0 = perimeter / (DIM * area)
     return GeometrySummary(

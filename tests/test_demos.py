@@ -14,8 +14,6 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
     [
         ("torsion_convergence.py", ["--levels", "2"]),
         ("annulus_oracles.py", ["--n-cells", "1024"]),
-        ("spectral_constants.py", ["--max-degree", "4"]),
-        ("stability_sweep.py", ["--steps", "3", "--n-radial", "8", "--n-angular", "32"]),
     ],
 )
 def test_demo_runs(script, args):

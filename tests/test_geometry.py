@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -152,16 +153,18 @@ def test_summary_scaling_homogeneity():
 def test_touching_radii_disk_and_ellipse():
     disk = geometry.StarDomain.disk()
     tr = geometry.boundary_trace(disk, 1024)
-    ri, re = geometry.touching_radii(tr, cap=2.0)
+    ri, re, d = geometry.touching_radii(tr)
     assert abs(ri - 1.0) < 1e-6
-    assert re == 2.0  # exterior radius unbounded on a ball, capped
+    assert abs(d - 2.0) < 1e-12
+    assert re == d  # exterior radius unbounded on a ball, capped
 
     a, b = 1.5, 1.0
     ell = geometry.StarDomain.ellipse(a, b)
     te = geometry.boundary_trace(ell, 4096)
-    ri_e, re_e = geometry.touching_radii(te, cap=10.0)
+    ri_e, re_e, d_e = geometry.touching_radii(te)
     assert abs(ri_e - b**2 / a) < 2e-3
-    assert re_e == 10.0  # convex domain: exterior balls unbounded, capped
+    assert abs(d_e - 2.0 * a) < 1e-12
+    assert re_e == d_e  # convex domain: exterior balls unbounded, capped
 
 
 def test_touching_radii_concave_boundary_bounds_exterior():
@@ -169,16 +172,42 @@ def test_touching_radii_concave_boundary_bounds_exterior():
     dom = geometry.StarDomain(base_radius=1.0, cos_coeffs=np.array([0.0, 0.35]), sin_coeffs=np.zeros(0), center=np.zeros(2))
     tr = geometry.boundary_trace(dom, 2048)
     assert np.min(tr.curvatures) < 0.0
-    _, re_c = geometry.touching_radii(tr, cap=50.0)
-    assert re_c < 50.0
+    _, re_c, d = geometry.touching_radii(tr)
+    assert re_c < d
+
+
+def _with_inward_copy(trace, k, delta):
+    # a copy of sample k inserted after it, moved delta inward along its
+    # normal: the pair of the two gives p = -delta and +delta, s = delta / 2
+    fields = {f.name: np.insert(getattr(trace, f.name), k + 1, getattr(trace, f.name)[k], axis=0) for f in dataclasses.fields(trace)}
+    fields["points"][k + 1] -= delta * trace.normals[k]
+    return geometry.BoundaryTrace(**fields)
+
+
+def test_touching_radii_ignore_a_sample_within_round_off():
+    # a copy 1e-16 away, |p| below tiny: the radii keep the trace's own values
+    tr = geometry.boundary_trace(geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.2])), 1024)
+    near = _with_inward_copy(tr, 100, 1e-16)
+    assert 0.0 < np.hypot(*(near.points[101] - tr.points[100])) < 1e-15
+    r_i, r_e, d = geometry.touching_radii(near)
+    r_i0, r_e0, d0 = geometry.touching_radii(tr)
+    assert abs(r_i - r_i0) <= 1e-12 * r_i0 and r_i0 > 0.4
+    assert abs(r_e - r_e0) <= 1e-12 * r_e0 and r_e0 > 0.6
+    assert d == d0
+    # a copy 8e-14 away on the disk, about 3 tiny (the bounding-box diagonal
+    # is 2 sqrt 2), counts for both radii: the exterior pass runs for it
+    # although no other pair lies on the outer side
+    r_i, r_e, d = geometry.touching_radii(_with_inward_copy(geometry.boundary_trace(geometry.StarDomain.disk(), 1024), 100, 8e-14))
+    assert abs(r_i - 4e-14) < 1e-16 and abs(r_e - 4e-14) < 1e-16 and d == 2.0
 
 
 def _reference_touching_radii(trace, cap):
-    # the 256-row dense scan that touching_radii replaced, kept verbatim
-    # (less its argmins) as the reference the pair scan must match bit for bit
+    # the 256-row dense scan that touching_radii replaced, kept (less its
+    # argmins, and with tiny on the bounding-box scale touching_radii uses) as
+    # the reference the pair scan must match bit for bit
     pts, nrm = trace.points, trace.normals
     n = pts.shape[0]
-    tiny = 1e-14 * max(cap, 1.0)
+    tiny = 1e-14 * max(float(np.hypot(*np.ptp(pts, axis=0))), 1.0)
     s_int = np.full(n, cap)
     s_ext = np.full(n, cap)
     block = 256
@@ -227,24 +256,37 @@ def test_touching_radii_bitwise_equal_to_reference_scan(name, n):
     # the trace forms its points and normals from its own rho and rho'
     assert np.array_equal(tr.points, domain.point(tr.thetas))
     assert np.array_equal(tr.normals, domain.normal(tr.thetas))
-    cap = geometry._diameter(tr.points)
-    assert geometry.touching_radii(tr, cap) == _reference_touching_radii(tr, cap)
+    r_i, r_e, d = geometry.touching_radii(tr)
+    assert d == _pdist_diameter(tr.points)
+    assert (r_i, r_e) == _reference_touching_radii(tr, d)
 
 
 def _pdist_diameter(points):
-    # every pair: the reference the hull's antipodal pairs must reproduce
+    # every pair: the reference the calipers and the pair scan must reproduce
     return float(np.sqrt(np.max(pdist(points, "sqeuclidean"))))
+
+
+def _assert_diameter_equals_pdist_max(domain, trace):
+    # a certified trace runs the calipers on its samples, which need a convex
+    # polygon; any other trace takes d from the pair scan; the summary takes
+    # it from the same place
+    want = _pdist_diameter(trace.points)
+    if geometry._certified_max_curvature(domain, trace) is None:
+        assert geometry.touching_radii(trace)[2] == want
+    else:
+        assert geometry._diameter(trace.points) == want
+    assert geometry.geometry_summary(domain, trace).diameter == want
 
 
 @pytest.mark.parametrize("n", [8, 512, 1000, 1024, 2048])
 @pytest.mark.parametrize("name", sorted(_RADII_DOMAINS))
 def test_diameter_equals_pdist_max(name, n):
-    # the disk ties every antipodal pair; at n = 8 the ellipses' hulls are
-    # coarse enough that a vertex faces several antipodal vertices; two-lobe,
-    # cos3-0.3 and some Fourier domains are not convex, so their hull drops
-    # samples
-    points = geometry.boundary_trace(_RADII_DOMAINS[name], n).points
-    assert geometry._diameter(points) == _pdist_diameter(points)
+    # the disk ties every antipodal pair; at n = 8 the ellipses are coarse
+    # enough that a vertex faces several antipodal vertices (and n <= 4K
+    # sends them to the pair scan); two-lobe, cos3-0.3 and some Fourier
+    # domains are not convex
+    domain = _RADII_DOMAINS[name]
+    _assert_diameter_equals_pdist_max(domain, geometry.boundary_trace(domain, n))
 
 
 def _random_traces():
@@ -261,9 +303,9 @@ def _random_traces():
 
 def test_diameter_equals_pdist_max_on_random_traces():
     convex = 0
-    for _, trace in _random_traces():
+    for domain, trace in _random_traces():
         convex += bool(np.min(trace.curvatures) > 0.0)
-        assert geometry._diameter(trace.points) == _pdist_diameter(trace.points)
+        _assert_diameter_equals_pdist_max(domain, trace)
     assert 60 <= convex <= 180
 
 
@@ -272,7 +314,7 @@ def test_touching_radii_memory_peak_bounded():
     tr = geometry.boundary_trace(geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.05])), 1024)
     tracemalloc.start()
     try:
-        geometry.touching_radii(tr, cap=2.0)
+        geometry.touching_radii(tr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,9 +379,9 @@ def test_certified_interior_radius_below_pair_scan():
             continue
         certified += 1
         s = geometry.geometry_summary(domain, trace)
-        r_i, r_e = geometry.touching_radii(trace, cap=s.diameter)
+        r_i, r_e, d = geometry.touching_radii(trace)
         assert s.r_interior <= r_i * (1.0 + 1e-11)
-        assert s.r_exterior == r_e == s.diameter
+        assert s.r_exterior == r_e == s.diameter == d
     assert certified >= 80
 
 
@@ -374,7 +416,7 @@ def test_refused_traces_keep_the_pair_scan():
         if geometry._certified_max_curvature(domain, trace) is not None:
             continue
         s = geometry.geometry_summary(domain, trace)
-        assert (s.r_interior, s.r_exterior) == geometry.touching_radii(trace, cap=s.diameter)
+        assert (s.r_interior, s.r_exterior, s.diameter) == geometry.touching_radii(trace)
 
 
 def test_rho_bounds_and_outside_rejection():
