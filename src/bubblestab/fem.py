@@ -15,11 +15,15 @@ interior nodes first, so the interior unknowns are a prefix of the nodal
 vector and the preconditioner reads them without a permutation.  Per mesh, J
 is formed once: one GEMM of the (4 x 12) map table at the centroid against
 the coordinates of every cell, and the 7-point table against those of the
-curved cells only.  An affine cell's stiffness is its constant metric against
-one constant table; the curved cells overwrite their columns from the metric
-at each point.  The kernels work on one (p, nt) array per quantity; the
-stiffness kernel forms only the 21 distinct entries of each symmetric
-element matrix, and the assembly adds them in place into the CSR data
+curved cells only.  A mesh then keeps only what it cannot re-read: its
+vertices, its P2 node positions and its element maps (det J and J^-1, with
+the weights of the curved cells).  The triangle table, the cell coordinates
+and the (nt, 7) quadrature weights are formed on read from those and the
+topology, bitwise as they were built.  An affine cell's stiffness is its
+constant metric against one constant table; the curved cells overwrite their
+columns from the metric at each point.  The kernels work on one (p, nt) array
+per quantity; the stiffness kernel forms only the 21 distinct entries of each
+symmetric element matrix, and the assembly adds them in place into the CSR data
 through the plan's slots, to the bit the sums of the full matrices.  The
 Hessian of u, which only the volume integrals read, is formed on first read:
 one sample per affine cell, where it is the constant J^-T href J^-1, and one
@@ -199,15 +203,16 @@ class _CellMaps:
     affine map, so J is constant on it: det and inv, the entries a, b, c, d
     of J^-1, each (nt,), are taken once, at the centroid, for every cell.
     Only the curved cells (indices curved) keep J^-1 at the 7 quadrature
-    points, qp_inv (each (7, nc)); the kernels overwrite what det and inv
-    give on those cells.
-    qp_w (nt, 7) holds the quadrature weights 0.5 w_q det J of every cell.
+    points, qp_inv (each (7, nc)), and their quadrature weights
+    0.5 w_q det J there, curved_w (7, nc); the kernels overwrite what det
+    and inv give on those cells.  qp_w (nt, 7), the weights of every cell,
+    is formed on read from det and curved_w.
     """
 
     curved: np.ndarray
     det: np.ndarray
     inv: tuple
-    qp_w: np.ndarray
+    curved_w: np.ndarray
     qp_inv: tuple
 
     @classmethod
@@ -215,10 +220,14 @@ class _CellMaps:
         """The maps of the cells coords (nt, 6, 2), of which curved are curved."""
         det, *inv = (e[0] for e in _element_maps(coords, _MAP_CENTROID))
         qp_det, *qp_inv = _element_maps(coords[curved], _MAP_QP)
-        qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * det).T)
-        qp_w[curved] = ((0.5 * _QW)[:, None] * qp_det).T
-        qp_w.setflags(write=False)
-        return cls(curved, det, tuple(inv), qp_w, tuple(qp_inv))
+        return cls(curved, det, tuple(inv), (0.5 * _QW)[:, None] * qp_det, tuple(qp_inv))
+
+    @property
+    def qp_w(self) -> np.ndarray:
+        """The quadrature weights 0.5 w_q det J of every cell, (nt, 7)."""
+        qp_w = np.ascontiguousarray(((0.5 * _QW)[:, None] * self.det).T)
+        qp_w[self.curved] = self.curved_w.T
+        return qp_w
 
 
 # -- mesh --------------------------------------------------------------------
@@ -232,24 +241,36 @@ class TriMesh:
     """Structured polar triangulation of a star-shaped domain.
 
     vertices[0] is the center; vertex 1 + (j-1)*n_angular + i sits at radial
-    fraction radial_fractions[j-1] of rho(theta_i).  triangles follow the
-    order stated by generate_mesh, from which the P2 lookups read each
-    triangle's ring and sector.  boundary_thetas (n_angular, 2) holds the
-    theta parameters of the endpoints of each boundary edge, sector by
-    sector.  h is the longest edge.  ``space`` is the P2 node table with its
-    quadrature, built on first use and shared by every solve and integral on
-    this mesh; it numbers the P2 nodes on the polar lattice (see _Plan), not
-    by these vertex ids.
+    fraction radial_fractions[j-1] of rho(theta_i).  triangles, the vertex
+    ids of each triangle in the order stated by generate_mesh, from which
+    the P2 lookups read each triangle's ring and sector, depend on the
+    topology alone and are formed on read.  boundary_thetas (n_angular, 2)
+    holds the theta parameters of the endpoints of each boundary edge, sector
+    by sector.  h is the longest edge.  ``space`` is the P2 node table with
+    its element maps, built on first use and shared by every solve and
+    integral on this mesh; it numbers the P2 nodes on the polar lattice (see
+    _Plan), not by these vertex ids.
     """
 
     vertices: np.ndarray
-    triangles: np.ndarray
     boundary_thetas: np.ndarray
     h: float
     n_radial: int
     n_angular: int
     radial_fractions: np.ndarray
     domain: StarDomain
+
+    @property
+    def triangles(self) -> np.ndarray:
+        """(nt, 3) vertex ids of the triangles, in generate_mesh's order."""
+        n_r, n_a = self.n_radial, self.n_angular
+        # vid[j - 1, i] is the id of vertex i (mod n_angular) on ring j
+        vid = 1 + n_a * np.arange(n_r)[:, None] + np.arange(n_a + 1) % n_a
+        a, b = vid[:-1, :-1], vid[:-1, 1:]
+        c, d = vid[1:, 1:], vid[1:, :-1]
+        fan = np.stack([np.zeros(n_a, dtype=np.int64), vid[0, :-1], vid[0, 1:]], axis=-1)
+        rings = np.stack([np.stack([a, d, c], axis=-1), np.stack([a, c, b], axis=-1)], axis=2)
+        return np.concatenate([fan, rings.reshape(-1, 3)])
 
     @functools.cached_property
     def space(self) -> "_P2Space":
@@ -299,14 +320,6 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     verts[1:, 0] = (domain.center[0] + s[:, None] * rho * ct).ravel()
     verts[1:, 1] = (domain.center[1] + s[:, None] * rho * st).ravel()
 
-    # vid[j - 1, i] is the id of vertex i (mod n_angular) on ring j
-    vid = 1 + n_angular * np.arange(n_radial)[:, None] + np.arange(n_angular + 1) % n_angular
-    a, b = vid[:-1, :-1], vid[:-1, 1:]
-    c, d = vid[1:, 1:], vid[1:, :-1]
-    fan = np.stack([np.zeros(n_angular, dtype=np.int64), vid[0, :-1], vid[0, 1:]], axis=-1)
-    rings = np.stack([np.stack([a, d, c], axis=-1), np.stack([a, c, b], axis=-1)], axis=2)
-    triangles = np.concatenate([fan, rings.reshape(-1, 3)])
-
     edge_theta = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
     bthetas = np.stack([edge_theta[:-1], edge_theta[1:]], axis=-1)
 
@@ -320,7 +333,6 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     h = float(max(np.max(np.hypot(e[..., 0], e[..., 1])) for e in edges))
     return TriMesh(
         vertices=verts,
-        triangles=triangles,
         boundary_thetas=bthetas,
         h=h,
         n_radial=n_radial,
@@ -383,7 +395,7 @@ class _Plan:
 
     def __init__(self, mesh: TriMesh):
         n_r, n_a = self.n_radial, self.n_angular = mesh.n_radial, mesh.n_angular
-        nt = mesh.triangles.shape[0]
+        nt = n_a * (2 * n_r - 1)
         n_in = self.n_in = 1 + (4 * n_r - 3) * n_a
         self.n_nodes = n_in + 2 * n_a
 
@@ -451,10 +463,13 @@ class _P2Space:
 
     The numbering (tri_nodes, b_tri, n_nodes) is the topology plan's polar
     lattice numbering: the interior nodes are the ids below plan.n_in, the
-    boundary nodes the rest.  node_xy, coords (nt, 6, 2), the element maps
-    (see _CellMaps: the b_tri cells are the curved ones) and the quadrature
-    weights qp_w (nt, 7) are this mesh's; the weights are read-only because
-    every solve on the mesh shares them.
+    boundary nodes the rest.  Of this mesh, the space stores only the node
+    positions node_xy and the element maps (see _CellMaps: the b_tri cells
+    are the curved ones).  The cell coordinates coords (nt, 6, 2) are built
+    once, to form those two, and then dropped: a reader gathers
+    node_xy[tri_nodes[els]] for the cells els it needs, which is bitwise the
+    same, as every triangle gives a shared node the same point.  Likewise
+    the quadrature weights qp_w (nt, 7) are formed on read from the maps.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -469,7 +484,7 @@ class _P2Space:
         # a + b == b + a.  np.take and per-coordinate passes run several times
         # faster than fancy indexing of whole rows, and filling coords in
         # place keeps the peak down.
-        coords = self.coords = np.empty(self.tri_nodes.shape + (2,))        # (nt, 6, 2)
+        coords = np.empty(self.tri_nodes.shape + (2,))        # (nt, 6, 2)
         coords[:, :3] = np.take(mesh.vertices, mesh.triangles, axis=0)
         for e, (k, l) in enumerate(_EDGE_LOCALS):
             for c in range(2):
@@ -483,8 +498,17 @@ class _P2Space:
             self.node_xy[:, c][self.tri_nodes] = coords[..., c]
 
         # only the b_tri cells have a midside (node 4) off its edge's midpoint
-        self.maps = _CellMaps.of(self.coords, self.b_tri)
-        self.qp_w = self.maps.qp_w
+        self.maps = _CellMaps.of(coords, self.b_tri)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(nt, 6, 2) coordinates of every cell's nodes."""
+        return self.node_xy[self.tri_nodes]
+
+    @property
+    def qp_w(self) -> np.ndarray:
+        """(nt, 7) quadrature weights of every cell (see _CellMaps)."""
+        return self.maps.qp_w
 
 
 # -- polar FFT preconditioner ------------------------------------------------
@@ -711,11 +735,12 @@ def _hessian_samples(space: _P2Space, u_full: np.ndarray):
     a, b, c, d = maps.qp_inv
     g0, g1 = (_DN_AT_QP.transpose(2, 0, 1).reshape(-1, 6) @ u_t[:, cv]).reshape(2, 7, -1)
     gx, gy = g0 * a + g1 * c, g0 * b + g1 * d
-    rel = space.coords[cv] - space.coords[cv, :1]
+    xy = space.node_xy[space.tri_nodes[cv]]
+    rel = xy - xy[:, :1]
     cx, cy = _D2N.T @ rel[:, :, 0].T, _D2N.T @ rel[:, :, 1].T         # map curvature
     t = [href[i, cv] - gx * cx[i] - gy * cy[i] for i in range(3)]
     h_curved = np.stack(_hessian(t, maps.qp_inv)).reshape(3, -1)     # point-major, (3, 7 nc)
-    qp_w = maps.qp_w[cv].T
+    qp_w = maps.curved_w                                             # (7, nc)
 
     w = np.concatenate([area, qp_w.ravel()])
     # _QW @ _N_AT_QP is the mean of each shape function over a cell
@@ -741,7 +766,7 @@ def _eval_in_elements(space: _P2Space, u_full: np.ndarray, els: np.ndarray, refs
     """u and grad u of the FE solution at reference points refs (m, 2) of elements els."""
     u_el = u_full[space.tri_nodes[els]]
     dn = _dshape(refs)                                  # (m, 6, 2)
-    _, a, b, c, d = _inverse_jacobian(space.coords[els], dn)
+    _, a, b, c, d = _inverse_jacobian(space.node_xy[space.tri_nodes[els]], dn)
     gr0 = np.sum(u_el * dn[:, :, 0], axis=1)
     gr1 = np.sum(u_el * dn[:, :, 1], axis=1)
     return np.sum(u_el * _shape(refs), axis=1), np.stack([gr0 * a + gr1 * c, gr0 * b + gr1 * d], axis=-1)
@@ -826,36 +851,43 @@ def _element_stiffness(maps: _CellMaps, entries: np.ndarray = np.arange(21)) -> 
     a, b, c, d = maps.qp_inv
     # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
-    g *= maps.qp_w[maps.curved].T[:, None, :]
+    g *= maps.curved_w[:, None, :]
     ke[:, maps.curved] = np.take(_KE, entries, axis=1).T @ g.reshape(21, -1)
     return ke
 
 
 def _assemble_interior(space: _P2Space):
-    """Stiffness matrix and load vector of the interior unknowns.
+    """Stiffness matrix and load vector of the interior unknowns, and the
+    quadrature area.
 
-    The 21 distinct entries of each element matrix are added in place into
-    a zeroed CSR data array of the plan's pattern: np.add.at sends all 21
-    through plan.slot_up to (i, j), then the 15 strict-upper ones again
-    through plan.slot_lo to (j, i).  The last slot collects the entries that
-    touch a boundary node and is dropped, so no full matrix, COO triplet or
-    duplicate sum ever exists.  Each sum is the one the full 36-entry
-    matrices summed in (local entry, element) order give, to the bit: two
-    nodes share at most two triangles, so an off-diagonal entry gets at most
-    two terms, whose order cannot change their sum, and the diagonal entries
-    come last in the same (local entry, element) order.  The load vector is
-    the bincount over the node ids, cut at n_in.
+    The weights qp_w are formed first, for the area and the load vector, the
+    bincount of the element loads over the node ids, cut at n_in; they are
+    freed before the element matrices exist.  The 21 distinct entries of
+    each element matrix are added in place into a zeroed CSR data array of
+    the plan's pattern: np.add.at sends all 21 through plan.slot_up to
+    (i, j), then the 15 strict-upper ones again through plan.slot_lo to
+    (j, i).  The last slot collects the entries that touch a boundary node
+    and is dropped, so no full matrix, COO triplet or duplicate sum ever
+    exists.  Each sum is the one the full 36-entry matrices summed in (local
+    entry, element) order give, to the bit: two nodes share at most two
+    triangles, so an off-diagonal entry gets at most two terms, whose order
+    cannot change their sum, and the diagonal entries come last in the same
+    (local entry, element) order.
     """
     plan = space.plan
     n_in = plan.n_in
+    qp_w = space.qp_w
+    area = float(np.sum(qp_w))
+    fe = (-DIM * qp_w) @ _N_AT_QP
+    del qp_w
+    b_in = np.bincount(plan.tri_nodes.ravel(), fe.ravel())[:n_in]
+    del fe
     ke = _element_stiffness(space.maps)
     data = np.zeros(plan.indices.size + 1)
     np.add.at(data, plan.slot_up, ke.ravel())
     np.add.at(data, plan.slot_lo, ke[:15].ravel())
     del ke
-    fe = (-DIM * space.qp_w) @ _N_AT_QP
-    b_in = np.bincount(plan.tri_nodes.ravel(), fe.ravel())[:n_in]
-    return sp.csr_matrix((data[:-1], plan.indices, plan.indptr), shape=(n_in, n_in)), b_in
+    return sp.csr_matrix((data[:-1], plan.indices, plan.indptr), shape=(n_in, n_in)), b_in, area
 
 
 def solve_torsion(mesh: TriMesh) -> TorsionField:
@@ -866,7 +898,7 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     _CG_RTOL, or break down (see _pcg).
     """
     space = mesh.space
-    a_in, b_in = _assemble_interior(space)
+    a_in, b_in, area = _assemble_interior(space)
     x, relres, iters = _pcg(a_in, b_in, space.plan.precond)
     del a_in
 
@@ -877,7 +909,7 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
         u=u_full,
         residual_norm=relres,
         iterations=iters,
-        area=float(np.sum(space.qp_w)),
+        area=area,
     )
 
 
@@ -910,11 +942,11 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
     )
     ring = np.minimum(np.searchsorted(mesh.radial_fractions, frac, side="right"), mesh.n_radial - 1)
     els = np.where(ring == 0, sector, n_a * (2 * ring - 1) + 2 * sector)
-    a, c = space.coords[els, 0], space.coords[els, 2]
+    a, c = space.node_xy[space.tri_nodes[els, 0]], space.node_xy[space.tri_nodes[els, 2]]
     above = (c[:, 0] - a[:, 0]) * (pts[:, 1] - a[:, 1]) - (c[:, 1] - a[:, 1]) * (pts[:, 0] - a[:, 0]) > 0.0
     els += (ring > 0) & above
 
-    cxy = space.coords[els]
+    cxy = space.node_xy[space.tri_nodes[els]]
     amat = np.stack([cxy[:, 1] - cxy[:, 0], cxy[:, 2] - cxy[:, 0]], axis=-1)
     refs = np.linalg.solve(amat, (pts - cxy[:, 0])[:, :, None])[:, :, 0]
     tol = 1e-13 * (1.0 + np.hypot(pts[:, 0], pts[:, 1]))
@@ -936,13 +968,12 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
 def domain_quadrature(mesh: TriMesh):
     """Quadrature points and weights covering the (curved-cell) domain.
 
-    The weights are a flat read-only view of the mesh's P2 quadrature, which
-    the solver shares; the points are formed per call.  Nothing in the
-    package calls it; its readers are the perfbench tracer and the quadrature
-    reference that the spectral tests compare the exact polar Gram matrices
-    against.
+    Both are formed per call from the mesh's P2 space: the points from the
+    gathered cell coordinates, the weights as the solve forms them, so they
+    sum to field.area.  Nothing in the package calls it; its readers are the
+    perfbench tracer and the quadrature reference that the spectral tests
+    compare the exact polar Gram matrices against.
     """
     space = mesh.space
-    nt = space.coords.shape[0]
-    return (space.coords.reshape(nt, 12) @ _QP_TABLE).reshape(-1, 2), space.qp_w.ravel()
+    return (space.coords.reshape(-1, 12) @ _QP_TABLE).reshape(-1, 2), space.qp_w.ravel()
 

@@ -258,12 +258,14 @@ def test_harmonic_deficit_field_disk():
 
 
 def test_solve_shares_mesh_quadrature():
-    # one P2 space per mesh: the solve and domain_quadrature read the same weights
-    mesh = fem.generate_mesh(geometry.StarDomain.disk(), 8, 32)
+    # one P2 space per mesh: the solve and domain_quadrature form the same
+    # weights from its maps, to the bit, and the solve's area is their sum
+    mesh = fem.generate_mesh(FOURIER5, 8, 32)
     field = fem.solve_torsion(mesh)
     assert field.space is mesh.space
     _, wts = fem.domain_quadrature(mesh)
-    assert np.shares_memory(wts, field.space.qp_w)
+    assert np.array_equal(wts, field.space.qp_w.ravel())
+    assert np.sum(wts) == field.area
 
 
 def test_solver_determinism():
@@ -494,7 +496,7 @@ def _reference_kernels(space, u_full):
 def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     space = mesh.space
-    a_in, b_in = fem._assemble_interior(space)
+    a_in, b_in, _ = fem._assemble_interior(space)
     # both sides differentiate the same u, so no CG round-off enters
     u_full = fem.solve_torsion(mesh).u
     ref = _reference_kernels(space, u_full)
@@ -585,6 +587,57 @@ def test_only_b_tri_cells_are_curved(domain, n_radial, n_angular):
     assert np.array_equal(coords[space.b_tri, 4], domain.point(th_mid))
 
 
+def _reference_triangles(n_radial, n_angular):
+    # the vertex ids triangle by triangle: the centre fan, then the pair
+    # (a, d, c), (a, c, b) of each ring j and sector i, with a, b on ring j
+    # and d, c on ring j + 1
+    def vid(j, i):
+        return 1 + (j - 1) * n_angular + i % n_angular
+
+    tris = [(0, vid(1, i), vid(1, i + 1)) for i in range(n_angular)]
+    for j in range(1, n_radial):
+        for i in range(n_angular):
+            a, b, c, d = vid(j, i), vid(j, i + 1), vid(j + 1, i + 1), vid(j + 1, i)
+            tris += [(a, d, c), (a, c, b)]
+    return np.array(tris)
+
+
+def _reference_cell_arrays(mesh):
+    # the cell coordinates (nt, 6, 2) and quadrature weights (nt, 7) built
+    # per triangle and stored, as the space did before it kept only the node
+    # positions and the element maps
+    n_a = mesh.n_angular
+    tris = _reference_triangles(mesh.n_radial, n_a)
+    coords = np.empty((tris.shape[0], 6, 2))
+    coords[:, :3] = mesh.vertices[tris]
+    for e, (k, l) in enumerate(fem._EDGE_LOCALS):
+        coords[:, 3 + e] = 0.5 * (coords[:, k] + coords[:, l])
+    b_tri = tris.shape[0] - 2 * n_a + 2 * np.arange(n_a)
+    th = mesh.boundary_thetas
+    coords[b_tri, 4] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
+    det = fem._element_maps(coords, fem._MAP_CENTROID)[0][0]
+    qp_det = fem._element_maps(coords[b_tri], fem._MAP_QP)[0]
+    qp_w = np.ascontiguousarray(((0.5 * fem._QW)[:, None] * det).T)
+    qp_w[b_tri] = ((0.5 * fem._QW)[:, None] * qp_det).T
+    return coords, qp_w
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [geometry.StarDomain.disk(), geometry.StarDomain.ellipse(1.5, 1.0), FOURIER5],
+    ids=["disk", "ellipse", "fourier5"],
+)
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (16, 64)])
+def test_cell_arrays_formed_on_read_match_per_triangle_reference(domain, n_radial, n_angular):
+    # the gathered node_xy[tri_nodes] and the weights formed from det J and
+    # the curved cells' weights are bitwise what storing them gave
+    mesh = fem.generate_mesh(domain, n_radial, n_angular)
+    coords, qp_w = _reference_cell_arrays(mesh)
+    assert np.array_equal(mesh.triangles, _reference_triangles(n_radial, n_angular))
+    assert np.array_equal(mesh.space.coords, coords)
+    assert np.array_equal(mesh.space.qp_w, qp_w)
+
+
 @pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128), (64, 256)])
 def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
     # q = (x - c).H.(x - c) / 2 interpolated at the P2 nodes: an affine cell
@@ -620,7 +673,8 @@ def test_solve_memory_peak_bounded():
     # the assembly sets the solve's peak, in units of one full (36, nt)
     # element-matrix array: building the full matrix and then slicing out the
     # interior block needed 9.4, one bincount over 36 slots 2.63, and the
-    # 21-entry kernel added in place into the CSR data 1.24
+    # 21-entry kernel added in place into the CSR data 1.24, or 1.30 now
+    # that the solve forms the (nt, 7) weights itself
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     mesh.space
     ke_bytes = 36 * mesh.triangles.shape[0] * 8
@@ -633,6 +687,41 @@ def test_solve_memory_peak_bounded():
     assert peak <= 2 * ke_bytes
 
 
+def _own_nbytes(objs, plan):
+    # bytes of the distinct ndarrays the objects hold, directly or in
+    # tuples, leaving out those that share memory with the plan's arrays
+    shared = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
+    seen = {}
+
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            seen[id(v)] = v
+        elif isinstance(v, tuple):
+            for e in v:
+                walk(e)
+
+    for obj in objs:
+        for v in vars(obj).values():
+            walk(v)
+    return sum(a.nbytes for a in seen.values() if not any(np.shares_memory(a, s) for s in shared))
+
+
+def test_solved_field_keeps_only_what_it_cannot_re_read():
+    # what a kept field holds beyond its plan: u, the mesh vertices, the P2
+    # node positions and the element maps, 0.82 MB at 32x128.  Storing the
+    # cell coordinates, the (nt, 7) weights and the triangle table as well
+    # made it 2.23 MB
+    mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
+    field = fem.solve_torsion(mesh)
+    space = field.space
+    assert _own_nbytes((field, mesh, space, space.maps), space.plan) <= 1.0e6
+    # the triangle table depends on the topology alone: two meshes of one
+    # topology read the same table, formed on read
+    other = fem.generate_mesh(FOURIER5, 32, 128)
+    want = _reference_triangles(32, 128)
+    assert np.array_equal(mesh.triangles, want) and np.array_equal(other.triangles, want)
+
+
 @pytest.fixture
 def empty_plans(monkeypatch):
     # a private, empty plan cache: these tests neither read nor evict the shared one
@@ -641,8 +730,10 @@ def empty_plans(monkeypatch):
 
 
 def test_cold_plan_memory_peak_bounded(empty_plans):
-    # building the topology plan, the space and the solve together: 3.31
-    # full element-matrix arrays (4.78 with the 36-entry bincount assembly)
+    # building the topology plan, the space and the solve together: 2.84
+    # full element-matrix arrays, 3.31 while the space stored its cell
+    # coordinates and (nt, 7) weights, 4.78 with the 36-entry bincount
+    # assembly
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     ke_bytes = 36 * mesh.triangles.shape[0] * 8
     tracemalloc.start()
@@ -653,7 +744,7 @@ def test_cold_plan_memory_peak_bounded(empty_plans):
     finally:
         tracemalloc.stop()
     assert list(empty_plans) == [(32, 128)]
-    assert peak <= 4 * ke_bytes
+    assert peak <= 3 * ke_bytes
 
 
 def test_plan_shared_per_topology(empty_plans):
@@ -749,7 +840,7 @@ def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
     # ones keep that order
     for name, domain in _ASSEMBLY_DOMAINS.items():
         space = fem.generate_mesh(domain, n_radial, n_angular).space
-        a_in, _ = fem._assemble_interior(space)
+        a_in, _, _ = fem._assemble_interior(space)
         ke = _reference_element_stiffness(space.maps)
         assert np.array_equal(fem._element_stiffness(space.maps)[fem._FULL], ke), name
         ref = _reference_interior_matrix(space, ke)
@@ -853,7 +944,7 @@ def test_polar_preconditioner_inverts_p2_disk_stiffness(n_radial, n_angular):
     # the interior P2 stiffness that solve_torsion assembles on the unit disk;
     # the preconditioner factors it from one sector and must never build it
     space = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
-    a_ref, _ = fem._assemble_interior(space)
+    a_ref, _, _ = fem._assemble_interior(space)
     # built from an ellipse mesh: only the topology may be read
     precond = fem._Plan(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular)).precond
     # a random vector loads every Fourier mode, Nyquist included; the unit
@@ -920,7 +1011,7 @@ def test_cg_iterations_flat_under_refinement():
 )
 def test_solve_matches_direct_solve(domain):
     mesh = fem.generate_mesh(domain, 16, 64)
-    a_in, b_in = fem._assemble_interior(mesh.space)
+    a_in, b_in, _ = fem._assemble_interior(mesh.space)
     u_direct = spla.spsolve(a_in.tocsc(), b_in)
     u = fem.solve_torsion(mesh).u[: mesh.space.plan.n_in]
     assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))

@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import shutil
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,10 +73,39 @@ def test_golden_run_without_config_and_wall_times(tmp_path):
     assert golden.compare(*runs, file=report)
     lines = report.getvalue().splitlines()
     t = wall["oracles_fsup_N8"]
-    assert "  %-22s 0 0  (%.2f %.2f)" % ("oracles_fsup_N8", t, 1e3 * t) in lines
+    with open(os.path.join(runs[0], "maxrss_mb.json")) as fh:
+        rss = json.load(fh)["oracles_fsup_N8"]
+    assert "  %-22s 0 0  (%.2f %.2f)  (%.1f %.1f)" % ("oracles_fsup_N8", t, 1e3 * t, rss, rss) in lines
     assert not any(line.startswith("wall_s.json") for line in lines)
     for name in ("oracles/oracles.json", "oracles_fsup_N8/fsup_N8.json"):
         assert "%s: non-float fields equal; worst abs 0 at -; worst rel 0 at -" % name in lines
+
+
+def test_golden_run_reports_each_case_peak_memory(tmp_path):
+    # ru_maxrss of the case's own process, read when run reaps it: a Python
+    # process importing numpy and scipy holds tens of MB, and the reaped
+    # child counts toward this process's children, whose maximum bounds it
+    cases = [case for case in golden.GOLDEN if case[0] == "oracles"]
+    runs = [str(tmp_path / name) for name in ("a", "b")]
+    assert golden.run(runs[0], cases) == {"oracles": 0}
+    with open(os.path.join(runs[0], "maxrss_mb.json")) as fh:
+        rss = json.load(fh)
+    assert sorted(rss) == ["oracles"]
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    assert 20.0 < rss["oracles"] <= children
+
+    # compare prints both runs' figures next to the wall times and never
+    # compares the file: a copy whose memory differs compares equal
+    shutil.copytree(*runs)
+    with open(os.path.join(runs[1], "maxrss_mb.json"), "w") as fh:
+        json.dump({"oracles": 2.0 * rss["oracles"]}, fh)
+    report = io.StringIO()
+    assert golden.compare(*runs, file=report)
+    lines = report.getvalue().splitlines()
+    assert lines[0] == "exit codes: equal (wall s) (max RSS MB)"
+    assert lines[1].startswith("  %-22s 0 0  (" % "oracles")
+    assert lines[1].endswith("  (%.1f %.1f)" % (rss["oracles"], 2.0 * rss["oracles"]))
+    assert not any(line.startswith("maxrss_mb.json") for line in lines)
 
 
 def test_golden_compare_lists_every_mismatch(tmp_path):

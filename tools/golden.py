@@ -14,20 +14,21 @@ has two minima), ``convergence`` on the disk and the ellipse, and
 ``python -m bubblestab.cli`` in a subprocess that imports the package from
 --src (default: the src directory next to tools/), so the outputs of two
 checkouts can be made with one script.  The exit codes go to
-OUT/exit_codes.json and the wall time of each case, in seconds, to
-OUT/wall_s.json.
+OUT/exit_codes.json, the wall time of each case, in seconds, to
+OUT/wall_s.json, and the peak resident memory of each case's process, in
+MB, as os.wait4 reports its ru_maxrss, to OUT/maxrss_mb.json.
 
-``compare`` prints the exit codes and wall times of both runs; the timings
-are never compared as a file.  Per output file it prints whether every
-non-float field (keys, lengths, strings, integers, booleans, nulls) is equal,
-or else the path of every one that differs, and the worst absolute and
-relative move of its floats, with where it happens, and under that one
-indented line per moved float with its absolute and relative move, largest
-relative move first.  A move is relative to the largest magnitude its field
-takes in either file, a field being a JSON path with its list indices
-dropped (all the rows' z, both coordinates) or a CSV column, so a
-coordinate that is 0 by symmetry, and holds only round-off, is ranked by
-the size of its point.  A move between two values that are each below
+``compare`` prints the exit codes, wall times and peak memory of both runs;
+the timings and memory are never compared as files.  Per output file it
+prints whether every non-float field (keys, lengths, strings, integers,
+booleans, nulls) is equal, or else the path of every one that differs, and
+the worst absolute and relative move of its floats, with where it happens,
+and under that one indented line per moved float with its absolute and
+relative move, largest relative move first.  A move is relative to the
+largest magnitude its field takes in either file, a field being a JSON path
+with its list indices dropped (all the rows' z, both coordinates) or a CSV
+column, so a coordinate that is 0 by symmetry, and holds only round-off, is
+ranked by the size of its point.  A move between two values that are each below
 _ROUND_OFF times the largest float magnitude in either file (a point whose
 coordinates are both 0 by symmetry) is round-off: it is listed last, with
 its absolute move only, and never counts as the worst relative move.  It
@@ -64,7 +65,7 @@ GOLDEN = (
     ("oracles_fsup_N8", "oracles --fsup --N 8", None),
 )
 # what run writes next to the cases, not compared as outputs
-_RUN_FILES = ("exit_codes.json", "wall_s.json")
+_RUN_FILES = ("exit_codes.json", "wall_s.json", "maxrss_mb.json")
 # relative to a file's largest float magnitude, the size of round-off
 _ROUND_OFF = 1e-12
 
@@ -72,7 +73,7 @@ _ROUND_OFF = 1e-12
 def run(out: str, cases=GOLDEN, src: str = os.path.join(ROOT, "src")) -> dict:
     """Run each (case, command, config) into out/case; returns the exit codes."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    codes, wall = {}, {}
+    codes, wall, rss = {}, {}, {}
     for case, command, config in cases:
         case_dir = os.path.join(out, case)
         os.makedirs(case_dir, exist_ok=True)
@@ -80,9 +81,13 @@ def run(out: str, cases=GOLDEN, src: str = os.path.join(ROOT, "src")) -> dict:
         if config is not None:
             argv += ["--config", os.path.join(ROOT, config)]
         start = time.perf_counter()
-        codes[case] = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL).returncode
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
         wall[case] = time.perf_counter() - start
-    for name, payload in zip(_RUN_FILES, (codes, wall)):
+        # reaped here, so tell Popen the code it can no longer wait for
+        codes[case] = proc.returncode = os.waitstatus_to_exitcode(status)
+        rss[case] = usage.ru_maxrss / 1024.0     # kB on Linux
+    for name, payload in zip(_RUN_FILES, (codes, wall, rss)):
         with open(os.path.join(out, name), "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -184,19 +189,21 @@ def _files(root: str) -> set:
     return out
 
 
-def _secs(wall: dict, case: str) -> str:
-    return "%.2f" % wall[case] if case in wall else "-"
+def _fmt(values: dict, case: str, spec: str) -> str:
+    return spec % values[case] if case in values else "-"
 
 
 def compare(a: str, b: str, file=sys.stdout) -> bool:
     """Print the comparison of runs a and b; True when everything but floats agrees."""
     codes_a, codes_b = _load(os.path.join(a, "exit_codes.json")), _load(os.path.join(b, "exit_codes.json"))
     wall_a, wall_b = _load(os.path.join(a, "wall_s.json")), _load(os.path.join(b, "wall_s.json"))
+    rss_a, rss_b = _load(os.path.join(a, "maxrss_mb.json")), _load(os.path.join(b, "maxrss_mb.json"))
     same = codes_a == codes_b
-    print("exit codes: %s (wall s)" % ("equal" if same else "DIFFER"), file=file)
+    print("exit codes: %s (wall s) (max RSS MB)" % ("equal" if same else "DIFFER"), file=file)
     for case in sorted(codes_a.keys() | codes_b.keys()):
-        times = _secs(wall_a, case), _secs(wall_b, case)
-        print("  %-22s %s %s  (%s %s)" % (case, codes_a.get(case), codes_b.get(case), *times), file=file)
+        times = _fmt(wall_a, case, "%.2f"), _fmt(wall_b, case, "%.2f")
+        rss = _fmt(rss_a, case, "%.1f"), _fmt(rss_b, case, "%.1f")
+        print("  %-22s %s %s  (%s %s)  (%s %s)" % (case, codes_a.get(case), codes_b.get(case), *times, *rss), file=file)
     files_a, files_b = _files(a), _files(b)
     for name in sorted(files_a ^ files_b):
         print("%s: only in %s" % (name, a if name in files_a else b), file=file)
