@@ -243,6 +243,9 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
             worst_finest = max(
                 (r.residual_rel for r in reports if r.applicable), default=0.0
             )
+        # free this level's field, and its cached Hessian samples, before
+        # the next level's mesh and solve
+        del mesh, field
     print("verify: finest-level worst residual_rel = %s (threshold %s)" % (_fmt(worst_finest), _fmt(threshold)))
     return 0 if worst_finest <= threshold else 1
 
@@ -426,6 +429,7 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
             vals, _ = fem.eval_at_points(field, domain.center[None, :] + probe_offsets)
             probe_vals.append(vals)
         records.append(rec)
+        del mesh, field
 
     if is_disk:
         errs = [rec["linf_error"] for rec in records]

@@ -12,14 +12,15 @@ with it: the P2 numbering, the CSR pattern of the interior stiffness with the
 slots of the element-matrix entries in it, and the preconditioner.  The P2
 nodes are numbered once, on the preconditioner's polar half-step lattice,
 interior nodes first, so the interior unknowns are a prefix of the nodal
-vector and the preconditioner reads them without a permutation.  Per mesh, J
+vector and the preconditioner reads them without a permutation.  They are
+placed once too, by _place_nodes, straight at their lattice ids: the mesh
+and the preconditioner's unit disk both read that one placement.  Per mesh, J
 is formed once: one GEMM of the (4 x 12) map table at the centroid against
 the coordinates of every cell, and the 7-point table against those of the
-curved cells only.  A mesh then keeps only what it cannot re-read: its
-vertices, its P2 node positions and its element maps (det J and J^-1, with
-the weights of the curved cells).  The triangle table, the cell coordinates
-and the (nt, 7) quadrature weights are formed on read from those and the
-topology, bitwise as they were built.  An affine cell's stiffness is its
+curved cells only.  A mesh then keeps only what it cannot re-read: its P2
+node positions and its element maps (det J and J^-1, with the weights of the
+curved cells).  The cell coordinates and the (nt, 7) quadrature weights are
+formed on read from those and the topology.  An affine cell's stiffness is its
 constant metric against one constant table; the curved cells overwrite their
 columns from the metric at each point.  The kernels work on one (p, nt) array
 per quantity; the stiffness kernel forms only the 21 distinct entries of each
@@ -69,8 +70,6 @@ class SolverError(RuntimeError):
 
 # -- P2 reference element ----------------------------------------------------
 # node order: vertices 0,1,2 then midsides of edges (0,1), (1,2), (2,0)
-
-_EDGE_LOCALS = np.array([[0, 1], [1, 2], [2, 0]])
 
 # second derivatives (xi xi, xi eta, eta eta) of the shape functions (constant)
 _D2N = np.array([[4.0, 4.0, 4.0], [4.0, 0.0, 0.0], [0.0, 0.0, 4.0], [-8.0, -4.0, 0.0], [0.0, 4.0, 0.0], [0.0, -4.0, -8.0]])
@@ -240,37 +239,19 @@ _GRADING = 1.2
 class TriMesh:
     """Structured polar triangulation of a star-shaped domain.
 
-    vertices[0] is the center; vertex 1 + (j-1)*n_angular + i sits at radial
-    fraction radial_fractions[j-1] of rho(theta_i).  triangles, the vertex
-    ids of each triangle in the order stated by generate_mesh, from which
-    the P2 lookups read each triangle's ring and sector, depend on the
-    topology alone and are formed on read.  boundary_thetas (n_angular, 2)
-    holds the theta parameters of the endpoints of each boundary edge, sector
-    by sector.  h is the longest edge.  ``space`` is the P2 node table with
-    its element maps, built on first use and shared by every solve and
-    integral on this mesh; it numbers the P2 nodes on the polar lattice (see
-    _Plan), not by these vertex ids.
+    Vertex i of ring j sits at radial fraction radial_fractions[j-1] of
+    rho(theta_i) from the center (see _vertex_rings), and the triangles come
+    in the order stated by generate_mesh.  h is the longest edge.  ``space``
+    is the P2 node table with its element maps, built on first use and shared
+    by every solve and integral on this mesh; it numbers and places the P2
+    nodes on the polar lattice (see _Plan and _place_nodes).
     """
 
-    vertices: np.ndarray
-    boundary_thetas: np.ndarray
     h: float
     n_radial: int
     n_angular: int
     radial_fractions: np.ndarray
     domain: StarDomain
-
-    @property
-    def triangles(self) -> np.ndarray:
-        """(nt, 3) vertex ids of the triangles, in generate_mesh's order."""
-        n_r, n_a = self.n_radial, self.n_angular
-        # vid[j - 1, i] is the id of vertex i (mod n_angular) on ring j
-        vid = 1 + n_a * np.arange(n_r)[:, None] + np.arange(n_a + 1) % n_a
-        a, b = vid[:-1, :-1], vid[:-1, 1:]
-        c, d = vid[1:, 1:], vid[1:, :-1]
-        fan = np.stack([np.zeros(n_a, dtype=np.int64), vid[0, :-1], vid[0, 1:]], axis=-1)
-        rings = np.stack([np.stack([a, d, c], axis=-1), np.stack([a, c, b], axis=-1)], axis=2)
-        return np.concatenate([fan, rings.reshape(-1, 3)])
 
     @functools.cached_property
     def space(self) -> "_P2Space":
@@ -310,36 +291,59 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     s = np.cumsum(spacing) / np.sum(spacing)
     s[-1] = 1.0
 
-    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    rho = domain.radius(theta)
-    ct, st = np.cos(theta), np.sin(theta)
-
-    nv = 1 + n_radial * n_angular
-    verts = np.empty((nv, 2))
-    verts[0] = domain.center
-    verts[1:, 0] = (domain.center[0] + s[:, None] * rho * ct).ravel()
-    verts[1:, 1] = (domain.center[1] + s[:, None] * rho * st).ravel()
-
-    edge_theta = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
-    bthetas = np.stack([edge_theta[:-1], edge_theta[1:]], axis=-1)
-
     # every edge is a spoke (centre or ring j to ring j + 1, same angle), a
     # ring chord (angle i to i + 1) or a diagonal a-c (ring j, angle i to
     # ring j + 1, angle i + 1): the same differences, up to sign, that the
     # triangles' edges give, so h is the same float
-    ring = verts[1:].reshape(n_radial, n_angular, 2)
+    ring = _vertex_rings(domain, s, n_angular)
     on = np.roll(ring, -1, axis=1)          # each vertex's neighbour one sector on
-    edges = (ring[0] - verts[0], ring[1:] - ring[:-1], on - ring, on[1:] - ring[:-1])
+    edges = (ring[0] - domain.center, ring[1:] - ring[:-1], on - ring, on[1:] - ring[:-1])
     h = float(max(np.max(np.hypot(e[..., 0], e[..., 1])) for e in edges))
-    return TriMesh(
-        vertices=verts,
-        boundary_thetas=bthetas,
-        h=h,
-        n_radial=n_radial,
-        n_angular=n_angular,
-        radial_fractions=s,
-        domain=domain,
+    return TriMesh(h=h, n_radial=n_radial, n_angular=n_angular, radial_fractions=s, domain=domain)
+
+
+def _vertex_rings(domain: StarDomain, radial_fractions: np.ndarray, n_angular: int) -> np.ndarray:
+    """(n_radial, n_angular, 2) mesh vertices past the centre: vertex i of
+    ring j at center + s_j rho(theta_i) e_i, theta_i = 2 pi i / n_angular."""
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    rho = radial_fractions[:, None] * domain.radius(theta)
+    return np.stack(
+        [domain.center[0] + rho * np.cos(theta), domain.center[1] + rho * np.sin(theta)], axis=-1
     )
+
+
+def _boundary_params(n_angular: int):
+    """The theta parameters of the 2 n_angular boundary nodes: the first
+    endpoint of each sector's boundary edge, and the edge's midpoint."""
+    edge = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
+    return edge[:-1], 0.5 * (edge[:-1] + edge[1:])
+
+
+def _place_nodes(domain: StarDomain, radial_fractions: np.ndarray, n_angular: int) -> np.ndarray:
+    """(n_nodes, 2) position of every P2 node, at its lattice id (see _Plan).
+
+    Past the centre, node_xy[1:] is the (slot, sector) array.  Per ring j
+    (counted from 1) slot 4j - 3 holds the vertices, 4j - 2 the ring chords'
+    midsides, 4j - 1 the spokes' to ring j + 1 and 4j the diagonals a-c to
+    ring j + 1; slot 0 holds the centre fan's spokes.  A midside is the mean
+    of its edge's endpoints, except on the boundary chord, slot 4 n_radial - 2,
+    where it sits on the curve at the mid-parameter.  So every cell off the
+    boundary has its midsides at its edge midpoints, and its map is affine.
+    """
+    n_r = radial_fractions.size
+    centre = domain.center
+    node_xy = np.empty((1 + (4 * n_r - 1) * n_angular, 2))
+    node_xy[0] = centre
+    xy = node_xy[1:].reshape(4 * n_r - 1, n_angular, 2)
+    ring = _vertex_rings(domain, radial_fractions, n_angular)
+    on = np.roll(ring, -1, axis=1)          # each vertex's neighbour one sector on
+    xy[0] = 0.5 * (centre + ring[0])
+    xy[1::4] = ring
+    xy[2:-1:4] = 0.5 * (ring[:-1] + on[:-1])
+    xy[3::4] = 0.5 * (ring[:-1] + ring[1:])
+    xy[4::4] = 0.5 * (ring[:-1] + on[1:])
+    xy[-1] = domain.point(_boundary_params(n_angular)[1])
+    return node_xy
 
 
 # -- per-topology plan ------------------------------------------------------
@@ -402,11 +406,10 @@ class _Plan:
         jj, kk = _polar_lattice(n_r, n_a)
         lattice_slot = np.where(jj == 1, 0, 2 * jj - 3 + kk % 2)
         tri_nodes = self.tri_nodes = np.where(jj == 0, 0, 1 + lattice_slot * n_a + kk // 2).astype(np.int32)
-        del lattice_slot
+        del lattice_slot, jj, kk
         self.b_tri = nt - 2 * n_a + 2 * np.arange(n_a)
         # built while little else is held: its set-up peak is the larger one
-        self.precond = _PolarPreconditioner(self, (jj, kk), mesh.radial_fractions)
-        del jj, kk
+        self.precond = _PolarPreconditioner(self, mesh.radial_fractions)
 
         # interior node x element, as int32 counts: the product drops
         # entries that sum to zero, so a narrower type would wrap the
@@ -464,12 +467,12 @@ class _P2Space:
     The numbering (tri_nodes, b_tri, n_nodes) is the topology plan's polar
     lattice numbering: the interior nodes are the ids below plan.n_in, the
     boundary nodes the rest.  Of this mesh, the space stores only the node
-    positions node_xy and the element maps (see _CellMaps: the b_tri cells
-    are the curved ones).  The cell coordinates coords (nt, 6, 2) are built
-    once, to form those two, and then dropped: a reader gathers
-    node_xy[tri_nodes[els]] for the cells els it needs, which is bitwise the
-    same, as every triangle gives a shared node the same point.  Likewise
-    the quadrature weights qp_w (nt, 7) are formed on read from the maps.
+    positions node_xy, placed at their ids by _place_nodes, and the element
+    maps (see _CellMaps: the b_tri cells are the curved ones).  The cell
+    coordinates node_xy[tri_nodes] (nt, 6, 2) are gathered once, to form the
+    maps, and then dropped: a reader gathers those of the cells it needs.
+    Likewise the quadrature weights qp_w (nt, 7) are formed on read from the
+    maps.
     """
 
     def __init__(self, mesh: TriMesh):
@@ -477,28 +480,9 @@ class _P2Space:
         # cycle, keeping every dead mesh's arrays alive until a gc pass
         plan = self.plan = _plan(mesh)
         self.tri_nodes, self.b_tri, self.n_nodes = plan.tri_nodes, plan.b_tri, plan.n_nodes
-
-        # each cell's vertices, then the means of its edges' endpoints, edge
-        # by edge and one coordinate at a time, then the curved boundary
-        # midsides; the triangles sharing a node give it the same point, as
-        # a + b == b + a.  np.take and per-coordinate passes run several times
-        # faster than fancy indexing of whole rows, and filling coords in
-        # place keeps the peak down.
-        coords = np.empty(self.tri_nodes.shape + (2,))        # (nt, 6, 2)
-        coords[:, :3] = np.take(mesh.vertices, mesh.triangles, axis=0)
-        for e, (k, l) in enumerate(_EDGE_LOCALS):
-            for c in range(2):
-                mid = coords[:, 3 + e, c]
-                np.add(coords[:, k, c], coords[:, l, c], out=mid)
-                mid *= 0.5
-        th = mesh.boundary_thetas
-        coords[self.b_tri, 4] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
-        self.node_xy = np.empty((self.n_nodes, 2))
-        for c in range(2):
-            self.node_xy[:, c][self.tri_nodes] = coords[..., c]
-
+        self.node_xy = _place_nodes(mesh.domain, mesh.radial_fractions, mesh.n_angular)
         # only the b_tri cells have a midside (node 4) off its edge's midpoint
-        self.maps = _CellMaps.of(coords, self.b_tri)
+        self.maps = _CellMaps.of(np.take(self.node_xy, self.tri_nodes, axis=0), self.b_tri)
 
     @property
     def coords(self) -> np.ndarray:
@@ -529,7 +513,9 @@ class _PolarPreconditioner:
     is scale-invariant, so it needs only the topology: the plan's lattice
     numbering, in which interior node 1 + s n_angular + k is slot s of
     sector k, so the interior vector past the centre is the (slot, sector)
-    array itself, and the mesh's radial fractions.
+    array itself, and the mesh's radial fractions.  Sector 0's cells are
+    placed on the unit disk by _place_nodes, so they are bitwise the cells
+    of the disk mesh, and their matrices come from the assembly's kernel.
 
     On the disk an apply is the exact solve, and CG stops after one
     iteration.  Elsewhere the count is set by the shape alone: in the polar
@@ -539,31 +525,20 @@ class _PolarPreconditioner:
     ln(1e10) / ln((lam + 1)/(lam - 1)) iterations at any mesh size.
     """
 
-    def __init__(self, plan: _Plan, lattice, radial_fractions: np.ndarray):
+    def __init__(self, plan: _Plan, radial_fractions: np.ndarray):
         n_a, n_s = plan.n_angular, 4 * plan.n_radial - 3
         n_m = n_a // 2 + 1
         self.shape = (n_s, n_a)
 
-        # the P2 triangles of sector 0 laid on the unit disk as generate_mesh
-        # and _P2Space place them: vertices at their radial fraction, midsides
-        # at the mean of their endpoints, boundary midsides on the circle
-        jj, kk = lattice
-        sector0 = np.all(kk <= 2, axis=1)
-        tri0 = plan.tri_nodes[sector0]
-        radius = np.concatenate([[0.0], radial_fractions])[jj[sector0, :3] // 2]
-        angle = (np.pi / n_a) * kk[sector0, :3]
-        xy = np.empty(tri0.shape + (2,))
-        xy[:, :3, 0], xy[:, :3, 1] = radius * np.cos(angle), radius * np.sin(angle)
-        mid = xy[:, 3:]
-        mid[:] = 0.5 * (xy[:, _EDGE_LOCALS[:, 0]] + xy[:, _EDGE_LOCALS[:, 1]])
-        on_circle = tri0[:, 3:] >= plan.n_in
-        mid[on_circle] /= np.hypot(mid[on_circle, 0], mid[on_circle, 1])[:, None]
-
-        # their full element matrices, row 6k + l, by the assembly's kernel
-        # with its tables expanded by index: on so few cells a GEMM's rounding
-        # depends on its row count, and the 36-row product keeps the factor
-        # bitwise that of the full-matrix kernel
-        ke = _element_stiffness(_CellMaps.of(xy, np.nonzero(np.any(on_circle, axis=1))[0]), _FULL)
+        # the P2 triangles of sector 0, the fan's first and the first pair of
+        # each ring (see generate_mesh), laid on the unit disk by the mesh's
+        # own placement; b_tri[0] is the curved one
+        nt = plan.tri_nodes.shape[0]
+        cells = np.concatenate([[0], np.arange(n_a, nt).reshape(-1, n_a, 2)[:, 0].ravel()])
+        tri0 = plan.tri_nodes[cells]
+        xy = np.take(_place_nodes(StarDomain.disk(), radial_fractions, n_a), tri0, axis=0)
+        # their full element matrices, row 6k + l
+        ke = _element_stiffness(_CellMaps.of(xy, np.flatnonzero(cells == plan.b_tri[0])))[_FULL]
         a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
         keep = (a < plan.n_in) & (b < plan.n_in)
         a, b, v = a[keep], b[keep], v[keep]
@@ -682,8 +657,7 @@ class TorsionField:
 
     @functools.cached_property
     def M(self) -> float:
-        th0, th1 = self.mesh.boundary_thetas.T
-        g = _boundary_gradient(self.mesh, self.u, np.concatenate([th0, 0.5 * (th0 + th1)]))
+        g = _boundary_gradient(self.mesh, self.u, np.concatenate(_boundary_params(self.mesh.n_angular)))
         return float(np.max(np.hypot(g[:, 0], g[:, 1])))
 
     @functools.cached_property
@@ -831,12 +805,11 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     return np.asarray(out)
 
 
-def _element_stiffness(maps: _CellMaps, entries: np.ndarray = np.arange(21)) -> np.ndarray:
+def _element_stiffness(maps: _CellMaps) -> np.ndarray:
     """The 21 distinct entries of the symmetric element stiffness matrices,
     entry-major, (21, nt): row r holds entry _UPPER[r] of every element, the
-    15 strict-upper entries first, then the diagonal.  entries = _FULL picks
-    the tables' columns by index and gives the full matrices, (36, nt) with
-    row 6k + l holding entry (k, l).
+    15 strict-upper entries first, then the diagonal.  ke[_FULL] is the full
+    matrices, (36, nt) with row 6k + l holding entry (k, l).
 
     An affine cell's matrix is its constant weighted metric (G00, G01, G11)
     det J / 2, G = J^-1 J^-T, against _KE_AFFINE; a curved cell sums the
@@ -847,12 +820,12 @@ def _element_stiffness(maps: _CellMaps, entries: np.ndarray = np.arange(21)) -> 
     a, b, c, d = maps.inv
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d])
     g *= 0.5 * maps.det
-    ke = np.take(_KE_AFFINE, entries, axis=1).T @ g
+    ke = _KE_AFFINE.T @ g
     a, b, c, d = maps.qp_inv
     # the weighted metric w J^-1 J^-T as (00, 01, 11) per quadrature point
     g = np.stack([a * a + b * b, a * c + b * d, c * c + d * d], axis=1)
     g *= maps.curved_w[:, None, :]
-    ke[:, maps.curved] = np.take(_KE, entries, axis=1).T @ g.reshape(21, -1)
+    ke[:, maps.curved] = _KE.T @ g.reshape(21, -1)
     return ke
 
 
@@ -935,7 +908,8 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
     rel = pts - mesh.domain.center
     th = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
     sector = np.minimum((th * n_a / (2.0 * np.pi)).astype(np.int64), n_a - 1)
-    outer = mesh.vertices[-n_a:] - mesh.vertices[0]     # boundary vertices, from the centre
+    n_in = space.plan.n_in
+    outer = space.node_xy[n_in : n_in + n_a] - space.node_xy[0]     # boundary vertices, from the centre
     chord = np.roll(outer, -1, axis=0)[sector] - outer[sector]
     frac = (rel[:, 0] * chord[:, 1] - rel[:, 1] * chord[:, 0]) / (
         outer[sector, 0] * chord[:, 1] - outer[sector, 1] * chord[:, 0]

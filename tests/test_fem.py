@@ -25,9 +25,13 @@ def test_generate_mesh_validation():
 def test_mesh_counts_and_h():
     disk = geometry.StarDomain.disk()
     mesh = fem.generate_mesh(disk, 8, 32)
-    assert len(mesh.vertices) == 1 + 8 * 32
-    assert len(mesh.triangles) == 32 + 2 * 32 * 7
-    assert len(mesh.boundary_thetas) == 32
+    space = mesh.space
+    n_vertices, n_triangles = 1 + 8 * 32, 32 + 2 * 32 * 7
+    assert len(space.tri_nodes) == n_triangles
+    assert len(space.b_tri) == 32
+    # a P2 node per vertex and per edge, and a triangulated disk has
+    # V + T - 1 edges
+    assert space.n_nodes == n_vertices + (n_vertices + n_triangles - 1)
     assert 0.0 < mesh.h < 0.5
 
 
@@ -40,7 +44,7 @@ def test_disk_solve_matches_closed_form():
     assert abs(field.area - np.pi) < 1e-5
     assert abs(field.M - 1.0) < 5e-3
     # boundary node parameters: edge endpoints and curved midsides
-    th0, th1 = mesh.boundary_thetas.T
+    th0, th1 = _reference_boundary_thetas(mesh.n_angular).T
     u_nu = fem.boundary_normal_derivative(field, np.concatenate([th0, 0.5 * (th0 + th1)]))
     assert np.max(np.abs(u_nu - 1.0)) < 5e-3
     assert field.residual_norm < 1e-9
@@ -77,7 +81,7 @@ def test_m_is_boundary_node_maximum():
     dom = geometry.StarDomain(1.0, [0.0, 0.0, 0.1])
     mesh = fem.generate_mesh(dom, 32, 128)
     field = fem.solve_torsion(mesh)
-    th0, th1 = mesh.boundary_thetas.T
+    th0, th1 = _reference_boundary_thetas(mesh.n_angular).T
     grads = [fem._boundary_gradient(mesh, field.u, th) for th in (th0, 0.5 * (th0 + th1))]
     assert field.M == max(float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads)
 
@@ -131,7 +135,7 @@ def test_eval_at_points_locates_every_cell(name):
     mesh = fem.generate_mesh(domain, 16, 64)
     field = fem.solve_torsion(mesh)
     space = field.space
-    n_a, nt = mesh.n_angular, mesh.triangles.shape[0]
+    n_a, nt = mesh.n_angular, space.tri_nodes.shape[0]
     rng = np.random.default_rng(3)
     # the points are images of known reference points, so the element and its
     # values are known without a search:
@@ -168,7 +172,7 @@ def test_eval_at_points_locates_every_cell(name):
         assert np.max(np.abs(g - 2.0 * s * np.stack([x / a2, y / b2], axis=-1))) < 5e-3
 
     # a point just outside the curved boundary, past a boundary midside node
-    th = mesh.boundary_thetas[5].mean()
+    th = _reference_boundary_thetas(n_a)[5].mean()
     outside = space.node_xy[space.tri_nodes[space.b_tri[5], 4]] + 1e-6 * domain.normal(th)
     with pytest.raises(fem.MeshError):
         fem.eval_at_points(field, outside[None, :])
@@ -291,7 +295,7 @@ def _reference_edge_tables(mesh):
     # a dict loop over the mesh's triangles: the P2 node ids that each vertex
     # and each edge receives, and the triangle and local edge of each boundary
     # edge, an edge of one triangle, in sector order
-    tris, tri_nodes = mesh.triangles, mesh.space.tri_nodes
+    tris, tri_nodes = _reference_triangles(mesh.n_radial, mesh.n_angular), mesh.space.tri_nodes
     edge_locals = ((0, 1), (1, 2), (2, 0))
     vertex_ids, edge_ids, edge_tris = {}, {}, {}
     for t in range(tris.shape[0]):
@@ -302,7 +306,7 @@ def _reference_edge_tables(mesh):
             key = (a, b) if a < b else (b, a)
             edge_ids.setdefault(key, set()).add(int(tri_nodes[t, 3 + le]))
             edge_tris.setdefault(key, []).append((t, le))
-    outer = mesh.vertices.shape[0] - mesh.n_angular + np.arange(mesh.n_angular)
+    outer = 1 + (mesh.n_radial - 1) * mesh.n_angular + np.arange(mesh.n_angular)
     bedges = np.stack([outer, np.roll(outer, -1)], axis=-1)
     assert {key for key, on in edge_tris.items() if len(on) == 1} == {tuple(sorted(e)) for e in bedges.tolist()}
     b_tri, b_local, b_forward, b_mid = [], [], [], []
@@ -331,7 +335,7 @@ def test_p2_topology_matches_reference_loop(n_radial, n_angular):
     # the lookups read every boundary edge as local edge (1, 2), running forward
     assert np.all(b_local == 1) and np.all(b_forward)
     assert np.array_equal(space.tri_nodes[space.b_tri, 4], b_mid)
-    th_mid = mesh.boundary_thetas.mean(axis=1)
+    th_mid = _reference_boundary_thetas(n_angular).mean(axis=1)
     on_curve = np.array([dom.point(th) for th in th_mid])
     assert np.max(np.abs(space.node_xy[b_mid] - on_curve)) <= 1e-15
 
@@ -510,7 +514,7 @@ def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     # the Hessian samples: one per affine cell, 7 per curved cell, point-major
     w, wu, hess, cell = fem._hessian_samples(space, u_full)
     curved = space.b_tri
-    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), curved)
+    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), curved)
     assert np.array_equal(cell, np.concatenate([affine, np.tile(curved, 7)]))
     # an affine cell's reference Hessian is the same at all 7 points up to
     # its map-curvature term, which is round-off there
@@ -579,12 +583,16 @@ def test_only_b_tri_cells_are_curved(domain, n_radial, n_angular):
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     space = mesh.space
     coords = space.coords
-    midpoints = 0.5 * (coords[:, fem._EDGE_LOCALS[:, 0]] + coords[:, fem._EDGE_LOCALS[:, 1]])
-    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
+    midpoints = 0.5 * (coords[:, _EDGE_LOCALS[:, 0]] + coords[:, _EDGE_LOCALS[:, 1]])
+    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), space.b_tri)
     assert np.array_equal(coords[affine, 3:], midpoints[affine])
     assert np.array_equal(space.maps.curved, space.b_tri)
-    th_mid = mesh.boundary_thetas.mean(axis=1)
+    th_mid = _reference_boundary_thetas(n_angular).mean(axis=1)
     assert np.array_equal(coords[space.b_tri, 4], domain.point(th_mid))
+
+
+# the local nodes at the ends of the edges whose midsides are local nodes 3, 4, 5
+_EDGE_LOCALS = np.array([[0, 1], [1, 2], [2, 0]])
 
 
 def _reference_triangles(n_radial, n_angular):
@@ -602,6 +610,33 @@ def _reference_triangles(n_radial, n_angular):
     return np.array(tris)
 
 
+def _reference_vertices(mesh):
+    # the vertex array the mesh held: the centre, then vertex
+    # 1 + (j - 1) n_angular + i at radial fraction s_j of rho(theta_i)
+    n_a, domain = mesh.n_angular, mesh.domain
+    theta = 2.0 * np.pi * np.arange(n_a) / n_a
+    rho = domain.radius(theta)
+    s = mesh.radial_fractions
+    verts = np.empty((1 + s.size * n_a, 2))
+    verts[0] = domain.center
+    verts[1:, 0] = (domain.center[0] + s[:, None] * rho * np.cos(theta)).ravel()
+    verts[1:, 1] = (domain.center[1] + s[:, None] * rho * np.sin(theta)).ravel()
+    return verts
+
+
+def _reference_boundary_thetas(n_angular):
+    # the theta parameters of the endpoints of each boundary edge, sector by sector
+    edge = np.arange(n_angular + 1) * (2.0 * np.pi / n_angular)
+    return np.stack([edge[:-1], edge[1:]], axis=-1)
+
+
+def _vertex_node_ids(n_radial, n_angular):
+    # the P2 node id of each vertex id: vertex i of ring j sits at lattice
+    # (2j, 2i), slot 4j - 3 of sector i
+    ring, sector = np.divmod(np.arange(n_radial * n_angular), n_angular)
+    return np.concatenate([[0], 1 + (4 * ring + 1) * n_angular + sector])
+
+
 def _reference_cell_arrays(mesh):
     # the cell coordinates (nt, 6, 2) and quadrature weights (nt, 7) built
     # per triangle and stored, as the space did before it kept only the node
@@ -609,11 +644,11 @@ def _reference_cell_arrays(mesh):
     n_a = mesh.n_angular
     tris = _reference_triangles(mesh.n_radial, n_a)
     coords = np.empty((tris.shape[0], 6, 2))
-    coords[:, :3] = mesh.vertices[tris]
-    for e, (k, l) in enumerate(fem._EDGE_LOCALS):
+    coords[:, :3] = _reference_vertices(mesh)[tris]
+    for e, (k, l) in enumerate(_EDGE_LOCALS):
         coords[:, 3 + e] = 0.5 * (coords[:, k] + coords[:, l])
     b_tri = tris.shape[0] - 2 * n_a + 2 * np.arange(n_a)
-    th = mesh.boundary_thetas
+    th = _reference_boundary_thetas(n_a)
     coords[b_tri, 4] = mesh.domain.point(0.5 * (th[:, 0] + th[:, 1]))
     det = fem._element_maps(coords, fem._MAP_CENTROID)[0][0]
     qp_det = fem._element_maps(coords[b_tri], fem._MAP_QP)[0]
@@ -629,11 +664,13 @@ def _reference_cell_arrays(mesh):
 )
 @pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (16, 64)])
 def test_cell_arrays_formed_on_read_match_per_triangle_reference(domain, n_radial, n_angular):
-    # the gathered node_xy[tri_nodes] and the weights formed from det J and
-    # the curved cells' weights are bitwise what storing them gave
+    # the nodes placed on the lattice, gathered as node_xy[tri_nodes], and
+    # the weights formed from det J and the curved cells' weights are bitwise
+    # what building and storing them per triangle gave
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     coords, qp_w = _reference_cell_arrays(mesh)
-    assert np.array_equal(mesh.triangles, _reference_triangles(n_radial, n_angular))
+    want = _vertex_node_ids(n_radial, n_angular)[_reference_triangles(n_radial, n_angular)]
+    assert np.array_equal(mesh.space.tri_nodes[:, :3], want)
     assert np.array_equal(mesh.space.coords, coords)
     assert np.array_equal(mesh.space.qp_w, qp_w)
 
@@ -652,7 +689,7 @@ def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
     q = 0.5 * np.einsum("ni,ij,nj->n", xy, hess, xy)
     w, _, h, cell = fem._hessian_samples(space, q)
     on_affine = ~np.isin(cell, space.b_tri)
-    affine = np.setdiff1d(np.arange(mesh.triangles.shape[0]), space.b_tri)
+    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), space.b_tri)
     assert np.array_equal(cell[on_affine], affine)
     err = np.max(np.abs(np.stack(h)[:, on_affine] - np.array([1.0, -0.3, 0.7])[:, None]), axis=0)
     assert np.allclose(w[on_affine], np.sum(space.qp_w[affine], axis=1), rtol=1e-14, atol=0.0)
@@ -676,8 +713,7 @@ def test_solve_memory_peak_bounded():
     # 21-entry kernel added in place into the CSR data 1.24, or 1.30 now
     # that the solve forms the (nt, 7) weights itself
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
-    mesh.space
-    ke_bytes = 36 * mesh.triangles.shape[0] * 8
+    ke_bytes = 36 * mesh.space.tri_nodes.shape[0] * 8
     tracemalloc.start()
     try:
         fem.solve_torsion(mesh)
@@ -707,19 +743,20 @@ def _own_nbytes(objs, plan):
 
 
 def test_solved_field_keeps_only_what_it_cannot_re_read():
-    # what a kept field holds beyond its plan: u, the mesh vertices, the P2
-    # node positions and the element maps, 0.82 MB at 32x128.  Storing the
-    # cell coordinates, the (nt, 7) weights and the triangle table as well
-    # made it 2.23 MB
+    # what a kept field holds beyond its plan: u, the P2 node positions and
+    # the element maps, 0.75 MB at 32x128.  Storing the mesh vertices as well
+    # made it 0.82 MB, and the cell coordinates, the (nt, 7) weights and the
+    # triangle table on top 2.23 MB
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     field = fem.solve_torsion(mesh)
     space = field.space
-    assert _own_nbytes((field, mesh, space, space.maps), space.plan) <= 1.0e6
-    # the triangle table depends on the topology alone: two meshes of one
-    # topology read the same table, formed on read
+    assert _own_nbytes((field, mesh, space, space.maps), space.plan) <= 0.8e6
+    # the node table depends on the topology alone: two meshes of one
+    # topology read the plan's table, with the vertices in triangle order
     other = fem.generate_mesh(FOURIER5, 32, 128)
-    want = _reference_triangles(32, 128)
-    assert np.array_equal(mesh.triangles, want) and np.array_equal(other.triangles, want)
+    want = _vertex_node_ids(32, 128)[_reference_triangles(32, 128)]
+    assert other.space.tri_nodes is space.tri_nodes
+    assert np.array_equal(space.tri_nodes[:, :3], want)
 
 
 @pytest.fixture
@@ -735,7 +772,7 @@ def test_cold_plan_memory_peak_bounded(empty_plans):
     # coordinates and (nt, 7) weights, 4.78 with the 36-entry bincount
     # assembly
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
-    ke_bytes = 36 * mesh.triangles.shape[0] * 8
+    ke_bytes = 36 * 128 * (2 * 32 - 1) * 8
     tracemalloc.start()
     try:
         mesh.space
@@ -857,20 +894,40 @@ def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
 
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (64, 256)])
 def test_preconditioner_factor_matches_full_kernel(monkeypatch, empty_plans, n_radial, n_angular):
-    # the preconditioner forms its few element matrices by the kernel with
-    # its tables expanded to all 36 entries, so its factor is bitwise the one
-    # the full-matrix reference kernel gives
+    # the preconditioner expands the assembly's 21 entries of its few element
+    # matrices by _FULL; the full-matrix reference kernel's 36-row product
+    # rounds differently on so few cells (the two factors differ by up to
+    # 4.5e-16 here), so they agree to round-off only
     mesh = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular)
     plan = mesh.space.plan
-    monkeypatch.setattr(fem, "_element_stiffness", lambda maps, entries: _reference_element_stiffness(maps))
-    ref = fem._PolarPreconditioner(plan, fem._polar_lattice(n_radial, n_angular), mesh.radial_fractions)
-    assert np.array_equal(plan.precond.factor, ref.factor)
+    upper = 6 * fem._UPPER[:, 0] + fem._UPPER[:, 1]
+    monkeypatch.setattr(fem, "_element_stiffness", lambda maps: _reference_element_stiffness(maps)[upper])
+    ref = fem._PolarPreconditioner(plan, mesh.radial_fractions).factor
+    assert np.max(np.abs(plan.precond.factor - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (8, 32), (64, 256)])
+def test_preconditioner_cells_are_disk_mesh_cells(monkeypatch, n_radial, n_angular):
+    # the preconditioner lays sector 0's cells on the unit disk by the mesh's
+    # own placement, so they are bitwise the disk mesh's cells; a placement of
+    # its own differed by up to 1.1e-16 at these sizes
+    disk = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
+    seen = []
+    of = fem._CellMaps.of
+    monkeypatch.setattr(fem._CellMaps, "of", lambda coords, curved: seen.append((coords, curved)) or of(coords, curved))
+    # built from an off-centre mesh: only the topology may be read
+    fem._Plan(fem.generate_mesh(FOURIER5, n_radial, n_angular))
+    ((coords, curved),) = seen
+    # the fan's first triangle and the first pair of each ring
+    cells = np.r_[0, (n_angular * (2 * np.arange(1, n_radial) - 1)[:, None] + [0, 1]).ravel()]
+    assert np.array_equal(coords, disk.coords[cells])
+    assert np.array_equal(cells[curved], disk.b_tri[:1])
 
 
 def _reference_h(mesh):
     # the longest edge of every triangle, from the gathered vertices: how
     # generate_mesh took h before it read h off the vertex lattice
-    p = mesh.vertices[mesh.triangles]
+    p = _reference_vertices(mesh)[_reference_triangles(mesh.n_radial, mesh.n_angular)]
     edge_vec = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
     return float(np.max(np.hypot(edge_vec[:, 0], edge_vec[:, 1])))
 
@@ -890,7 +947,7 @@ def _reference_polar_lattice(mesh):
     n_a = mesh.n_angular
     tri_nodes = mesh.space.tri_nodes
     lat = np.zeros((mesh.space.n_nodes, 2), dtype=np.int64)
-    v = mesh.triangles - 1
+    v = _reference_triangles(mesh.n_radial, n_a) - 1
     lat[tri_nodes[:, :3], 0] = np.where(v < 0, 0, 2 * (v // n_a + 1))
     lat[tri_nodes[:, :3], 1] = np.where(v < 0, 0, 2 * (v % n_a))
     for e, (la, lb) in enumerate(((0, 1), (1, 2), (2, 0))):

@@ -182,3 +182,40 @@ def test_golden_compare_lists_round_off_last(tmp_path):
     assert [line.split(":")[0] for line in lines[start + 1 :]] == ["    /r_exterior", "    /z[1]", "    /x0[0]"]
     assert lines[-2] == "    /z[1]: abs %.3g, rel %.3g" % (1.5e-10 - 1e-10, (1.5e-10 - 1e-10) / 0.5)
     assert lines[-1] == "    /x0[0]: abs %.3g" % (2.7e-14 - 1.7e-14)
+
+
+def test_golden_compare_gates_solver_noise(tmp_path):
+    # a verify level whose solve stopped at a relative residual of 1e-11 (the
+    # larger of the two files): a move up to 1e-11 times the file's largest
+    # float, about 6.0, is solver noise, listed last and never the worst
+    # relative move.  lhs moves by 2.4e-10, outside that gate of 6e-11, and
+    # rhs and solver_residual by 5e-11 and 6e-12, inside it
+    runs = [tmp_path / name for name in ("a", "b")]
+    payloads = (
+        {"solver_residual": 4e-12, "identities": [{"lhs": 6.0, "rhs": 3.0}]},
+        {"solver_residual": 1e-11, "identities": [{"lhs": 6.0 + 4e-11 * 6.0, "rhs": 3.0 + 5e-11}]},
+    )
+    for run, payload in zip(runs, payloads):
+        (run / "case").mkdir(parents=True)
+        for name in golden._RUN_FILES:
+            (run / name).write_text(json.dumps({"case": 0}))
+        (run / "case" / "verify_level0.json").write_text(json.dumps(payload))
+    report = io.StringIO()
+    assert golden.compare(*map(str, runs), file=report)
+    lines = report.getvalue().splitlines()
+    start = lines.index(next(line for line in lines if line.startswith("case/verify_level0.json")))
+    lhs_move = 6.0 + 4e-11 * 6.0 - 6.0
+    assert lines[start].endswith("worst rel %.3g at /identities[0]/lhs" % (lhs_move / (6.0 + 4e-11 * 6.0)))
+    assert [line.split(":")[0] for line in lines[start + 1 :]] == [
+        "    /identities[0]/lhs",
+        "    /identities[0]/rhs",
+        "    /solver_residual",
+    ]
+    assert lines[start + 2] == "    /identities[0]/rhs: abs %.3g" % (3.0 + 5e-11 - 3.0)
+    # without the key the same rhs move is a real one
+    for run, payload in zip(runs, payloads):
+        del payload["solver_residual"]
+        (run / "case" / "verify_level0.json").write_text(json.dumps(payload))
+    report = io.StringIO()
+    assert golden.compare(*map(str, runs), file=report)
+    assert "    /identities[0]/rhs: abs %.3g, rel" % (3.0 + 5e-11 - 3.0) in report.getvalue()

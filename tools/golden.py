@@ -31,9 +31,12 @@ column, so a coordinate that is 0 by symmetry, and holds only round-off, is
 ranked by the size of its point.  A move between two values that are each below
 _ROUND_OFF times the largest float magnitude in either file (a point whose
 coordinates are both 0 by symmetry) is round-off: it is listed last, with
-its absolute move only, and never counts as the worst relative move.  It
-exits 0 when the exit codes and every non-float field agree, and 1
-otherwise.
+its absolute move only, and never counts as the worst relative move.  In a
+file with a top-level ``solver_residual`` (a verify level), a move of at most
+the larger of the two files' solver_residual times that largest magnitude is
+solver noise, where conjugate gradients stopped, and is listed with the
+round-off moves.  It exits 0 when the exit codes and every non-float field
+agree, and 1 otherwise.
 """
 from __future__ import annotations
 
@@ -154,14 +157,16 @@ class _Moves:
         if not move <= self.worst_abs[0]:
             self.worst_abs = (move, path)
 
-    def ranked(self) -> tuple:
+    def ranked(self, solver_residual: float) -> tuple:
         """(real, round_off): (rel, abs, path) per moved float, the largest
-        relative move first, and (abs, path) per round-off move, the largest
-        first.  A move to or from NaN or inf counts as infinitely large."""
+        relative move first, and (abs, path) per round-off or solver-noise
+        move, the largest first.  A move to or from NaN or inf counts as
+        infinitely large."""
         real, round_off = [], []
         limit = _ROUND_OFF * self.largest
+        noise = solver_residual * self.largest
         for move, path, (a, b) in self.moved:
-            if abs(a) < limit and abs(b) < limit:
+            if abs(a) < limit and abs(b) < limit or move <= noise:
                 round_off.append((move, path))
                 continue
             scale = self.scale.get(self.field(path), 0.0)
@@ -177,6 +182,10 @@ def _json_field(path: str) -> str:
 def _csv_field(path: str) -> str:
     # a cell's path is [row][column]
     return re.sub(r"^\[\d+\]", "", path)
+
+
+def _solver_residual(data) -> float:
+    return data.get("solver_residual", 0.0) if isinstance(data, dict) else 0.0
 
 
 def _files(root: str) -> set:
@@ -210,9 +219,10 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
         same = False
     for name in sorted(files_a & files_b):
         moves = _Moves(_csv_field if name.endswith(".csv") else _json_field)
-        moves.walk(_load(os.path.join(a, name)), _load(os.path.join(b, name)), "")
+        data_a, data_b = _load(os.path.join(a, name)), _load(os.path.join(b, name))
+        moves.walk(data_a, data_b, "")
         same = same and not moves.mismatch
-        ranked, round_off = moves.ranked()
+        ranked, round_off = moves.ranked(max(_solver_residual(data_a), _solver_residual(data_b)))
         worst_rel = ranked[0][::2] if ranked else (0.0, "-")
         print(
             "%s: non-float fields %s; worst abs %.3g at %s; worst rel %.3g at %s"
