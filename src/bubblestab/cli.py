@@ -6,7 +6,8 @@ convergence (refinement study of the solver).  All outputs are deterministic:
 floats are printed with 17 significant digits, rows keep input order, and no
 timestamps or environment data enter the files.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success; 1 verification failure, or a DomainError, MeshError,
+SolverError or other ValueError raised by the run; 2 usage or config error.
 """
 from __future__ import annotations
 
@@ -63,28 +64,6 @@ def _write_json(path: str, payload) -> None:
 
 # -- config ------------------------------------------------------------------
 
-_DEFAULTS = {
-    "domain": {"base_radius": 1.0, "cos_coeffs": [], "sin_coeffs": [], "center": [0.0, 0.0]},
-    "mesh": {"n_radial": 32, "n_angular": 128, "refinement_levels": 3},
-    "theorems": ["main"],
-    "outputs": {"csv_path": "sweep.csv", "json_path": "report.json"},
-    "params": {
-        "basis_degree": 12,
-        "x0_policy": "min_point",
-        "mu2": None,
-        "n_trace": 1024,
-        "residual_threshold": 0.01,
-    },
-}
-# The sweep section exists only in sweep configs; "values" has no default.
-_SWEEP_DEFAULTS = {"parameter": "t", "mode_k": 3}
-
-
-def _need(cond: bool, key: str, what: str):
-    if not cond:
-        raise ConfigError("config key '%s' %s" % (key, what))
-
-
 def _number(v) -> bool:
     # exact comparison: rejects inf, nan and integers too large for a float
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
@@ -94,8 +73,60 @@ def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _numbers(v) -> bool:
+    return isinstance(v, list) and all(_number(x) for x in v)
+
+
+def _nonempty_str(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+_REQUIRED = object()  # the default of a key that has none
+
+# Every config key, "section.key" -> (default, (test, message), ...).
+# "theorems" is a value, not an object, and the sweep section is read only
+# when the config has one.  Keys are validated in this order, each key's
+# tests in turn, and the first test that fails is reported as
+# "config key '<key>' <message>".
+_CONFIG = {
+    "domain.base_radius": (1.0, (lambda v: _number(v) and v > 0, "must be a positive number")),
+    "domain.cos_coeffs": ([], (_numbers, "must be a list of numbers")),
+    "domain.sin_coeffs": ([], (_numbers, "must be a list of numbers")),
+    "domain.center": ([0.0, 0.0], (lambda v: _numbers(v) and len(v) == 2, "must be a pair of numbers")),
+    "mesh.n_radial": (32, (lambda v: _integer(v) and v >= 4, "must be an integer >= 4")),
+    "mesh.n_angular": (
+        128,
+        (lambda v: _integer(v) and v >= 16 and v % 4 == 0, "must be an integer multiple of 4, >= 16"),
+    ),
+    "mesh.refinement_levels": (3, (lambda v: _integer(v) and v >= 1, "must be an integer >= 1")),
+    "sweep.values": (
+        _REQUIRED,
+        (lambda v: isinstance(v, list) and len(v) > 0, "must be a nonempty list"),
+        (lambda v: all(_number(x) and x > 0 for x in v), "must contain positive numbers"),
+        (lambda v: all(b > a for a, b in zip(v, v[1:])), "must be strictly increasing"),
+    ),
+    "sweep.mode_k": (3, (lambda v: _integer(v) and v >= 1, "must be an integer >= 1")),
+    "sweep.parameter": ("t", (lambda v: v == "t", "must be 't' (the cos(mode_k theta) amplitude)")),
+    "theorems": (
+        ["main"],
+        (
+            lambda v: isinstance(v, list) and len(v) > 0 and all(t in stability.THEOREMS for t in v),
+            "must be a nonempty list drawn from %s" % (stability.THEOREMS,),
+        ),
+    ),
+    "params.x0_policy": ("min_point", (lambda v: v == "min_point", "must be 'min_point'")),
+    "params.n_trace": (1024, (lambda v: _integer(v) and v >= 64, "must be an integer >= 64")),
+    "outputs.csv_path": ("sweep.csv", (_nonempty_str, "must be a nonempty string")),
+    "outputs.json_path": ("report.json", (_nonempty_str, "must be a nonempty string")),
+}
+_SECTIONS = list(dict.fromkeys(name.partition(".")[0] for name in _CONFIG))
+
+# verify exits 1 when the finest level's worst residual_rel exceeds this
+_RESIDUAL_THRESHOLD = 0.01
+
+
 def load_config(path: str) -> dict:
-    """Read, default-fill, and validate an experiment config."""
+    """Read, default-fill, and validate an experiment config against _CONFIG."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -106,73 +137,33 @@ def load_config(path: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    unknown = [k for k in raw if k not in _DEFAULTS and k != "sweep"]
-    cfg = {}
-    for section, defaults in _DEFAULTS.items():
-        if isinstance(defaults, dict):
-            got = raw.get(section, {})
-            _need(isinstance(got, dict), section, "must be an object")
-            unknown += ["%s.%s" % (section, k) for k in got if k not in defaults]
-            cfg[section] = dict(defaults, **got)
-        else:
-            cfg[section] = raw.get(section, defaults)
-    if "sweep" in raw:
-        _need(isinstance(raw["sweep"], dict), "sweep", "must be an object")
-        unknown += ["sweep.%s" % k for k in raw["sweep"] if k not in _SWEEP_DEFAULTS and k != "values"]
-        cfg["sweep"] = dict(_SWEEP_DEFAULTS, **raw["sweep"])
+    unknown = [k for k in raw if k not in _SECTIONS]
+    for section in _SECTIONS:
+        if section in raw and section not in _CONFIG:
+            if not isinstance(raw[section], dict):
+                raise ConfigError("config key '%s' must be an object" % section)
+            unknown += ["%s.%s" % (section, k) for k in raw[section] if "%s.%s" % (section, k) not in _CONFIG]
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
 
-    dom = cfg["domain"]
-    _need(_number(dom["base_radius"]) and dom["base_radius"] > 0, "domain.base_radius", "must be a positive number")
-    for key in ("cos_coeffs", "sin_coeffs"):
-        _need(isinstance(dom[key], list) and all(_number(v) for v in dom[key]), "domain.%s" % key, "must be a list of numbers")
-    _need(
-        isinstance(dom["center"], list) and len(dom["center"]) == 2 and all(_number(v) for v in dom["center"]),
-        "domain.center",
-        "must be a pair of numbers",
-    )
+    cfg = {}
+    for name, (default, *_) in _CONFIG.items():
+        section, _, key = name.partition(".")
+        if not key:
+            cfg[section] = raw.get(section, default)
+        elif section != "sweep" or section in raw:
+            cfg.setdefault(section, {})[key] = raw.get(section, {}).get(key, default)
 
-    mesh = cfg["mesh"]
-    _need(_integer(mesh["n_radial"]) and mesh["n_radial"] >= 4, "mesh.n_radial", "must be an integer >= 4")
-    _need(
-        _integer(mesh["n_angular"]) and mesh["n_angular"] >= 16 and mesh["n_angular"] % 4 == 0,
-        "mesh.n_angular",
-        "must be an integer multiple of 4, >= 16",
-    )
-    _need(
-        _integer(mesh["refinement_levels"]) and mesh["refinement_levels"] >= 1,
-        "mesh.refinement_levels",
-        "must be an integer >= 1",
-    )
-
-    if "sweep" in cfg:
-        sw = cfg["sweep"]
-        _need("values" in sw, "sweep.values", "is required")
-        vals = sw["values"]
-        _need(isinstance(vals, list) and len(vals) > 0, "sweep.values", "must be a nonempty list")
-        _need(all(_number(v) and v > 0 for v in vals), "sweep.values", "must contain positive numbers")
-        _need(all(b > a for a, b in zip(vals, vals[1:])), "sweep.values", "must be strictly increasing")
-        _need(_integer(sw["mode_k"]) and sw["mode_k"] >= 1, "sweep.mode_k", "must be an integer >= 1")
-        _need(sw["parameter"] == "t", "sweep.parameter", "must be 't' (the cos(mode_k theta) amplitude)")
-
-    _need(
-        isinstance(cfg["theorems"], list)
-        and len(cfg["theorems"]) > 0
-        and all(t in stability.THEOREMS for t in cfg["theorems"]),
-        "theorems",
-        "must be a nonempty list drawn from %s" % (stability.THEOREMS,),
-    )
-
-    par = cfg["params"]
-    _need(_integer(par["basis_degree"]) and par["basis_degree"] >= 1, "params.basis_degree", "must be an integer >= 1")
-    _need(par["x0_policy"] == "min_point", "params.x0_policy", "must be 'min_point'")
-    _need(par["mu2"] is None or (_number(par["mu2"]) and par["mu2"] > 0), "params.mu2", "must be null or positive")
-    _need(_integer(par["n_trace"]) and par["n_trace"] >= 64, "params.n_trace", "must be an integer >= 64")
-    _need(_number(par["residual_threshold"]) and par["residual_threshold"] > 0, "params.residual_threshold", "must be positive")
-
-    for key in ("csv_path", "json_path"):
-        _need(isinstance(cfg["outputs"][key], str) and cfg["outputs"][key], "outputs.%s" % key, "must be a nonempty string")
+    for name, (_, *tests) in _CONFIG.items():
+        section, _, key = name.partition(".")
+        if section not in cfg:
+            continue
+        value = cfg[section][key] if key else cfg[section]
+        if value is _REQUIRED:
+            raise ConfigError("config key '%s' is required" % name)
+        for test, message in tests:
+            if not test(value):
+                raise ConfigError("config key '%s' %s" % (name, message))
     return cfg
 
 
@@ -189,14 +180,6 @@ def _domain_from_config(cfg: dict) -> geometry.StarDomain:
         raise ConfigError("config key 'domain' invalid: %s" % exc)
 
 
-def _params_from_config(cfg: dict) -> stability.StabilityParams:
-    par = cfg["params"]
-    return stability.StabilityParams(
-        basis_degree=int(par["basis_degree"]),
-        mu2=None if par["mu2"] is None else float(par["mu2"]),
-    )
-
-
 def _out_path(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
@@ -211,7 +194,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     n_a = cfg["mesh"]["n_angular"]
     levels = cfg["mesh"]["refinement_levels"]
     n_trace = cfg["params"]["n_trace"]
-    threshold = cfg["params"]["residual_threshold"]
 
     worst_finest = 0.0
     # (trace, summary) by trace size: levels whose size agrees share them
@@ -246,8 +228,8 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
         # free this level's field, and its cached Hessian samples, before
         # the next level's mesh and solve
         del mesh, field
-    print("verify: finest-level worst residual_rel = %s (threshold %s)" % (_fmt(worst_finest), _fmt(threshold)))
-    return 0 if worst_finest <= threshold else 1
+    print("verify: finest-level worst residual_rel = %s (threshold %s)" % (_fmt(worst_finest), _fmt(_RESIDUAL_THRESHOLD)))
+    return 0 if worst_finest <= _RESIDUAL_THRESHOLD else 1
 
 
 _CSV_COLUMNS = ("t", "theorem", "dev_L1", "dev_inf", "rho_i", "rho_e", "gap", "C", "eps", "tau", "holds", "smallness_ok", "error")
@@ -257,7 +239,6 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     if "sweep" not in cfg:
         raise ConfigError("config key 'sweep' is required for the sweep command")
     base = _domain_from_config(cfg)
-    params = _params_from_config(cfg)
     sw = cfg["sweep"]
     mode_k = sw["mode_k"]
     theorems = cfg["theorems"]
@@ -285,7 +266,6 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                 n_angular=n_a,
                 n_trace=n_trace,
                 theorems=theorems,
-                params=params,
             )
         except Exception as exc:  # per-row failure lands in the error column
             for theorem in theorems:
@@ -346,7 +326,6 @@ def cmd_spectral(cfg: dict, out_dir: str) -> int:
         n_angular=cfg["mesh"]["n_angular"],
         n_trace=cfg["params"]["n_trace"],
         theorems=(),
-        params=_params_from_config(cfg),
     ).spectral
     _write_json(_out_path(out_dir, "spectral.json"), est)
     print(

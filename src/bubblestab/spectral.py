@@ -157,8 +157,9 @@ def mu0_lower_bound(r: float, area: float, mu2: float) -> float:
 class SpectralEstimate:
     """Upper estimates for mu0 and mubar plus the explicit lower bound.
 
-    mu0_lower is None when no Neumann bound is available (non-convex domain
-    without a user-supplied mu2).  mu2_lower records the Neumann bound used.
+    mu0_lower is None when no Neumann bound is available (analyze_domain
+    has one, Payne-Weinberger's, only where the sampled H is >= 0).
+    mu2_lower records the Neumann bound used.
     """
 
     mu0_upper: float

@@ -117,12 +117,10 @@ class StabilityParams:
 
     sobolev_c is the embedding constant of the low-dimension branch, which
     is reached only from the library (the CLI runs high_dim alone) and needs
-    it set; mu2 supplies a Neumann gap for non-convex domains.
+    it set.
     """
 
     sobolev_c: float | None = None
-    basis_degree: int = 12
-    mu2: float | None = None
 
 
 class NotApplicable(ValueError):
@@ -369,16 +367,12 @@ def analyze_domain(
     summary = geometry_summary(domain, trace)
     mesh = generate_mesh(domain, n_radial, n_angular)
     field = solve_torsion(mesh)
-    if trace.curvature_nonnegative:
-        # convex: the Payne-Weinberger bound pi^2/d^2 holds
-        mu2 = mu2_lower_convex(summary.diameter)
-    else:
-        mu2 = params.mu2
+    # the Payne-Weinberger bound pi^2/d^2 holds on convex domains only
+    mu2 = mu2_lower_convex(summary.diameter) if trace.curvature_nonnegative else None
     spec = spectral_estimate(
         domain,
         r_interior=summary.r_interior,
         area=summary.area,
-        degree=params.basis_degree,
         x0=field.min_points[0],  # z of every min-point variant
         mu2=mu2,
     )

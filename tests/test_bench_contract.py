@@ -51,8 +51,8 @@ def test_analyze_small_params(tmp_path):
 
 
 def test_diameter_on_analyze_small_domains(tmp_path):
-    # the hull's antipodal pairs find the all-pairs maximum on the seeded
-    # domains of analyze_small, as the same float
+    # the rotating calipers over the certified trace's own samples find the
+    # all-pairs maximum on the seeded domains of analyze_small, as the same float
     for _, _, domain in _load("workloads").AnalyzeSmall(1, str(tmp_path)).domains:
         points = geometry.boundary_trace(domain, 1024).points
         assert geometry._diameter(points) == float(np.sqrt(np.max(pdist(points, "sqeuclidean"))))

@@ -42,6 +42,19 @@ def test_load_config_fills_defaults(tmp_path):
     assert "sweep" not in cfg
 
 
+def test_load_config_spelled_out_defaults_equal_empty(tmp_path):
+    spelled = {
+        "domain": {"base_radius": 1.0, "cos_coeffs": [], "sin_coeffs": [], "center": [0.0, 0.0]},
+        "mesh": {"n_radial": 32, "n_angular": 128, "refinement_levels": 3},
+        "theorems": ["main"],
+        "params": {"x0_policy": "min_point", "n_trace": 1024},
+        "outputs": {"csv_path": "sweep.csv", "json_path": "report.json"},
+    }
+    assert cli.load_config(write_cfg(tmp_path, spelled)) == cli.load_config(write_cfg(tmp_path, {}))
+    sweep = {"sweep": {"values": [0.1], "mode_k": 3, "parameter": "t"}}
+    assert cli.load_config(write_cfg(tmp_path, sweep)) == cli.load_config(write_cfg(tmp_path, {"sweep": {"values": [0.1]}}))
+
+
 @pytest.mark.parametrize(
     "payload,fragment",
     [
@@ -65,6 +78,18 @@ def test_load_config_fills_defaults(tmp_path):
         ({"sweep": {"values": [0.1], "mode_k": True}}, "sweep.mode_k"),
         ({"domain": {"base_radius": 10**340}}, "domain.base_radius"),
         ({"params": {"x0_policy": "center_of_mass"}}, "params.x0_policy"),
+        ({"domain": {"cos_coeffs": "0.1"}}, "domain.cos_coeffs"),
+        ({"domain": {"sin_coeffs": "0.1"}}, "domain.sin_coeffs"),
+        ({"domain": {"center": [0.0]}}, "domain.center"),
+        ({"outputs": {"csv_path": ""}}, "outputs.csv_path"),
+        ({"outputs": {"json_path": ""}}, "outputs.json_path"),
+        ({"sweep": {"mode_k": 3}}, "sweep.values' is required"),
+        ({"sweep": {"values": [0.0, 0.1]}}, "sweep.values' must contain positive numbers"),
+        ({"mesh": 3}, "mesh' must be an object"),
+        ({"sweep": []}, "sweep' must be an object"),
+        ({"theorems": []}, "theorems' must be a nonempty list"),
+        ({"params": {"mu2": None}}, "unknown config keys: params.mu2"),
+        ({"params": {"residual_threshold": 0.01}}, "unknown config keys: params.residual_threshold"),
     ],
 )
 def test_load_config_names_bad_key(tmp_path, payload, fragment):
@@ -97,10 +122,9 @@ def test_verify_disk(tmp_path):
         assert "serrin" in payload and "deficit" in payload
 
 
-def test_verify_exit_one_on_tight_threshold(tmp_path):
-    payload = dict(DISK_SMALL)
-    payload["params"] = {"n_trace": 256, "residual_threshold": 1e-12}
-    cfg = write_cfg(tmp_path, payload)
+def test_verify_exit_one_on_tight_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_RESIDUAL_THRESHOLD", 1e-12)
+    cfg = write_cfg(tmp_path, DISK_SMALL)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
@@ -253,7 +277,7 @@ def test_sweep_keeps_base_modes_above_mode_k(tmp_path):
 def test_spectral_disk(tmp_path):
     payload = {
         "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 1},
-        "params": {"n_trace": 256, "basis_degree": 6},
+        "params": {"n_trace": 256},
     }
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
