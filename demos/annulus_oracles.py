@@ -24,7 +24,7 @@ def main():
         p = oracles.f_kappa(float(kappa), dim, "printed")
         d = oracles.f_kappa(float(kappa), dim, "derived")
         print("%8.2f %16.10f %16.10f" % (kappa, p, d))
-    rec = oracles.f_sup(dim, "derived")
+    rec = oracles.f_sup(dim)
     print(
         "sup f = %.12f at kappa=%.6f   reference %.6f   discrepancy=%s"
         % (rec.computed, rec.argmax_kappa, rec.claimed, rec.discrepancy)

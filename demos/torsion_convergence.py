@@ -33,7 +33,7 @@ def main():
         n_r = args.n_radial * 2**lev
         n_a = args.n_angular * 2**lev
         field = fem.solve_torsion(fem.generate_mesh(dom, n_r, n_a))
-        err = float(np.max(np.abs(field.u - exact_values(args.domain, field.space.node_xy))))
+        err = float(np.max(np.abs(field.u - exact_values(args.domain, field.mesh.node_xy))))
         order = "" if prev is None else "%8.2f" % np.log2(prev / err)
         print("%8d %8d %12.4e %s" % (n_r, n_a, err, order))
         prev = err

@@ -337,7 +337,7 @@ def cmd_spectral(cfg: dict, out_dir: str) -> int:
 
 def cmd_oracles(cfg: dict | None, out_dir: str, fsup_dim: int | None = None) -> int:
     if fsup_dim is not None:
-        rec = oracles.f_sup(fsup_dim, mode="derived")
+        rec = oracles.f_sup(fsup_dim)
         payload = _jsonify(rec)
         print(json.dumps(payload, sort_keys=True))
         _write_json(_out_path(out_dir, "fsup_N%d.json" % fsup_dim), rec)
@@ -351,7 +351,7 @@ def cmd_oracles(cfg: dict | None, out_dir: str, fsup_dim: int | None = None) -> 
                 "kappa": list(kappas),
                 "f_printed": list(oracles.f_kappa(kappas, dim, "printed")),
                 "f_derived": list(oracles.f_kappa(kappas, dim, "derived")),
-                "f_sup": oracles.f_sup(dim, "derived"),
+                "f_sup": oracles.f_sup(dim),
             }
         )
     annulus = []
@@ -399,7 +399,7 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
         field = fem.solve_torsion(mesh)
         rec = {"level": lev, "n_radial": mesh.n_radial, "n_angular": mesh.n_angular, "h": mesh.h}
         if is_disk:
-            exact, _, _ = oracles.ball_torsion(domain.base_radius, field.space.node_xy - domain.center[None, :])
+            exact, _, _ = oracles.ball_torsion(domain.base_radius, field.mesh.node_xy - domain.center[None, :])
             rec["linf_error"] = float(np.max(np.abs(field.u - exact)))
         else:
             if probe_offsets is None:

@@ -8,24 +8,26 @@ ellipse benchmarks.  Every other cell has its midside nodes at the midpoints
 of its edges, so its map is affine and J is constant on it (the standard
 set-up, Lenoir 1986).  What depends only on the mesh topology (n_radial,
 n_angular) is built once into a read-only plan shared by every domain meshed
-with it: the P2 numbering, the CSR pattern of the interior stiffness with the
-slots of the element-matrix entries in it, and the preconditioner.  The P2
-nodes are numbered once, on the preconditioner's polar half-step lattice,
-interior nodes first, so the interior unknowns are a prefix of the nodal
-vector and the preconditioner reads them without a permutation.  They are
-placed once too, by _place_nodes, straight at their lattice ids: the mesh
-and the preconditioner's unit disk both read that one placement.  Per mesh, J
-is formed once: one GEMM of the (4 x 12) map table at the centroid against
-the coordinates of every cell, and the 7-point table against those of the
-curved cells only.  A mesh then keeps only what it cannot re-read: its P2
-node positions and its element maps (det J and J^-1, with the weights of the
-curved cells).  The cell coordinates and the (nt, 7) quadrature weights are
-formed on read from those and the topology.  An affine cell's stiffness is its
-constant metric against one constant table; the curved cells overwrite their
-columns from the metric at each point.  The kernels work on one (p, nt) array
-per quantity; the stiffness kernel forms only the 21 distinct entries of each
-symmetric element matrix, and the assembly adds them in place into the CSR data
-through the plan's slots, to the bit the sums of the full matrices.  The
+with it: the radial fractions, the P2 numbering, the CSR pattern of the
+interior stiffness with the slots of the element-matrix entries in it, and
+the preconditioner.  The P2 nodes are numbered once, on the preconditioner's
+polar half-step lattice, interior nodes first, so the interior unknowns are a
+prefix of the nodal vector and the preconditioner reads them without a
+permutation.  generate_mesh forms everything a mesh holds at once: it fetches
+the plan, lays the P2 nodes straight at their lattice ids (_place_nodes) from
+the vertex rings it reads h off, and forms J once: one GEMM of the (4 x 12)
+map table at the centroid against the coordinates of every cell, and the
+7-point table against those of the curved cells only.  The preconditioner's
+unit disk is laid by the same placement.  A mesh keeps only what it cannot
+re-read: its P2 node positions and its element maps (det J and J^-1, with the
+weights of the curved cells).  The cell coordinates and the (nt, 7)
+quadrature weights are formed on read from those and the topology.  An
+affine cell's stiffness is its constant metric against one constant table;
+the curved cells overwrite their columns from the metric at each point.  The
+kernels work on one (p, nt) array per quantity; the stiffness kernel forms
+only the 21 distinct entries of each symmetric element matrix, and the
+assembly adds them in place into the CSR data through the plan's slots, to
+the bit the sums of the full matrices.  The
 Hessian of u, which only the volume integrals read, is formed on first read:
 one sample per affine cell, where it is the constant J^-T href J^-1, and one
 per quadrature point of each curved cell.  M and the minimum points are
@@ -237,32 +239,42 @@ _GRADING = 1.2
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TriMesh:
-    """Structured polar triangulation of a star-shaped domain.
+    """Structured polar triangulation of a star-shaped domain, with its P2
+    nodes and element maps.
 
-    Vertex i of ring j sits at radial fraction radial_fractions[j-1] of
+    Vertex i of ring j sits at radial fraction plan.radial_fractions[j-1] of
     rho(theta_i) from the center (see _vertex_rings), and the triangles come
-    in the order stated by generate_mesh.  h is the longest edge.  ``space``
-    is the P2 node table with its element maps, built on first use and shared
-    by every solve and integral on this mesh; it numbers and places the P2
-    nodes on the polar lattice (see _Plan and _place_nodes).
+    in the order stated by generate_mesh.  h is the longest edge.  The P2
+    numbering is the plan's (see _Plan); of this mesh only the node positions
+    node_xy, placed at their ids by _place_nodes, and the element maps (see
+    _CellMaps: the plan.b_tri cells are the curved ones) are stored.  The
+    cell coordinates coords (nt, 6, 2) are gathered on read.
     """
 
     h: float
     n_radial: int
     n_angular: int
-    radial_fractions: np.ndarray
     domain: StarDomain
+    plan: _Plan
+    node_xy: np.ndarray
+    maps: _CellMaps
 
-    @functools.cached_property
-    def space(self) -> "_P2Space":
-        return _P2Space(self)
+    @property
+    def n_nodes(self) -> int:
+        return self.plan.n_nodes
+
+    @property
+    def coords(self) -> np.ndarray:
+        """(nt, 6, 2) coordinates of every cell's nodes."""
+        return self.node_xy[self.plan.tri_nodes]
 
 
 def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
-    """Fan-plus-rings triangulation, radially graded toward the boundary.
+    """Fan-plus-rings triangulation, radially graded toward the boundary,
+    with its P2 nodes and element maps.
 
     Per-step radial spacing shrinks geometrically so that the first (center)
-    spacing is _GRADING times the last (boundary) one.  Counts:
+    spacing is _GRADING times the last (boundary) one (see _Plan).  Counts:
     1 + n_radial*n_angular vertices and n_angular*(2*n_radial - 1) positively
     oriented triangles: the center fan, then for each ring j and sector i the
     pair (a, d, c), (a, c, b) with a, b on ring j and d, c on ring j + 1.
@@ -270,36 +282,38 @@ def generate_mesh(domain: StarDomain, n_radial: int, n_angular: int) -> TriMesh:
     triangle i, and the (a, d, c) triangle of ring j >= 1 and sector i is
     n_angular*(2j - 1) + 2i, with its (a, c, b) partner next.
 
-    h is the longest spoke, ring chord or diagonal, read off the
-    (n_radial, n_angular) vertex lattice without gathering the triangles.
-    No triangle can be degenerate or inverted, so none is checked: with
-    s_j the radial fractions, rho_i = rho(theta_i) > 0, dtheta = 2 pi /
-    n_angular and A = s_j rho_i, B = s_j rho_i+1, C = s_j+1 rho_i+1,
-    D = s_j+1 rho_i, twice the signed area is s_1^2 rho_i rho_i+1 sin dtheta
-    for a fan triangle, (D - A) C sin dtheta for (a, d, c) and
-    A (C - B) sin dtheta for (a, c, b), all positive as s increases.  Any
-    cell whose map has det J <= 0, such as a curved one that folds over,
-    still raises MeshError when the P2 space is built.
+    h, the longest spoke, ring chord or diagonal, is read off the vertex
+    rings without gathering the triangles, and the P2 nodes are placed from
+    the same rings.  No triangle can be degenerate or inverted, so none is
+    checked: with s_j the radial fractions, rho_i = rho(theta_i) > 0,
+    dtheta = 2 pi / n_angular and A = s_j rho_i, B = s_j rho_i+1,
+    C = s_j+1 rho_i+1, D = s_j+1 rho_i, twice the signed area is
+    s_1^2 rho_i rho_i+1 sin dtheta for a fan triangle, (D - A) C sin dtheta
+    for (a, d, c) and A (C - B) sin dtheta for (a, c, b), all positive as s
+    increases.  Any cell whose map has det J <= 0, such as a curved one that
+    folds over, raises MeshError when the element maps are formed.
     """
     if n_radial < 4:
         raise MeshError("n_radial must be >= 4, got %d" % n_radial)
     if n_angular < 16 or n_angular % 4 != 0:
         raise MeshError("n_angular must be a multiple of 4 and >= 16, got %d" % n_angular)
-
-    q = _GRADING ** (1.0 / (n_radial - 1))
-    spacing = q ** (-np.arange(n_radial, dtype=float))
-    s = np.cumsum(spacing) / np.sum(spacing)
-    s[-1] = 1.0
+    # fetched before the mesh holds anything: a plan's set-up peak is the larger one
+    plan = _plan(n_radial, n_angular)
 
     # every edge is a spoke (centre or ring j to ring j + 1, same angle), a
     # ring chord (angle i to i + 1) or a diagonal a-c (ring j, angle i to
     # ring j + 1, angle i + 1): the same differences, up to sign, that the
     # triangles' edges give, so h is the same float
-    ring = _vertex_rings(domain, s, n_angular)
+    ring = _vertex_rings(domain, plan.radial_fractions, n_angular)
     on = np.roll(ring, -1, axis=1)          # each vertex's neighbour one sector on
     edges = (ring[0] - domain.center, ring[1:] - ring[:-1], on - ring, on[1:] - ring[:-1])
     h = float(max(np.max(np.hypot(e[..., 0], e[..., 1])) for e in edges))
-    return TriMesh(h=h, n_radial=n_radial, n_angular=n_angular, radial_fractions=s, domain=domain)
+    node_xy = _place_nodes(domain, ring)
+    # only the b_tri cells have a midside (node 4) off its edge's midpoint
+    maps = _CellMaps.of(np.take(node_xy, plan.tri_nodes, axis=0), plan.b_tri)
+    return TriMesh(
+        h=h, n_radial=n_radial, n_angular=n_angular, domain=domain, plan=plan, node_xy=node_xy, maps=maps
+    )
 
 
 def _vertex_rings(domain: StarDomain, radial_fractions: np.ndarray, n_angular: int) -> np.ndarray:
@@ -319,8 +333,9 @@ def _boundary_params(n_angular: int):
     return edge[:-1], 0.5 * (edge[:-1] + edge[1:])
 
 
-def _place_nodes(domain: StarDomain, radial_fractions: np.ndarray, n_angular: int) -> np.ndarray:
-    """(n_nodes, 2) position of every P2 node, at its lattice id (see _Plan).
+def _place_nodes(domain: StarDomain, ring: np.ndarray) -> np.ndarray:
+    """(n_nodes, 2) position of every P2 node, at its lattice id (see _Plan),
+    from the vertex rings ring (see _vertex_rings).
 
     Past the centre, node_xy[1:] is the (slot, sector) array.  Per ring j
     (counted from 1) slot 4j - 3 holds the vertices, 4j - 2 the ring chords'
@@ -330,12 +345,11 @@ def _place_nodes(domain: StarDomain, radial_fractions: np.ndarray, n_angular: in
     where it sits on the curve at the mid-parameter.  So every cell off the
     boundary has its midsides at its edge midpoints, and its map is affine.
     """
-    n_r = radial_fractions.size
+    n_r, n_angular = ring.shape[:2]
     centre = domain.center
     node_xy = np.empty((1 + (4 * n_r - 1) * n_angular, 2))
     node_xy[0] = centre
     xy = node_xy[1:].reshape(4 * n_r - 1, n_angular, 2)
-    ring = _vertex_rings(domain, radial_fractions, n_angular)
     on = np.roll(ring, -1, axis=1)          # each vertex's neighbour one sector on
     xy[0] = 0.5 * (centre + ring[0])
     xy[1::4] = ring
@@ -373,6 +387,9 @@ def _polar_lattice(n_radial: int, n_angular: int):
 class _Plan:
     """Everything fem needs of a mesh that depends only on (n_radial, n_angular).
 
+    - radial_fractions (n_radial,): ring j of vertices sits at fraction s_j
+      of rho from the centre; the spacing shrinks geometrically so that the
+      first (centre) one is _GRADING times the last (boundary) one.
     - tri_nodes (nt, 6): the P2 node ids of each triangle's local nodes,
       its vertices and then the midsides of edges (0, 1), (1, 2), (2, 0).
       A node's id is its place on the polar lattice (_polar_lattice): 0 for
@@ -393,12 +410,16 @@ class _Plan:
       of the full element matrices.
     - precond: the polar FFT preconditioner.
 
-    Every array is read-only, and nothing refers to a mesh, space or domain,
-    so one plan serves every domain meshed with the topology.
+    Every array is read-only, and nothing refers to a mesh or domain, so one
+    plan serves every domain meshed with the topology.
     """
 
-    def __init__(self, mesh: TriMesh):
-        n_r, n_a = self.n_radial, self.n_angular = mesh.n_radial, mesh.n_angular
+    def __init__(self, n_radial: int, n_angular: int):
+        n_r, n_a = self.n_radial, self.n_angular = n_radial, n_angular
+        q = _GRADING ** (1.0 / (n_r - 1))
+        spacing = q ** (-np.arange(n_r, dtype=float))
+        s = self.radial_fractions = np.cumsum(spacing) / np.sum(spacing)
+        s[-1] = 1.0
         nt = n_a * (2 * n_r - 1)
         n_in = self.n_in = 1 + (4 * n_r - 3) * n_a
         self.n_nodes = n_in + 2 * n_a
@@ -409,7 +430,7 @@ class _Plan:
         del lattice_slot, jj, kk
         self.b_tri = nt - 2 * n_a + 2 * np.arange(n_a)
         # built while little else is held: its set-up peak is the larger one
-        self.precond = _PolarPreconditioner(self, mesh.radial_fractions)
+        self.precond = _PolarPreconditioner(self)
 
         # interior node x element, as int32 counts: the product drops
         # entries that sum to zero, so a narrower type would wrap the
@@ -437,7 +458,7 @@ class _Plan:
 
         self.indptr, self.indices = indptr, indices
         self.slot_up, self.slot_lo = slot[:21].ravel(), slot[21:].ravel()
-        for arr in (tri_nodes, self.b_tri, indptr, indices, self.slot_up, self.slot_lo):
+        for arr in (s, tri_nodes, self.b_tri, indptr, indices, self.slot_up, self.slot_lo):
             arr.setflags(write=False)
 
 
@@ -445,54 +466,15 @@ class _Plan:
 _PLANS: dict[tuple[int, int], _Plan] = {}
 
 
-def _plan(mesh: TriMesh) -> _Plan:
-    """The plan of mesh's topology, built from the first mesh with it.
-
-    The eight most recently built topologies are kept.
-    """
-    key = (mesh.n_radial, mesh.n_angular)
+def _plan(n_radial: int, n_angular: int) -> _Plan:
+    """The plan of the topology (n_radial, n_angular); the eight most
+    recently built topologies are kept."""
+    key = (n_radial, n_angular)
     if key not in _PLANS:
         if len(_PLANS) == 8:
             del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = _Plan(mesh)
+        _PLANS[key] = _Plan(n_radial, n_angular)
     return _PLANS[key]
-
-
-# -- P2 space ----------------------------------------------------------------
-
-
-class _P2Space:
-    """Node table for P2 elements; boundary midside nodes sit on the curve.
-
-    The numbering (tri_nodes, b_tri, n_nodes) is the topology plan's polar
-    lattice numbering: the interior nodes are the ids below plan.n_in, the
-    boundary nodes the rest.  Of this mesh, the space stores only the node
-    positions node_xy, placed at their ids by _place_nodes, and the element
-    maps (see _CellMaps: the b_tri cells are the curved ones).  The cell
-    coordinates node_xy[tri_nodes] (nt, 6, 2) are gathered once, to form the
-    maps, and then dropped: a reader gathers those of the cells it needs.
-    Likewise the quadrature weights qp_w (nt, 7) are formed on read from the
-    maps.
-    """
-
-    def __init__(self, mesh: TriMesh):
-        # no back reference to mesh: mesh.space -> space -> mesh would be a
-        # cycle, keeping every dead mesh's arrays alive until a gc pass
-        plan = self.plan = _plan(mesh)
-        self.tri_nodes, self.b_tri, self.n_nodes = plan.tri_nodes, plan.b_tri, plan.n_nodes
-        self.node_xy = _place_nodes(mesh.domain, mesh.radial_fractions, mesh.n_angular)
-        # only the b_tri cells have a midside (node 4) off its edge's midpoint
-        self.maps = _CellMaps.of(np.take(self.node_xy, self.tri_nodes, axis=0), self.b_tri)
-
-    @property
-    def coords(self) -> np.ndarray:
-        """(nt, 6, 2) coordinates of every cell's nodes."""
-        return self.node_xy[self.tri_nodes]
-
-    @property
-    def qp_w(self) -> np.ndarray:
-        """(nt, 7) quadrature weights of every cell (see _CellMaps)."""
-        return self.maps.qp_w
 
 
 # -- polar FFT preconditioner ------------------------------------------------
@@ -513,9 +495,9 @@ class _PolarPreconditioner:
     is scale-invariant, so it needs only the topology: the plan's lattice
     numbering, in which interior node 1 + s n_angular + k is slot s of
     sector k, so the interior vector past the centre is the (slot, sector)
-    array itself, and the mesh's radial fractions.  Sector 0's cells are
-    placed on the unit disk by _place_nodes, so they are bitwise the cells
-    of the disk mesh, and their matrices come from the assembly's kernel.
+    array itself, and its radial fractions.  Sector 0's cells are placed on
+    the unit disk by _place_nodes, so they are bitwise the cells of the disk
+    mesh, and their matrices come from the assembly's kernel.
 
     On the disk an apply is the exact solve, and CG stops after one
     iteration.  Elsewhere the count is set by the shape alone: in the polar
@@ -525,7 +507,7 @@ class _PolarPreconditioner:
     ln(1e10) / ln((lam + 1)/(lam - 1)) iterations at any mesh size.
     """
 
-    def __init__(self, plan: _Plan, radial_fractions: np.ndarray):
+    def __init__(self, plan: _Plan):
         n_a, n_s = plan.n_angular, 4 * plan.n_radial - 3
         n_m = n_a // 2 + 1
         self.shape = (n_s, n_a)
@@ -536,7 +518,8 @@ class _PolarPreconditioner:
         nt = plan.tri_nodes.shape[0]
         cells = np.concatenate([[0], np.arange(n_a, nt).reshape(-1, n_a, 2)[:, 0].ravel()])
         tri0 = plan.tri_nodes[cells]
-        xy = np.take(_place_nodes(StarDomain.disk(), radial_fractions, n_a), tri0, axis=0)
+        disk = StarDomain.disk()
+        xy = np.take(_place_nodes(disk, _vertex_rings(disk, plan.radial_fractions, n_a)), tri0, axis=0)
         # their full element matrices, row 6k + l
         ke = _element_stiffness(_CellMaps.of(xy, np.flatnonzero(cells == plan.b_tri[0])))[_FULL]
         a, b, v = np.repeat(tri0.T, 6, axis=0).ravel(), np.tile(tri0.T, (6, 1)).ravel(), ke.ravel()
@@ -631,7 +614,7 @@ def _pcg(a_mat, b: np.ndarray, precond):
 class TorsionField:
     """Discrete torsion function on one mesh.
 
-    u holds nodal values at all P2 nodes of mesh.space, in the plan's lattice
+    u holds nodal values at all P2 nodes of mesh, in the plan's lattice
     numbering: the interior nodes first, the boundary nodes, where u = 0, last.
     residual_norm and iterations report the conjugate-gradient solve; area is
     the quadrature area of the curved cells.  M, min_points and
@@ -642,7 +625,9 @@ class TorsionField:
     over the closed domain sits on the boundary (Magnanini-Poggesi 2016), and
     an interior sample could only add discretisation overshoot.  min_points
     are the refined interior minima (see _min_points).  hessian_samples carry
-    the volume integrals of the Hessian (see _hessian_samples).
+    the volume integrals of the Hessian (see _hessian_samples).  ``space`` is
+    the mesh under the name the perfbench worker and workloads read
+    (field.space.node_xy, .n_nodes); it goes when the benchmark next changes.
     """
 
     mesh: TriMesh
@@ -652,8 +637,8 @@ class TorsionField:
     area: float
 
     @property
-    def space(self) -> "_P2Space":
-        return self.mesh.space
+    def space(self) -> TriMesh:
+        return self.mesh
 
     @functools.cached_property
     def M(self) -> float:
@@ -662,11 +647,11 @@ class TorsionField:
 
     @functools.cached_property
     def min_points(self) -> np.ndarray:
-        return _min_points(self.space, self.u)
+        return _min_points(self.mesh, self.u)
 
     @functools.cached_property
     def hessian_samples(self):
-        return _hessian_samples(self.space, self.u)
+        return _hessian_samples(self.mesh, self.u)
 
 
 # The element kernels run point-major: each quantity at p reference points is
@@ -683,12 +668,12 @@ def _hessian(t, inv):
     return h00, h01, h11
 
 
-def _hessian_samples(space: _P2Space, u_full: np.ndarray):
+def _hessian_samples(mesh: TriMesh, u_full: np.ndarray):
     """Weighted samples (w, wu, (h00, h01, h11), cell) of the Hessian of u,
     each (s,), cell the triangle of each: sum w f(hess) and sum wu f(hess)
     are the 7-point integrals of f(hess u_h) and u_h f(hess u_h) for any f.
 
-    An affine cell (outside space.b_tri) is one sample, first and in cell
+    An affine cell (outside plan.b_tri) is one sample, first and in cell
     order: its constant J^-T href J^-1, href the reference second derivatives
     of u, weighted by its area and by the integral of u_h over it.  Then the
     j-th of the nc curved cells is sampled at each quadrature point q, as
@@ -696,9 +681,9 @@ def _hessian_samples(space: _P2Space, u_full: np.ndarray):
     relative to vertex 0, as in _element_maps) is subtracted from href, with
     grad u and J^-1 taken at the point.
     """
-    maps = space.maps
+    maps, tri_nodes = mesh.maps, mesh.plan.tri_nodes
     cv = maps.curved
-    u_t = u_full[space.tri_nodes].T                                  # (6, nt)
+    u_t = u_full[tri_nodes].T                                        # (6, nt)
     affine = np.ones(u_t.shape[1], dtype=bool)
     affine[cv] = False
 
@@ -709,7 +694,7 @@ def _hessian_samples(space: _P2Space, u_full: np.ndarray):
     a, b, c, d = maps.qp_inv
     g0, g1 = (_DN_AT_QP.transpose(2, 0, 1).reshape(-1, 6) @ u_t[:, cv]).reshape(2, 7, -1)
     gx, gy = g0 * a + g1 * c, g0 * b + g1 * d
-    xy = space.node_xy[space.tri_nodes[cv]]
+    xy = mesh.node_xy[tri_nodes[cv]]
     rel = xy - xy[:, :1]
     cx, cy = _D2N.T @ rel[:, :, 0].T, _D2N.T @ rel[:, :, 1].T         # map curvature
     t = [href[i, cv] - gx * cx[i] - gy * cy[i] for i in range(3)]
@@ -733,20 +718,21 @@ def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) ->
     tau = np.clip(wrapped / dtheta - sector, 0.0, 1.0)
     # the boundary edge is local edge (1, 2), running forward
     refs = np.stack([1.0 - tau, tau], axis=-1)
-    return _eval_in_elements(mesh.space, u_full, mesh.space.b_tri[sector], refs)[1]
+    return _eval_in_elements(mesh, u_full, mesh.plan.b_tri[sector], refs)[1]
 
 
-def _eval_in_elements(space: _P2Space, u_full: np.ndarray, els: np.ndarray, refs: np.ndarray):
+def _eval_in_elements(mesh: TriMesh, u_full: np.ndarray, els: np.ndarray, refs: np.ndarray):
     """u and grad u of the FE solution at reference points refs (m, 2) of elements els."""
-    u_el = u_full[space.tri_nodes[els]]
+    cells = mesh.plan.tri_nodes[els]
+    u_el = u_full[cells]
     dn = _dshape(refs)                                  # (m, 6, 2)
-    _, a, b, c, d = _inverse_jacobian(space.node_xy[space.tri_nodes[els]], dn)
+    _, a, b, c, d = _inverse_jacobian(mesh.node_xy[cells], dn)
     gr0 = np.sum(u_el * dn[:, :, 0], axis=1)
     gr1 = np.sum(u_el * dn[:, :, 1], axis=1)
     return np.sum(u_el * _shape(refs), axis=1), np.stack([gr0 * a + gr1 * c, gr0 * b + gr1 * d], axis=-1)
 
 
-def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
+def _min_points(mesh: TriMesh, u_full: np.ndarray) -> np.ndarray:
     """Locations of the interior minima, refined by local quadratic fits.
 
     Nodes within 1e-9 * max|u| of the global minimum are clustered by
@@ -757,10 +743,10 @@ def _min_points(space: _P2Space, u_full: np.ndarray) -> np.ndarray:
     interior; a patch holds the interior nodes of the two-ring.  The walks run
     on the interior node ids, which are the pattern's rows.
     """
-    plan = space.plan
+    plan = mesh.plan
     indptr, indices = plan.indptr, plan.indices
     u = u_full[: plan.n_in]
-    xy_in = space.node_xy[: plan.n_in]
+    xy_in = mesh.node_xy[: plan.n_in]
     cand = np.flatnonzero(u <= float(np.min(u)) + 1e-9 * float(np.max(np.abs(u))))
 
     def neighbours(nodes):
@@ -829,7 +815,7 @@ def _element_stiffness(maps: _CellMaps) -> np.ndarray:
     return ke
 
 
-def _assemble_interior(space: _P2Space):
+def _assemble_interior(mesh: TriMesh):
     """Stiffness matrix and load vector of the interior unknowns, and the
     quadrature area.
 
@@ -847,15 +833,15 @@ def _assemble_interior(space: _P2Space):
     cannot change their sum, and the diagonal entries come last in the same
     (local entry, element) order.
     """
-    plan = space.plan
+    plan = mesh.plan
     n_in = plan.n_in
-    qp_w = space.qp_w
+    qp_w = mesh.maps.qp_w
     area = float(np.sum(qp_w))
     fe = (-DIM * qp_w) @ _N_AT_QP
     del qp_w
     b_in = np.bincount(plan.tri_nodes.ravel(), fe.ravel())[:n_in]
     del fe
-    ke = _element_stiffness(space.maps)
+    ke = _element_stiffness(mesh.maps)
     data = np.zeros(plan.indices.size + 1)
     np.add.at(data, plan.slot_up, ke.ravel())
     np.add.at(data, plan.slot_lo, ke[:15].ravel())
@@ -870,12 +856,11 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     50 sqrt(ndof) + 10 iterations before the relative residual drops below
     _CG_RTOL, or break down (see _pcg).
     """
-    space = mesh.space
-    a_in, b_in, area = _assemble_interior(space)
-    x, relres, iters = _pcg(a_in, b_in, space.plan.precond)
+    a_in, b_in, area = _assemble_interior(mesh)
+    x, relres, iters = _pcg(a_in, b_in, mesh.plan.precond)
     del a_in
 
-    u_full = np.zeros(space.n_nodes)
+    u_full = np.zeros(mesh.n_nodes)
     u_full[: x.size] = x
     return TorsionField(
         mesh=mesh,
@@ -903,24 +888,24 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
     One affine solve gives the reference point, and Newton steps refine it
     where the cell is curved.
     """
-    mesh, space, n_a = field.mesh, field.space, field.mesh.n_angular
+    mesh, n_a = field.mesh, field.mesh.n_angular
+    plan, node_xy = mesh.plan, mesh.node_xy
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rel = pts - mesh.domain.center
     th = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), 2.0 * np.pi)
     sector = np.minimum((th * n_a / (2.0 * np.pi)).astype(np.int64), n_a - 1)
-    n_in = space.plan.n_in
-    outer = space.node_xy[n_in : n_in + n_a] - space.node_xy[0]     # boundary vertices, from the centre
+    outer = node_xy[plan.n_in : plan.n_in + n_a] - node_xy[0]     # boundary vertices, from the centre
     chord = np.roll(outer, -1, axis=0)[sector] - outer[sector]
     frac = (rel[:, 0] * chord[:, 1] - rel[:, 1] * chord[:, 0]) / (
         outer[sector, 0] * chord[:, 1] - outer[sector, 1] * chord[:, 0]
     )
-    ring = np.minimum(np.searchsorted(mesh.radial_fractions, frac, side="right"), mesh.n_radial - 1)
+    ring = np.minimum(np.searchsorted(plan.radial_fractions, frac, side="right"), mesh.n_radial - 1)
     els = np.where(ring == 0, sector, n_a * (2 * ring - 1) + 2 * sector)
-    a, c = space.node_xy[space.tri_nodes[els, 0]], space.node_xy[space.tri_nodes[els, 2]]
+    a, c = node_xy[plan.tri_nodes[els, 0]], node_xy[plan.tri_nodes[els, 2]]
     above = (c[:, 0] - a[:, 0]) * (pts[:, 1] - a[:, 1]) - (c[:, 1] - a[:, 1]) * (pts[:, 0] - a[:, 0]) > 0.0
     els += (ring > 0) & above
 
-    cxy = space.node_xy[space.tri_nodes[els]]
+    cxy = node_xy[plan.tri_nodes[els]]
     amat = np.stack([cxy[:, 1] - cxy[:, 0], cxy[:, 2] - cxy[:, 0]], axis=-1)
     refs = np.linalg.solve(amat, (pts - cxy[:, 0])[:, :, None])[:, :, 0]
     tol = 1e-13 * (1.0 + np.hypot(pts[:, 0], pts[:, 1]))
@@ -936,18 +921,17 @@ def eval_at_points(field: TorsionField, pts: np.ndarray):
     inside = np.all(refs >= -1e-9, axis=1) & (refs[:, 0] + refs[:, 1] <= 1.0 + 1e-9)
     if not np.all(inside):
         raise MeshError("point %s not located in the mesh" % (pts[np.argmin(inside)],))
-    return _eval_in_elements(space, field.u, els, refs)
+    return _eval_in_elements(mesh, field.u, els, refs)
 
 
 def domain_quadrature(mesh: TriMesh):
     """Quadrature points and weights covering the (curved-cell) domain.
 
-    Both are formed per call from the mesh's P2 space: the points from the
-    gathered cell coordinates, the weights as the solve forms them, so they
-    sum to field.area.  Nothing in the package calls it; its readers are the
+    Both are formed per call from the mesh's P2 nodes and maps: the points
+    from the gathered cell coordinates, the weights as the solve forms them,
+    so they sum to field.area.  Nothing in the package calls it; its readers are the
     perfbench tracer and the quadrature reference that the spectral tests
     compare the exact polar Gram matrices against.
     """
-    space = mesh.space
-    return (space.coords.reshape(-1, 12) @ _QP_TABLE).reshape(-1, 2), space.qp_w.ravel()
+    return (mesh.coords.reshape(-1, 12) @ _QP_TABLE).reshape(-1, 2), mesh.maps.qp_w.ravel()
 

@@ -116,14 +116,18 @@ def radial_ode_oracle(dim: int, r: float, big_r: float, n_cells: int):
     return rho, w
 
 
-def fd_laplacian_residual(spec: AnnulusSpec, rho: np.ndarray, delta: float = 1e-4) -> np.ndarray:
+# step of the centered differences in fd_laplacian_residual
+_FD_STEP = 1e-4
+
+
+def fd_laplacian_residual(spec: AnnulusSpec, rho: np.ndarray) -> np.ndarray:
     """|w'' + (N-1) w'/rho - N| with centered differences of the closed form."""
     rho = np.asarray(rho, dtype=float)
-    wm, _ = annulus_torsion(spec, rho - delta)
+    wm, _ = annulus_torsion(spec, rho - _FD_STEP)
     w0, _ = annulus_torsion(spec, rho)
-    wp, _ = annulus_torsion(spec, rho + delta)
-    d2 = (wp - 2.0 * w0 + wm) / delta**2
-    d1 = (wp - wm) / (2.0 * delta)
+    wp, _ = annulus_torsion(spec, rho + _FD_STEP)
+    d2 = (wp - 2.0 * w0 + wm) / _FD_STEP**2
+    d1 = (wp - wm) / (2.0 * _FD_STEP)
     return np.abs(d2 + (spec.dim - 1) * d1 / rho - spec.dim)
 
 
@@ -172,20 +176,17 @@ def c_constant(dim: int) -> float:
     return 1.5 if dim == 2 else 0.5 * dim
 
 
-def _f_kappa_limits(dim: int, mode: str) -> tuple[float, float]:
-    """(limit at kappa -> 0+, limit at kappa -> 1-) by series expansion."""
+def _f_kappa_limits(dim: int) -> tuple[float, float]:
+    """(limit at kappa -> 0+, limit at kappa -> 1-) of the derived f, by series expansion."""
     if dim == 2:
-        at0, at1 = 0.0, 1.0
-    else:
-        at0, at1 = 0.5 * (dim - 2), 0.5 * dim
-    if mode == "printed" and dim == 2:
-        at0, at1 = -at0, -at1
-    return at0, at1
+        return 0.0, 1.0
+    return 0.5 * (dim - 2), 0.5 * dim
 
 
 @dataclasses.dataclass(frozen=True)
 class FSupResult:
-    """Supremum of f over (0, 1) next to the claimed reference value."""
+    """Supremum of f over (0, 1) next to the claimed reference value; mode
+    is "derived", the variant of f that f_sup scans."""
 
     dim: int
     mode: str
@@ -195,8 +196,8 @@ class FSupResult:
     discrepancy: bool
 
 
-def f_sup(dim: int, mode: str = "derived") -> FSupResult:
-    """Supremum of f(kappa) over kappa in (0, 1).
+def f_sup(dim: int) -> FSupResult:
+    """Supremum of the derived f(kappa) over kappa in (0, 1).
 
     Dense grid scan plus bounded refinement, then compared against the
     endpoint limits.  For 3 <= N <= 7 the sup sits at kappa -> 1, where it
@@ -211,14 +212,14 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
     from scipy.optimize import minimize_scalar
 
     grid = np.linspace(1e-6, 1.0 - 1e-6, 20001)
-    vals = f_kappa(grid, dim, mode)
+    vals = f_kappa(grid, dim)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    res = minimize_scalar(lambda t: -f_kappa(float(t), dim, mode), bounds=(lo, hi), method="bounded")
+    res = minimize_scalar(lambda t: -f_kappa(float(t), dim), bounds=(lo, hi), method="bounded")
     best_interior = float(-res.fun)
     arg = float(res.x)
-    at0, at1 = _f_kappa_limits(dim, mode)
+    at0, at1 = _f_kappa_limits(dim)
     computed = max(best_interior, at0, at1)
     if at1 >= computed:
         computed, arg = at1, 1.0
@@ -227,7 +228,7 @@ def f_sup(dim: int, mode: str = "derived") -> FSupResult:
     claimed = c_constant(dim)
     return FSupResult(
         dim=dim,
-        mode=mode,
+        mode="derived",
         computed=computed,
         argmax_kappa=arg,
         claimed=claimed,

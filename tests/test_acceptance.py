@@ -31,7 +31,7 @@ def test_c01_ball_exactness():
     errs = []
     for lev in range(3):
         field = fem.solve_torsion(fem.generate_mesh(disk, 8 * 2**lev, 32 * 2**lev))
-        nodes = field.space.node_xy
+        nodes = field.mesh.node_xy
         exact = 0.5 * (np.einsum("ic,ic->i", nodes, nodes) - 1.0)
         errs.append(float(np.max(np.abs(field.u - exact))))
     elapsed = time.perf_counter() - t0
@@ -45,7 +45,7 @@ def test_c01_ball_exactness():
 def test_c02_ellipse_closed_form(ellipse_analysis):
     a, b = 1.5, 1.0
     field = ellipse_analysis.field
-    x = field.space.node_xy
+    x = field.mesh.node_xy
     s = a * a * b * b / (a * a + b * b)
     exact = (x[:, 0] ** 2 / a**2 + x[:, 1] ** 2 / b**2 - 1.0) * s
     assert np.max(np.abs(field.u - exact)) <= 1e-4
@@ -111,12 +111,12 @@ def test_c05_f_kappa_supremum():
         gap = np.max(np.abs(oracles.f_kappa(kappas, dim, "printed") - oracles.f_kappa(kappas, dim, "derived")))
         assert gap <= 1e-10, dim
     # dual report for the planar case, discrepancy flagged, no silent fix
-    rec2 = oracles.f_sup(2, "derived")
+    rec2 = oracles.f_sup(2)
     assert rec2.claimed == pytest.approx(1.5)
     assert np.isfinite(rec2.computed)
     assert rec2.discrepancy
     for dim in range(3, 9):
-        rec = oracles.f_sup(dim, "derived")
+        rec = oracles.f_sup(dim)
         assert rec.computed == pytest.approx(dim / 2.0, abs=1e-6), (dim, rec.computed)
 
 

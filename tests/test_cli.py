@@ -136,6 +136,27 @@ def test_verify_exit_one_on_solver_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: conjugate gradients")
 
 
+# rho = 1 + 0.45 cos 16 theta folds the curved cells of a 16-sector mesh
+# over (see tests/test_fem.py), so generate_mesh raises MeshError
+FOLDED = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 2}, "params": {"n_trace": 256}}
+
+
+@pytest.mark.parametrize("command", ["verify", "convergence", "spectral"])
+def test_folded_mesh_exits_one(tmp_path, capsys, command):
+    payload = dict(FOLDED, domain={"cos_coeffs": [0.0] * 15 + [0.45]})
+    cfg = write_cfg(tmp_path, payload)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.strip() == "error: non-positive Jacobian in element map"
+
+
+def test_sweep_folded_mesh_lands_in_error_column(tmp_path):
+    payload = dict(FOLDED, sweep={"values": [0.45], "mode_k": 16})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 1
+    (row,) = csv.DictReader((out / "sweep.csv").read_text().splitlines())
+    assert row["error"] == "MeshError: non-positive Jacobian in element map"
+
+
 def count_calls(monkeypatch, targets):
     """Call counts by name of each function in targets, counted from now on.
 

@@ -25,13 +25,12 @@ def test_generate_mesh_validation():
 def test_mesh_counts_and_h():
     disk = geometry.StarDomain.disk()
     mesh = fem.generate_mesh(disk, 8, 32)
-    space = mesh.space
     n_vertices, n_triangles = 1 + 8 * 32, 32 + 2 * 32 * 7
-    assert len(space.tri_nodes) == n_triangles
-    assert len(space.b_tri) == 32
+    assert len(mesh.plan.tri_nodes) == n_triangles
+    assert len(mesh.plan.b_tri) == 32
     # a P2 node per vertex and per edge, and a triangulated disk has
     # V + T - 1 edges
-    assert space.n_nodes == n_vertices + (n_vertices + n_triangles - 1)
+    assert mesh.n_nodes == n_vertices + (n_vertices + n_triangles - 1)
     assert 0.0 < mesh.h < 0.5
 
 
@@ -39,7 +38,7 @@ def test_disk_solve_matches_closed_form():
     disk = geometry.StarDomain.disk()
     mesh = fem.generate_mesh(disk, 16, 64)
     field = fem.solve_torsion(mesh)
-    err = np.max(np.abs(field.u - disk_exact(field.space.node_xy)))
+    err = np.max(np.abs(field.u - disk_exact(field.mesh.node_xy)))
     assert err < 2e-5
     assert abs(field.area - np.pi) < 1e-5
     assert abs(field.M - 1.0) < 5e-3
@@ -55,7 +54,7 @@ def test_disk_solve_matches_closed_form():
 def test_scaled_shifted_disk():
     disk = geometry.StarDomain.disk(radius=2.0, center=(0.5, -0.25))
     field = fem.solve_torsion(fem.generate_mesh(disk, 16, 64))
-    rel = field.space.node_xy - np.array([0.5, -0.25])
+    rel = field.mesh.node_xy - np.array([0.5, -0.25])
     err = np.max(np.abs(field.u - disk_exact(rel, 2.0)))
     assert err < 4e-4  # error scales like radius^2 * h^3
     assert abs(field.M - 2.0) < 1e-2
@@ -66,7 +65,7 @@ def test_ellipse_solve_matches_closed_form():
     a, b = 1.5, 1.0
     ell = geometry.StarDomain.ellipse(a, b)
     field = fem.solve_torsion(fem.generate_mesh(ell, 16, 64))
-    x = field.space.node_xy
+    x = field.mesh.node_xy
     s = a * a * b * b / (a * a + b * b)
     exact = (x[:, 0] ** 2 / a**2 + x[:, 1] ** 2 / b**2 - 1.0) * s
     assert np.max(np.abs(field.u - exact)) < 5e-5
@@ -134,8 +133,8 @@ def test_eval_at_points_locates_every_cell(name):
     domain = geometry.StarDomain.ellipse(1.5, 1.0) if name == "ellipse" else FOURIER5
     mesh = fem.generate_mesh(domain, 16, 64)
     field = fem.solve_torsion(mesh)
-    space = field.space
-    n_a, nt = mesh.n_angular, space.tri_nodes.shape[0]
+    plan = mesh.plan
+    n_a, nt = mesh.n_angular, plan.tri_nodes.shape[0]
     rng = np.random.default_rng(3)
     # the points are images of known reference points, so the element and its
     # values are known without a search:
@@ -147,12 +146,12 @@ def test_eval_at_points_locates_every_cell(name):
     #   triangles, and the centre
     on_ray = np.stack([rng.uniform(0.05, 0.95, n_a * mesh.n_radial), np.zeros(n_a * mesh.n_radial)], axis=-1)
     on_ray[0] = 0.0
-    els = np.concatenate([np.arange(nt), space.b_tri, np.arange(n_a), np.arange(n_a, nt, 2)])
+    els = np.concatenate([np.arange(nt), plan.b_tri, np.arange(n_a), np.arange(n_a, nt, 2)])
     refs = np.concatenate([bary[:, 1:], near_curve, on_ray])
-    pts = np.einsum("mk,mkc->mc", fem._shape(refs), space.coords[els])
-    want_u, want_g = fem._eval_in_elements(space, field.u, els, refs)
+    pts = np.einsum("mk,mkc->mc", fem._shape(refs), mesh.coords[els])
+    want_u, want_g = fem._eval_in_elements(mesh, field.u, els, refs)
 
-    d, c = space.node_xy[space.tri_nodes[space.b_tri, 1]], space.node_xy[space.tri_nodes[space.b_tri, 2]]
+    d, c = mesh.node_xy[plan.tri_nodes[plan.b_tri, 1]], mesh.node_xy[plan.tri_nodes[plan.b_tri, 2]]
     beyond = pts[nt : nt + n_a] - d
     assert np.all((c[:, 0] - d[:, 0]) * beyond[:, 1] - (c[:, 1] - d[:, 1]) * beyond[:, 0] < 0.0)
     assert np.array_equal(pts[nt + n_a], domain.center)
@@ -173,7 +172,7 @@ def test_eval_at_points_locates_every_cell(name):
 
     # a point just outside the curved boundary, past a boundary midside node
     th = _reference_boundary_thetas(n_a)[5].mean()
-    outside = space.node_xy[space.tri_nodes[space.b_tri[5], 4]] + 1e-6 * domain.normal(th)
+    outside = mesh.node_xy[plan.tri_nodes[plan.b_tri[5], 4]] + 1e-6 * domain.normal(th)
     with pytest.raises(fem.MeshError):
         fem.eval_at_points(field, outside[None, :])
 
@@ -182,17 +181,17 @@ def _reference_locate(field, p):
     # the per-point scan that located points before the structured lookup:
     # Newton inversion in up to 18 candidate triangles around the point's
     # sector and radial block; kept as the reference it must agree with
-    mesh, space = field.mesh, field.space
+    mesh = field.mesh
     n_a, n_r = mesh.n_angular, mesh.n_radial
     rel = p - mesh.domain.center
     th = np.mod(np.arctan2(rel[1], rel[0]), 2.0 * np.pi)
     sec = min(int(th * n_a / (2.0 * np.pi)), n_a - 1)
     frac = np.hypot(rel[0], rel[1]) / float(mesh.domain.radius(np.asarray(th)))
-    block = min(int(np.searchsorted(mesh.radial_fractions, frac, side="right")), n_r - 1)
+    block = min(int(np.searchsorted(mesh.plan.radial_fractions, frac, side="right")), n_r - 1)
     for b in (block, max(block - 1, 0), min(block + 1, n_r - 1)):
         for si in (sec, (sec - 1) % n_a, (sec + 1) % n_a):
             for t in [si] if b == 0 else [n_a * (2 * b - 1) + 2 * si, n_a * (2 * b - 1) + 2 * si + 1]:
-                cxy = space.node_xy[space.tri_nodes[t]]
+                cxy = mesh.node_xy[mesh.plan.tri_nodes[t]]
                 ref = np.linalg.solve(np.column_stack([cxy[1] - cxy[0], cxy[2] - cxy[0]]), p - cxy[0])
                 for _ in range(30):
                     r = fem._shape(ref) @ cxy - p
@@ -220,7 +219,7 @@ def test_eval_at_points_matches_reference_scan():
             fem.eval_at_points(field, p[None, :])
     els = np.array([f[0] for f in found if f is not None])
     refs = np.array([f[1] for f in found if f is not None])
-    want_u, want_g = fem._eval_in_elements(field.space, field.u, els, refs)
+    want_u, want_g = fem._eval_in_elements(field.mesh, field.u, els, refs)
     u, g = fem.eval_at_points(field, pts[located])
     scale = np.max(np.abs(field.u))
     # a random point lies on no edge, so both find the same element; the
@@ -244,7 +243,7 @@ def test_seven_point_area_of_affine_cell(domain):
     # the closed-form weights sum to 1, so each affine cell's 7-point area is
     # det J / 2 to rounding; weights held to 15 digits left it 1.3e-15 short
     assert np.sum(fem._QW) == 1.0
-    maps = fem.generate_mesh(domain, 8, 32).space.maps
+    maps = fem.generate_mesh(domain, 8, 32).maps
     affine = np.ones(maps.det.size, dtype=bool)
     affine[maps.curved] = False
     half = 0.5 * maps.det[affine]
@@ -256,19 +255,20 @@ def test_harmonic_deficit_field_disk():
     # numerically tiny and its Hessian defect integral is the fem error
     disk = geometry.StarDomain.disk()
     field = fem.solve_torsion(fem.generate_mesh(disk, 16, 64))
-    q = 0.5 * (np.einsum("ic,ic->i", field.space.node_xy, field.space.node_xy) - 1.0)
+    q = 0.5 * (np.einsum("ic,ic->i", field.mesh.node_xy, field.mesh.node_xy) - 1.0)
     assert np.max(np.abs(q - field.u)) < 1e-5
     assert identities.cs_deficit(field).hessian_h_sq < 1e-3
 
 
 def test_solve_shares_mesh_quadrature():
-    # one P2 space per mesh: the solve and domain_quadrature form the same
-    # weights from its maps, to the bit, and the solve's area is their sum
+    # one set of element maps per mesh: the solve and domain_quadrature form
+    # the same weights from them, to the bit, and the solve's area is their sum
     mesh = fem.generate_mesh(FOURIER5, 8, 32)
     field = fem.solve_torsion(mesh)
-    assert field.space is mesh.space
+    # the name the perfbench worker and workloads read for the mesh
+    assert field.space is mesh
     _, wts = fem.domain_quadrature(mesh)
-    assert np.array_equal(wts, field.space.qp_w.ravel())
+    assert np.array_equal(wts, mesh.maps.qp_w.ravel())
     assert np.sum(wts) == field.area
 
 
@@ -283,9 +283,7 @@ def test_solver_determinism():
 def test_boundary_midside_nodes_on_curve():
     ell = geometry.StarDomain.ellipse(1.5, 1.0)
     mesh = fem.generate_mesh(ell, 8, 32)
-    field = fem.solve_torsion(mesh)
-    space = field.space
-    pts = space.node_xy[space.plan.n_in :]
+    pts = mesh.node_xy[mesh.plan.n_in :]
     a, b = 1.5, 1.0
     lvl = pts[:, 0] ** 2 / a**2 + pts[:, 1] ** 2 / b**2
     assert np.max(np.abs(lvl - 1.0)) < 1e-4  # truncated Fourier boundary
@@ -295,7 +293,7 @@ def _reference_edge_tables(mesh):
     # a dict loop over the mesh's triangles: the P2 node ids that each vertex
     # and each edge receives, and the triangle and local edge of each boundary
     # edge, an edge of one triangle, in sector order
-    tris, tri_nodes = _reference_triangles(mesh.n_radial, mesh.n_angular), mesh.space.tri_nodes
+    tris, tri_nodes = _reference_triangles(mesh.n_radial, mesh.n_angular), mesh.plan.tri_nodes
     edge_locals = ((0, 1), (1, 2), (2, 0))
     vertex_ids, edge_ids, edge_tris = {}, {}, {}
     for t in range(tris.shape[0]):
@@ -324,20 +322,19 @@ def _reference_edge_tables(mesh):
 def test_p2_topology_matches_reference_loop(n_radial, n_angular):
     dom = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
     mesh = fem.generate_mesh(dom, n_radial, n_angular)
-    space = mesh.space
     vertex_ids, edge_ids, b_tri, b_local, b_forward, b_mid = _reference_edge_tables(mesh)
     # each vertex and each edge maps to exactly one node id, shared by all of
     # its triangles, and the vertices and edges together take every id once
     ids = [i for owner in (vertex_ids, edge_ids) for i in owner.values()]
     assert all(len(i) == 1 for i in ids)
-    assert sorted(next(iter(i)) for i in ids) == list(range(space.n_nodes))
-    assert np.array_equal(space.b_tri, b_tri)
+    assert sorted(next(iter(i)) for i in ids) == list(range(mesh.n_nodes))
+    assert np.array_equal(mesh.plan.b_tri, b_tri)
     # the lookups read every boundary edge as local edge (1, 2), running forward
     assert np.all(b_local == 1) and np.all(b_forward)
-    assert np.array_equal(space.tri_nodes[space.b_tri, 4], b_mid)
+    assert np.array_equal(mesh.plan.tri_nodes[mesh.plan.b_tri, 4], b_mid)
     th_mid = _reference_boundary_thetas(n_angular).mean(axis=1)
     on_curve = np.array([dom.point(th) for th in th_mid])
-    assert np.max(np.abs(space.node_xy[b_mid] - on_curve)) <= 1e-15
+    assert np.max(np.abs(mesh.node_xy[b_mid] - on_curve)) <= 1e-15
 
 
 # rho = 1 + 0.5 cos 2theta is symmetric under the point reflection about its
@@ -354,24 +351,25 @@ def test_min_points_finds_both_minima():
     assert field.min_points[1][0] > center[0] + 0.4
 
 
-def _reference_min_points(space, u_full):
+def _reference_min_points(mesh, u_full):
     # the walk over a node x element incidence matrix that _min_points made
     # before it read the interior stiffness pattern; kept as the reference.
     # Also says whether a two-ring patch reached a boundary node, which the
     # pattern leaves out
-    nt = space.tri_nodes.shape[0]
+    tri_nodes = mesh.plan.tri_nodes
+    nt = tri_nodes.shape[0]
     incidence = sp.csr_matrix(
-        (np.ones(6 * nt), (space.tri_nodes.ravel(), np.repeat(np.arange(nt), 6))), shape=(space.n_nodes, nt)
+        (np.ones(6 * nt), (tri_nodes.ravel(), np.repeat(np.arange(nt), 6))), shape=(mesh.n_nodes, nt)
     )
 
     def neighbours(nodes):
-        mark = np.zeros(space.n_nodes, dtype=bool)
+        mark = np.zeros(mesh.n_nodes, dtype=bool)
         for node in nodes:
-            mark[space.tri_nodes[incidence.indices[incidence.indptr[node]:incidence.indptr[node + 1]]]] = True
+            mark[tri_nodes[incidence.indices[incidence.indptr[node]:incidence.indptr[node + 1]]]] = True
         return np.flatnonzero(mark)
 
     cand = np.nonzero(u_full <= float(np.min(u_full)) + 1e-9 * float(np.max(np.abs(u_full))))[0]
-    unseen = np.zeros(space.n_nodes, dtype=bool)
+    unseen = np.zeros(mesh.n_nodes, dtype=bool)
     unseen[cand] = True
     out, on_boundary = [], False
     for c in cand:
@@ -386,18 +384,18 @@ def _reference_min_points(space, u_full):
         comp.sort()
         seed = comp[np.lexsort((comp, u_full[comp]))[0]]
         patch = neighbours(neighbours(comp))
-        on_boundary |= bool(np.any(patch >= space.plan.n_in))
-        xy = space.node_xy[patch] - space.node_xy[seed]
+        on_boundary |= bool(np.any(patch >= mesh.plan.n_in))
+        xy = mesh.node_xy[patch] - mesh.node_xy[seed]
         scale = max(float(np.max(np.abs(xy))), 1e-30)
         xs, ys = xy[:, 0] / scale, xy[:, 1] / scale
         design = np.column_stack([np.ones_like(xs), xs, ys, xs * xs, xs * ys, ys * ys])
         coef, *_ = np.linalg.lstsq(design, u_full[patch], rcond=None)
         hess = np.array([[2.0 * coef[3], coef[4]], [coef[4], 2.0 * coef[5]]])
-        z = space.node_xy[seed].copy()
+        z = mesh.node_xy[seed].copy()
         if np.linalg.det(hess) > 0.0 and hess[0, 0] > 0.0:
             step = np.linalg.solve(hess, -coef[1:3])
             if float(np.hypot(*step)) <= 2.0:
-                z = space.node_xy[seed] + scale * step
+                z = mesh.node_xy[seed] + scale * step
         out.append(z)
     out.sort(key=lambda v: (v[0], v[1]))
     return np.asarray(out), on_boundary
@@ -412,7 +410,7 @@ def test_min_points_match_incidence_walk(domain, n_radial, n_angular):
     # so the walk over it is the incidence walk wherever no patch reaches
     # the boundary
     field = fem.solve_torsion(fem.generate_mesh(domain, n_radial, n_angular))
-    want, on_boundary = _reference_min_points(field.space, field.u)
+    want, on_boundary = _reference_min_points(field.mesh, field.u)
     assert not on_boundary
     assert np.array_equal(field.min_points, want)
 
@@ -439,11 +437,11 @@ _D2N_FULL = np.array(
 )
 
 
-def _reference_kernels(space, u_full):
+def _reference_kernels(mesh, u_full):
     # the batched einsum kernels that assembled the full matrix and recovered
     # the derivatives before the entry-wise version; kept as the reference
     # the new kernels must reproduce
-    coords = space.coords
+    coords = mesh.coords
     nt = coords.shape[0]
 
     def inverse_jacobian(dn):
@@ -456,18 +454,18 @@ def _reference_kernels(space, u_full):
     fe = np.zeros((nt, 6))
     for qi in range(7):
         gp = np.einsum("kd,tdc->tkc", fem._DN_AT_QP[qi], inverse_jacobian(fem._DN_AT_QP[qi]))
-        w = space.qp_w[:, qi]
+        w = mesh.maps.qp_w[:, qi]
         ke += w[:, None, None] * np.einsum("tkc,tlc->tkl", gp, gp)
         fe += w[:, None] * (-2.0) * fem._N_AT_QP[qi][None, :]
-    rows = np.broadcast_to(space.tri_nodes[:, :, None], (nt, 6, 6)).ravel()
-    cols = np.broadcast_to(space.tri_nodes[:, None, :], (nt, 6, 6)).ravel()
-    shape = (space.n_nodes, space.n_nodes)
+    rows = np.broadcast_to(mesh.plan.tri_nodes[:, :, None], (nt, 6, 6)).ravel()
+    cols = np.broadcast_to(mesh.plan.tri_nodes[:, None, :], (nt, 6, 6)).ravel()
+    shape = (mesh.n_nodes, mesh.n_nodes)
     a_full = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=shape).tocsr()
-    f_full = np.zeros(space.n_nodes)
-    np.add.at(f_full, space.tri_nodes.ravel(), fe.ravel())
-    n_in = space.plan.n_in
+    f_full = np.zeros(mesh.n_nodes)
+    np.add.at(f_full, mesh.plan.tri_nodes.ravel(), fe.ravel())
+    n_in = mesh.plan.n_in
 
-    u_el = u_full[space.tri_nodes]
+    u_el = u_full[mesh.plan.tri_nodes]
     href = np.einsum("tk,kde->tde", u_el, _D2N_FULL)
     cmap = np.einsum("tkc,kde->tcde", coords, _D2N_FULL)
 
@@ -499,11 +497,10 @@ def _reference_kernels(space, u_full):
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (16, 64)])
 def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
-    space = mesh.space
-    a_in, b_in, _ = fem._assemble_interior(space)
+    a_in, b_in, _ = fem._assemble_interior(mesh)
     # both sides differentiate the same u, so no CG round-off enters
     u_full = fem.solve_torsion(mesh).u
-    ref = _reference_kernels(space, u_full)
+    ref = _reference_kernels(mesh, u_full)
 
     a_ref = ref[0]
     assert a_in.shape == a_ref.shape
@@ -512,9 +509,9 @@ def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     qp_u, qp_hess = ref[2:]
 
     # the Hessian samples: one per affine cell, 7 per curved cell, point-major
-    w, wu, hess, cell = fem._hessian_samples(space, u_full)
-    curved = space.b_tri
-    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), curved)
+    w, wu, hess, cell = fem._hessian_samples(mesh, u_full)
+    curved = mesh.plan.b_tri
+    affine = np.setdiff1d(np.arange(mesh.plan.tri_nodes.shape[0]), curved)
     assert np.array_equal(cell, np.concatenate([affine, np.tile(curved, 7)]))
     # an affine cell's reference Hessian is the same at all 7 points up to
     # its map-curvature term, which is round-off there
@@ -524,15 +521,15 @@ def test_element_kernels_match_einsum_reference(domain, n_radial, n_angular):
     # integral of u_h (an affine cell's area is det J / 2, the 7 weights sum
     # to it within 1.4e-15 relative); on a curved cell each sample is one
     # quadrature point
-    area = np.sum(space.qp_w, axis=1)
+    area = np.sum(mesh.maps.qp_w, axis=1)
     assert np.max(np.abs(np.bincount(cell, w) - area) / area) <= 1e-14
-    int_u = np.sum(space.qp_w * qp_u, axis=1)
+    int_u = np.sum(mesh.maps.qp_w * qp_u, axis=1)
     assert np.max(np.abs(np.bincount(cell, wu) - int_u)) <= 1e-14 * np.max(np.abs(int_u))
     n_affine = affine.size
-    assert np.array_equal(w[n_affine:], space.qp_w[curved].T.ravel())
-    want = (space.qp_w * qp_u)[curved].T.ravel()
+    assert np.array_equal(w[n_affine:], mesh.maps.qp_w[curved].T.ravel())
+    want = (mesh.maps.qp_w * qp_u)[curved].T.ravel()
     assert np.max(np.abs(wu[n_affine:] - want)) <= 1e-14 * np.max(np.abs(want))
-    assert abs(np.sum(w) - np.sum(space.qp_w)) <= 1e-14 * np.sum(space.qp_w)
+    assert abs(np.sum(w) - np.sum(mesh.maps.qp_w)) <= 1e-14 * np.sum(mesh.maps.qp_w)
     assert abs(np.sum(wu) - np.sum(int_u)) <= 1e-14 * np.sum(np.abs(int_u))
 
 
@@ -558,8 +555,8 @@ def test_element_maps_accurate_off_centre(n_radial, n_angular):
     # FOURIER5 is centred at (0.3, 0.2): from absolute coordinates an element
     # of size h loses about log10(0.36 / h) digits of J to cancellation
     # (9.5e-15 at 16x64, 4.3e-14 at 64x256)
-    space = fem.generate_mesh(FOURIER5, n_radial, n_angular).space
-    coords, maps = space.coords, space.maps
+    mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
+    coords, maps = mesh.coords, mesh.maps
     dn = _long_double_dshape(fem._QP)
     ref = np.einsum("tkc,qkd->cdqt", coords.astype(np.longdouble), dn).reshape(4, 7, -1)
     # an affine cell takes J once, at the centroid _QP[0]; a curved one at every point
@@ -581,14 +578,13 @@ def test_only_b_tri_cells_are_curved(domain, n_radial, n_angular):
     # its midside nodes bitwise at the midpoints of their edges, so its map
     # is affine; a b_tri cell has its node 4 on the curve
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
-    space = mesh.space
-    coords = space.coords
+    coords = mesh.coords
     midpoints = 0.5 * (coords[:, _EDGE_LOCALS[:, 0]] + coords[:, _EDGE_LOCALS[:, 1]])
-    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), space.b_tri)
+    affine = np.setdiff1d(np.arange(mesh.plan.tri_nodes.shape[0]), mesh.plan.b_tri)
     assert np.array_equal(coords[affine, 3:], midpoints[affine])
-    assert np.array_equal(space.maps.curved, space.b_tri)
+    assert np.array_equal(mesh.maps.curved, mesh.plan.b_tri)
     th_mid = _reference_boundary_thetas(n_angular).mean(axis=1)
-    assert np.array_equal(coords[space.b_tri, 4], domain.point(th_mid))
+    assert np.array_equal(coords[mesh.plan.b_tri, 4], domain.point(th_mid))
 
 
 # the local nodes at the ends of the edges whose midsides are local nodes 3, 4, 5
@@ -616,7 +612,7 @@ def _reference_vertices(mesh):
     n_a, domain = mesh.n_angular, mesh.domain
     theta = 2.0 * np.pi * np.arange(n_a) / n_a
     rho = domain.radius(theta)
-    s = mesh.radial_fractions
+    s = mesh.plan.radial_fractions
     verts = np.empty((1 + s.size * n_a, 2))
     verts[0] = domain.center
     verts[1:, 0] = (domain.center[0] + s[:, None] * rho * np.cos(theta)).ravel()
@@ -639,7 +635,7 @@ def _vertex_node_ids(n_radial, n_angular):
 
 def _reference_cell_arrays(mesh):
     # the cell coordinates (nt, 6, 2) and quadrature weights (nt, 7) built
-    # per triangle and stored, as the space did before it kept only the node
+    # per triangle and stored, as the P2 space did before it kept only the node
     # positions and the element maps
     n_a = mesh.n_angular
     tris = _reference_triangles(mesh.n_radial, n_a)
@@ -670,9 +666,9 @@ def test_cell_arrays_formed_on_read_match_per_triangle_reference(domain, n_radia
     mesh = fem.generate_mesh(domain, n_radial, n_angular)
     coords, qp_w = _reference_cell_arrays(mesh)
     want = _vertex_node_ids(n_radial, n_angular)[_reference_triangles(n_radial, n_angular)]
-    assert np.array_equal(mesh.space.tri_nodes[:, :3], want)
-    assert np.array_equal(mesh.space.coords, coords)
-    assert np.array_equal(mesh.space.qp_w, qp_w)
+    assert np.array_equal(mesh.plan.tri_nodes[:, :3], want)
+    assert np.array_equal(mesh.coords, coords)
+    assert np.array_equal(mesh.maps.qp_w, qp_w)
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128), (64, 256)])
@@ -683,16 +679,15 @@ def test_affine_cell_hessian_of_quadratic(n_radial, n_angular):
     # nodal values, which grows like 1 / area: area * |hess - H| measured
     # <= 2.9e-15 here (the rounding of q alone allows about as much)
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
-    space = mesh.space
     hess = np.array([[1.0, -0.3], [-0.3, 0.7]])
-    xy = space.node_xy - FOURIER5.center
+    xy = mesh.node_xy - FOURIER5.center
     q = 0.5 * np.einsum("ni,ij,nj->n", xy, hess, xy)
-    w, _, h, cell = fem._hessian_samples(space, q)
-    on_affine = ~np.isin(cell, space.b_tri)
-    affine = np.setdiff1d(np.arange(space.tri_nodes.shape[0]), space.b_tri)
+    w, _, h, cell = fem._hessian_samples(mesh, q)
+    on_affine = ~np.isin(cell, mesh.plan.b_tri)
+    affine = np.setdiff1d(np.arange(mesh.plan.tri_nodes.shape[0]), mesh.plan.b_tri)
     assert np.array_equal(cell[on_affine], affine)
     err = np.max(np.abs(np.stack(h)[:, on_affine] - np.array([1.0, -0.3, 0.7])[:, None]), axis=0)
-    assert np.allclose(w[on_affine], np.sum(space.qp_w[affine], axis=1), rtol=1e-14, atol=0.0)
+    assert np.allclose(w[on_affine], np.sum(mesh.maps.qp_w[affine], axis=1), rtol=1e-14, atol=0.0)
     assert np.max(err * w[on_affine]) <= 1e-14
 
 
@@ -701,9 +696,8 @@ def test_folded_curved_element_raises_mesh_error():
     # mesh at radius 1.45 and every curved midside node at 0.55, inside the
     # last ring of vertices, so the boundary element maps fold over
     dom = geometry.StarDomain(1.0, [0.0] * 15 + [0.45])
-    mesh = fem.generate_mesh(dom, 4, 16)
     with pytest.raises(fem.MeshError, match="non-positive Jacobian"):
-        mesh.space
+        fem.generate_mesh(dom, 4, 16)
 
 
 def test_solve_memory_peak_bounded():
@@ -713,7 +707,7 @@ def test_solve_memory_peak_bounded():
     # 21-entry kernel added in place into the CSR data 1.24, or 1.30 now
     # that the solve forms the (nt, 7) weights itself
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
-    ke_bytes = 36 * mesh.space.tri_nodes.shape[0] * 8
+    ke_bytes = 36 * mesh.plan.tri_nodes.shape[0] * 8
     tracemalloc.start()
     try:
         fem.solve_torsion(mesh)
@@ -749,14 +743,13 @@ def test_solved_field_keeps_only_what_it_cannot_re_read():
     # triangle table on top 2.23 MB
     mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     field = fem.solve_torsion(mesh)
-    space = field.space
-    assert _own_nbytes((field, mesh, space, space.maps), space.plan) <= 0.8e6
+    assert _own_nbytes((field, mesh, mesh.maps), mesh.plan) <= 0.8e6
     # the node table depends on the topology alone: two meshes of one
     # topology read the plan's table, with the vertices in triangle order
     other = fem.generate_mesh(FOURIER5, 32, 128)
     want = _vertex_node_ids(32, 128)[_reference_triangles(32, 128)]
-    assert other.space.tri_nodes is space.tri_nodes
-    assert np.array_equal(space.tri_nodes[:, :3], want)
+    assert other.plan.tri_nodes is mesh.plan.tri_nodes
+    assert np.array_equal(mesh.plan.tri_nodes[:, :3], want)
 
 
 @pytest.fixture
@@ -767,16 +760,14 @@ def empty_plans(monkeypatch):
 
 
 def test_cold_plan_memory_peak_bounded(empty_plans):
-    # building the topology plan, the space and the solve together: 2.84
-    # full element-matrix arrays, 3.31 while the space stored its cell
+    # building the topology plan, the mesh and the solve together: 2.84
+    # full element-matrix arrays, 3.31 while the mesh stored its cell
     # coordinates and (nt, 7) weights, 4.78 with the 36-entry bincount
     # assembly
-    mesh = fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128)
     ke_bytes = 36 * 128 * (2 * 32 - 1) * 8
     tracemalloc.start()
     try:
-        mesh.space
-        fem.solve_torsion(mesh)
+        fem.solve_torsion(fem.generate_mesh(geometry.StarDomain(1.0, [0.0, 0.0, 0.05]), 32, 128))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -787,9 +778,9 @@ def test_cold_plan_memory_peak_bounded(empty_plans):
 def test_plan_shared_per_topology(empty_plans):
     m1 = fem.generate_mesh(geometry.StarDomain.disk(), 8, 32)
     m2 = fem.generate_mesh(FOURIER5, 8, 32)
-    assert m1.space.plan is m2.space.plan
-    assert m1.space.plan.precond is m2.space.plan.precond
-    assert fem.generate_mesh(FOURIER5, 8, 36).space.plan is not m1.space.plan
+    assert m1.plan is m2.plan
+    assert m1.plan.precond is m2.plan.precond
+    assert fem.generate_mesh(FOURIER5, 8, 36).plan is not m1.plan
     assert list(empty_plans) == [(8, 32), (8, 36)]
 
 
@@ -800,19 +791,19 @@ def _plan_arrays(plan):
 
 
 def test_plan_arrays_read_only(empty_plans):
-    arrays = _plan_arrays(fem.generate_mesh(FOURIER5, 8, 32).space.plan)
-    assert {"tri_nodes", "b_tri", "indptr", "indices", "slot_up", "slot_lo"} <= set(arrays)
+    arrays = _plan_arrays(fem.generate_mesh(FOURIER5, 8, 32).plan)
+    assert {"radial_fractions", "tri_nodes", "b_tri", "indptr", "indices", "slot_up", "slot_lo"} <= set(arrays)
     for name, arr in arrays.items():
         assert not arr.flags.writeable, name
 
 
 def test_ninth_topology_evicts_oldest(empty_plans):
     disk = geometry.StarDomain.disk()
-    first = fem.generate_mesh(disk, 4, 16).space.plan
+    first = fem.generate_mesh(disk, 4, 16).plan
     for n_angular in range(20, 52, 4):
-        fem.generate_mesh(disk, 4, n_angular).space
+        fem.generate_mesh(disk, 4, n_angular)
     assert len(empty_plans) == 8 and (4, 16) not in empty_plans
-    rebuilt = fem.generate_mesh(FOURIER5, 4, 16).space.plan
+    rebuilt = fem.generate_mesh(FOURIER5, 4, 16).plan
     assert rebuilt is not first
     assert (rebuilt.n_radial, rebuilt.n_angular) == (first.n_radial, first.n_angular)
     want, got = _plan_arrays(first), _plan_arrays(rebuilt)
@@ -838,14 +829,14 @@ def _reference_element_stiffness(maps):
     return ke
 
 
-def _reference_interior_matrix(space, ke):
+def _reference_interior_matrix(mesh, ke):
     # the full element matrices ke (36, nt) assembled as before the plan: COO
     # triplets in (local entry, element) order without the Dirichlet rows and
     # columns (ids >= n_in), converted to CSR with each entry's duplicates
     # summed left to right in that order.  scipy's sum_duplicates is not
     # used: it sorts the duplicates first, in no fixed order
-    n_in = space.plan.n_in
-    el = space.tri_nodes.T
+    n_in = mesh.plan.n_in
+    el = mesh.plan.tri_nodes.T
     rows, cols = np.repeat(el, 6, axis=0).ravel(), np.tile(el, (6, 1)).ravel()
     keep = (rows < n_in) & (cols < n_in)
     rows, cols, vals = rows[keep], cols[keep], ke.ravel()[keep]
@@ -876,11 +867,11 @@ def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
     # give: an off-diagonal entry gets at most two terms, and the diagonal
     # ones keep that order
     for name, domain in _ASSEMBLY_DOMAINS.items():
-        space = fem.generate_mesh(domain, n_radial, n_angular).space
-        a_in, _, _ = fem._assemble_interior(space)
-        ke = _reference_element_stiffness(space.maps)
-        assert np.array_equal(fem._element_stiffness(space.maps)[fem._FULL], ke), name
-        ref = _reference_interior_matrix(space, ke)
+        mesh = fem.generate_mesh(domain, n_radial, n_angular)
+        a_in, _, _ = fem._assemble_interior(mesh)
+        ke = _reference_element_stiffness(mesh.maps)
+        assert np.array_equal(fem._element_stiffness(mesh.maps)[fem._FULL], ke), name
+        ref = _reference_interior_matrix(mesh, ke)
         assert np.array_equal(a_in.indptr, ref.indptr), name
         assert np.array_equal(a_in.indices, ref.indices), name
         assert np.array_equal(a_in.data, ref.data), name
@@ -888,8 +879,8 @@ def test_planned_matrix_matches_coo_reference(n_radial, n_angular):
     # per fan triangle; a count kept in a narrow integer type wraps at 128
     # sectors and drops this entry
     assert a_in.indices[0] == 0
-    assert np.count_nonzero(space.plan.slot_up == 0) == n_angular
-    assert not np.any(space.plan.slot_lo == 0)
+    assert np.count_nonzero(mesh.plan.slot_up == 0) == n_angular
+    assert not np.any(mesh.plan.slot_lo == 0)
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(8, 32), (64, 256)])
@@ -898,11 +889,10 @@ def test_preconditioner_factor_matches_full_kernel(monkeypatch, empty_plans, n_r
     # matrices by _FULL; the full-matrix reference kernel's 36-row product
     # rounds differently on so few cells (the two factors differ by up to
     # 4.5e-16 here), so they agree to round-off only
-    mesh = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular)
-    plan = mesh.space.plan
+    plan = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).plan
     upper = 6 * fem._UPPER[:, 0] + fem._UPPER[:, 1]
     monkeypatch.setattr(fem, "_element_stiffness", lambda maps: _reference_element_stiffness(maps)[upper])
-    ref = fem._PolarPreconditioner(plan, mesh.radial_fractions).factor
+    ref = fem._PolarPreconditioner(plan).factor
     assert np.max(np.abs(plan.precond.factor - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -911,17 +901,17 @@ def test_preconditioner_cells_are_disk_mesh_cells(monkeypatch, n_radial, n_angul
     # the preconditioner lays sector 0's cells on the unit disk by the mesh's
     # own placement, so they are bitwise the disk mesh's cells; a placement of
     # its own differed by up to 1.1e-16 at these sizes
-    disk = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
+    disk = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular)
     seen = []
     of = fem._CellMaps.of
     monkeypatch.setattr(fem._CellMaps, "of", lambda coords, curved: seen.append((coords, curved)) or of(coords, curved))
-    # built from an off-centre mesh: only the topology may be read
-    fem._Plan(fem.generate_mesh(FOURIER5, n_radial, n_angular))
+    # a fresh plan, built from the topology alone
+    fem._Plan(n_radial, n_angular)
     ((coords, curved),) = seen
     # the fan's first triangle and the first pair of each ring
     cells = np.r_[0, (n_angular * (2 * np.arange(1, n_radial) - 1)[:, None] + [0, 1]).ravel()]
     assert np.array_equal(coords, disk.coords[cells])
-    assert np.array_equal(cells[curved], disk.b_tri[:1])
+    assert np.array_equal(cells[curved], disk.plan.b_tri[:1])
 
 
 def _reference_h(mesh):
@@ -945,8 +935,8 @@ def _reference_polar_lattice(mesh):
     # reference they must reproduce exactly.  Mesh vertex 1 + (j-1) n_a + i
     # sits at (2j, 2i), whatever its node id
     n_a = mesh.n_angular
-    tri_nodes = mesh.space.tri_nodes
-    lat = np.zeros((mesh.space.n_nodes, 2), dtype=np.int64)
+    tri_nodes = mesh.plan.tri_nodes
+    lat = np.zeros((mesh.n_nodes, 2), dtype=np.int64)
     v = _reference_triangles(mesh.n_radial, n_a) - 1
     lat[tri_nodes[:, :3], 0] = np.where(v < 0, 0, 2 * (v // n_a + 1))
     lat[tri_nodes[:, :3], 1] = np.where(v < 0, 0, 2 * (v % n_a))
@@ -964,7 +954,7 @@ def _reference_polar_lattice(mesh):
 def test_polar_lattice_matches_reference(n_radial, n_angular):
     # node id 1 + s n_angular + k is slot s of sector k; read back to (J, K)
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
-    ids = np.arange(1, mesh.space.n_nodes)
+    ids = np.arange(1, mesh.n_nodes)
     slot, sector = np.divmod(ids - 1, n_angular)
     jj = np.where(slot == 0, 1, (slot + 3) // 2)
     kk = 2 * sector + np.where(slot == 0, 0, (slot + 1) % 2)
@@ -973,9 +963,9 @@ def test_polar_lattice_matches_reference(n_radial, n_angular):
     assert np.array_equal(ref[1:], np.stack([jj, kk], axis=-1))
     # the per-triangle lattice the plan numbers from
     got = fem._polar_lattice(n_radial, n_angular)
-    off_centre = mesh.space.tri_nodes != 0
-    assert np.array_equal(got[0][off_centre], ref[mesh.space.tri_nodes, 0][off_centre])
-    assert np.array_equal(got[1][off_centre], ref[mesh.space.tri_nodes, 1][off_centre])
+    off_centre = mesh.plan.tri_nodes != 0
+    assert np.array_equal(got[0][off_centre], ref[mesh.plan.tri_nodes, 0][off_centre])
+    assert np.array_equal(got[1][off_centre], ref[mesh.plan.tri_nodes, 1][off_centre])
 
 
 @pytest.mark.parametrize("n_radial,n_angular", [(4, 16), (16, 64)])
@@ -983,14 +973,13 @@ def test_node_ids_biject_onto_slots_and_end_on_the_curve(n_radial, n_angular):
     # every (slot, sector) pair holds exactly one node past the centre, and
     # the ids from n_in on are exactly the nodes on the boundary curve
     mesh = fem.generate_mesh(FOURIER5, n_radial, n_angular)
-    space = mesh.space
-    n_in = space.plan.n_in
+    n_in = mesh.plan.n_in
     assert n_in == 1 + (4 * n_radial - 3) * n_angular
-    assert space.n_nodes == n_in + 2 * n_angular
+    assert mesh.n_nodes == n_in + 2 * n_angular
     jj, kk = _reference_polar_lattice(mesh)[1:].T
     slot = np.where(jj == 1, 0, 2 * jj - 3 + kk % 2)
-    assert np.array_equal(np.sort(slot * n_angular + kk // 2), np.arange(space.n_nodes - 1))
-    rel = space.node_xy - FOURIER5.center
+    assert np.array_equal(np.sort(slot * n_angular + kk // 2), np.arange(mesh.n_nodes - 1))
+    rel = mesh.node_xy - FOURIER5.center
     gap = FOURIER5.radius(np.arctan2(rel[:, 1], rel[:, 0])) - np.hypot(rel[:, 0], rel[:, 1])
     assert np.max(np.abs(gap[n_in:])) <= 1e-14
     assert np.min(gap[:n_in]) > 1e-4
@@ -1000,10 +989,9 @@ def test_node_ids_biject_onto_slots_and_end_on_the_curve(n_radial, n_angular):
 def test_polar_preconditioner_inverts_p2_disk_stiffness(n_radial, n_angular):
     # the interior P2 stiffness that solve_torsion assembles on the unit disk;
     # the preconditioner factors it from one sector and must never build it
-    space = fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular).space
-    a_ref, _, _ = fem._assemble_interior(space)
-    # built from an ellipse mesh: only the topology may be read
-    precond = fem._Plan(fem.generate_mesh(geometry.StarDomain.ellipse(1.5, 1.0), n_radial, n_angular)).precond
+    a_ref, _, _ = fem._assemble_interior(fem.generate_mesh(geometry.StarDomain.disk(), n_radial, n_angular))
+    # a fresh plan, built from the topology alone
+    precond = fem._Plan(n_radial, n_angular).precond
     # a random vector loads every Fourier mode, Nyquist included; the unit
     # vector on the centre loads the border row and slots 0-2
     centre = np.zeros(a_ref.shape[0])
@@ -1068,9 +1056,9 @@ def test_cg_iterations_flat_under_refinement():
 )
 def test_solve_matches_direct_solve(domain):
     mesh = fem.generate_mesh(domain, 16, 64)
-    a_in, b_in, _ = fem._assemble_interior(mesh.space)
+    a_in, b_in, _ = fem._assemble_interior(mesh)
     u_direct = spla.spsolve(a_in.tocsc(), b_in)
-    u = fem.solve_torsion(mesh).u[: mesh.space.plan.n_in]
+    u = fem.solve_torsion(mesh).u[: mesh.plan.n_in]
     assert np.max(np.abs(u - u_direct)) <= 1e-9 * np.max(np.abs(u_direct))
 
 

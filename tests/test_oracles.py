@@ -90,7 +90,7 @@ def test_f_kappa_modes_agree(dim):
 
 def test_f_sup_low_dimensions_match_claim():
     for dim in (3, 4, 5, 6):
-        rec = oracles.f_sup(dim, "derived")
+        rec = oracles.f_sup(dim)
         assert abs(rec.computed - dim / 2.0) < 1e-6
         assert not rec.discrepancy
 
@@ -98,13 +98,13 @@ def test_f_sup_low_dimensions_match_claim():
 def test_f_sup_n7_no_false_alarm():
     # the sup sits at the kappa -> 1 limit N/2; cancellation near kappa = 1
     # must not push the scan above it
-    rec = oracles.f_sup(7, "derived")
+    rec = oracles.f_sup(7)
     assert rec.computed == pytest.approx(3.5, abs=1e-12)
     assert rec.discrepancy is False
 
 
 def test_f_sup_n2_reports_discrepancy():
-    rec = oracles.f_sup(2, "derived")
+    rec = oracles.f_sup(2)
     assert rec.claimed == 1.5
     assert abs(rec.computed - 1.0) < 1e-6
     assert rec.discrepancy
@@ -113,7 +113,7 @@ def test_f_sup_n2_reports_discrepancy():
 def test_f_sup_n8_exceeds_half_n():
     # the closed form genuinely overshoots N/2 for N=8: f(0.9) = 4.0649...,
     # with an interior maximum near kappa = 0.675; the flag must report it
-    rec = oracles.f_sup(8, "derived")
+    rec = oracles.f_sup(8)
     assert rec.computed > 4.1
     assert abs(rec.computed - 4.148018626) < 1e-6
     assert rec.discrepancy

@@ -58,6 +58,30 @@ def test_rayleigh_validation():
         spectral.harmonic_rayleigh_min(DISK, "both", 4)
 
 
+def _copy_last_basis_function(gram):
+    # the last basis function copied onto the one before it, in both Gram
+    # matrices and at x0: the mass matrix is then singular
+    a_mat, b_mat, at_x0, _ = gram
+    for mat in (a_mat, b_mat):
+        mat[-2, :] = mat[-1, :]
+        mat[:, -2] = mat[:, -1]
+    at_x0[-2] = at_x0[-1]
+    return a_mat, b_mat, at_x0
+
+
+def test_constrained_min_reduces_degenerate_degree():
+    # the basis is nested, so the degree-2 value reads the untouched leading blocks
+    want = spectral._constrained_min(*spectral._harmonic_gram(DISK, 3, np.zeros(2))[:3], 2)
+    a_mat, b_mat, at_x0 = _copy_last_basis_function(spectral._harmonic_gram(DISK, 3, np.zeros(2)))
+    with pytest.warns(UserWarning, match="degenerate basis at degree 3; reducing"):
+        got = spectral._constrained_min(a_mat, b_mat, at_x0, 3)
+    assert got == want
+    assert abs(got - 4.0) < 1e-12
+    a_mat, b_mat, at_x0 = _copy_last_basis_function(spectral._harmonic_gram(DISK, 1, np.zeros(2)))
+    with pytest.raises(ValueError, match="degenerate even at degree 1"):
+        spectral._constrained_min(a_mat, b_mat, at_x0, 1)
+
+
 def test_mu2_lower_convex():
     assert spectral.mu2_lower_convex(2.0) == pytest.approx(np.pi**2 / 4.0)
     with pytest.raises(ValueError):
