@@ -32,9 +32,13 @@ Hessian of u, which only the volume integrals read, is formed on first read:
 one sample per affine cell, where it is the constant J^-T href J^-1, and one
 per quadrature point of each curved cell.  M and the minimum points are
 formed on first read too; the search for the minima walks the interior
-stiffness pattern.  The interior block is solved by conjugate gradients,
-not by a sparse direct factorisation: splu's fill is 87 MB at 64x256, which
-breaks the benchmark's peak_rss_mb bound.  The preconditioner is the exact
+stiffness pattern.  grad u on the boundary, for M and u_nu, is read on the
+curved edges, where the shape derivatives are linear in the edge parameter:
+J and the reference gradient are two linear forms per boundary cell, formed
+per call, so no element map is built per point.  The interior block is
+solved by conjugate gradients, not by a sparse direct factorisation: splu's
+fill is 87 MB at 64x256, which breaks the benchmark's peak_rss_mb bound.
+The preconditioner is the exact
 inverse of the P2 stiffness that the same assembly gives on the unit-disk
 mesh of the topology, which an FFT in theta makes block-banded
 (Swarztrauber-Sweet 1973), so one apply costs a few matrix-vector products.
@@ -163,6 +167,14 @@ _MAP_QP = _map_table(_DN_AT_QP)          # (28, 12)
 _MAP_CENTROID = _MAP_QP[::7]             # (4, 12): the block of _QP[0], the centroid
 # coords.reshape(nt, 12) @ _QP_TABLE is the (nt, 7, 2) quadrature points
 _QP_TABLE = np.kron(_N_AT_QP.T, np.eye(2))
+# On the boundary edge (1, 2), at (xi, eta) = (1 - tau, tau), the shape
+# derivatives are the constant (6, 2) tables _DN_EDGE[0] + tau _DN_EDGE[1].
+# _MAP_EDGE @ coords.reshape(nt, 12).T stacks j00, j01, j10, j11, each the
+# (2, nt) pair (J0, J1) with J = J0 + tau J1; _GRAD_EDGE @ u (6, nt) stacks
+# the reference gradient's d/dxi and d/deta the same way
+_DN_EDGE = np.stack([_dshape([1.0, 0.0]), _dshape([0.0, 1.0]) - _dshape([1.0, 0.0])])
+_MAP_EDGE = _map_table(_DN_EDGE)         # (8, 12)
+_GRAD_EDGE = _DN_EDGE.transpose(2, 0, 1).reshape(4, 6)
 
 
 def _invert(j00, j01, j10, j11):
@@ -709,16 +721,30 @@ def _hessian_samples(mesh: TriMesh, u_full: np.ndarray):
 
 
 def _boundary_gradient(mesh: TriMesh, u_full: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Gradient of the FE solution at boundary parameters theta (one-sided)."""
+    """Gradient of the FE solution at boundary parameters theta (one-sided).
+
+    theta lies on the boundary edge (1, 2) of the curved cell
+    plan.b_tri[sector], at (xi, eta) = (1 - tau, tau), where the shape
+    derivatives are linear in tau (see _MAP_EDGE).  So on each of the
+    n_angular boundary cells J = J0 + tau J1 and the reference gradient of u
+    is g0 + tau g1; the four are formed per call from the gathered cells, J
+    from coordinates relative to vertex 0 as in _element_maps, and each theta
+    then costs a few vector passes.  _invert raises MeshError where
+    det J <= 0.
+    """
     two_pi = 2.0 * np.pi
     wrapped = np.mod(np.asarray(thetas, dtype=float), two_pi)
     dtheta = two_pi / mesh.n_angular
     sector = np.minimum((wrapped / dtheta).astype(np.int64), mesh.n_angular - 1)
     # clamp round-off spill to the sector edges
     tau = np.clip(wrapped / dtheta - sector, 0.0, 1.0)
-    # the boundary edge is local edge (1, 2), running forward
-    refs = np.stack([1.0 - tau, tau], axis=-1)
-    return _eval_in_elements(mesh, u_full, mesh.plan.b_tri[sector], refs)[1]
+    cells = mesh.plan.tri_nodes[mesh.plan.b_tri]
+    xy = mesh.node_xy[cells]
+    jac = (_MAP_EDGE @ (xy - xy[:, :1]).reshape(-1, 12).T).reshape(4, 2, -1)[:, :, sector]
+    grad = (_GRAD_EDGE @ u_full[cells].T).reshape(2, 2, -1)[:, :, sector]
+    _, a, b, c, d = _invert(*(jac[:, 0] + tau * jac[:, 1]))
+    g0, g1 = grad[:, 0] + tau * grad[:, 1]
+    return np.stack([g0 * a + g1 * c, g0 * b + g1 * d], axis=-1)
 
 
 def _eval_in_elements(mesh: TriMesh, u_full: np.ndarray, els: np.ndarray, refs: np.ndarray):

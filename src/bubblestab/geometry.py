@@ -96,33 +96,23 @@ class StarDomain:
     def radius_derivatives(self, theta: np.ndarray, orders) -> list[np.ndarray]:
         """d^m rho / d theta^m at theta for each m in orders.
 
-        The m-th derivative of a_k cos(k theta) is a_k k^m times cos (m even)
-        or sin (m odd), with the signs +, -, -, + as m mod 4 = 0, 1, 2, 3; that
-        of b_k sin(k theta) takes the other function, with the signs +, +, -, -.
-        Each table cos or sin(k theta) is evaluated once for all orders.
+        With c_k = a_k - i b_k, cos_coeffs and sin_coeffs padded to a common
+        K, rho = base + Re sum_k c_k e^{ik theta}, so the m-th derivative is
+        base [m = 0] + Re sum_k c_k (ik)^m e^{ik theta}.  The powers
+        e^{ik theta}, k = 1..K, are one np.exp per angle and a running product
+        over k, formed once for all orders; each order is then one complex
+        matrix-vector product.
         """
         theta = np.asarray(theta, dtype=float)
-        kc, ks = self._harmonics()
-        tables = {}
-
-        def table(fn, k):
-            key = (fn, k is kc)
-            if key not in tables:
-                tables[key] = fn(np.multiply.outer(theta, k))
-            return tables[key]
-
-        out = []
-        for m in orders:
-            odd = m % 2 == 1
-            d = np.full(theta.shape, self.base_radius if m == 0 else 0.0)
-            if kc.size:
-                term = table(np.sin if odd else np.cos, kc) @ (kc**m * self.cos_coeffs)
-                d = d - term if m % 4 in (1, 2) else d + term
-            if ks.size:
-                term = table(np.cos if odd else np.sin, ks) @ (ks**m * self.sin_coeffs)
-                d = d - term if m % 4 in (2, 3) else d + term
-            out.append(d)
-        return out
+        k_modes = max(self.cos_coeffs.size, self.sin_coeffs.size)
+        c = np.zeros(k_modes, dtype=complex)
+        c.real[: self.cos_coeffs.size] = self.cos_coeffs
+        c.imag[: self.sin_coeffs.size] = -self.sin_coeffs
+        powers = np.cumprod(np.broadcast_to(np.exp(1j * theta)[..., None], theta.shape + (k_modes,)), axis=-1)
+        k = np.arange(1, k_modes + 1, dtype=float)
+        return [
+            (self.base_radius if m == 0 else 0.0) + (powers @ (c * 1j ** (m % 4) * k**m)).real for m in orders
+        ]
 
     def radius(self, theta: np.ndarray) -> np.ndarray:
         return self.radius_derivatives(theta, (0,))[0]

@@ -251,6 +251,7 @@ def check_stability(
     dev: DeviationNorms,
     params: StabilityParams = StabilityParams(),
     branch: str = "high_dim",
+    radii: dict | None = None,
 ) -> StabilityReport:
     """Evaluate one stability inequality on a solved domain.
 
@@ -260,6 +261,9 @@ def check_stability(
     harmonic-Poincare constant defaults to the explicit lower bound
     (conservative: it only weakens the inequality being verified) and falls
     back to the Galerkin upper estimate when no lower bound is available.
+    radii, when given, maps a VARIANTS point to its (rho_i, rho_e) on this
+    trace and is filled on first use: analyze_domain passes one dict to all
+    its reports, so rho_bounds runs once per distinct point.
     """
     if spectral.mu0_lower is not None:
         mu, mu_source = spectral.mu0_lower, "lower_bound"
@@ -269,7 +273,10 @@ def check_stability(
 
     variant = VARIANTS[theorem]
     z = summary.center_of_mass if variant.point == "center_of_mass" else field.min_points[0]
-    rho_i, rho_e = rho_bounds(trace, z)
+    radii = {} if radii is None else radii
+    if variant.point not in radii:
+        radii[variant.point] = rho_bounds(trace, z)
+    rho_i, rho_e = radii[variant.point]
     gap = rho_e - rho_i
     deviation = getattr(dev, variant.deviation)
     tau = tr["tau"]
@@ -358,8 +365,9 @@ def analyze_domain(
 ) -> DomainAnalysis:
     """Full pipeline: mesh, solve, trace, spectral constants, stability checks.
 
-    The deviation norms are computed once and shared by every report; with
-    theorems=() the result carries the spectral constants and no reports.
+    The deviation norms are computed once and shared by every report, and so
+    are rho_i and rho_e about each distinct point z (see check_stability).
+    With theorems=() the result carries the spectral constants and no reports.
     A theorem variant that does not apply to the domain gets a
     NotApplicableReport, and the other reports are unaffected.
     """
@@ -378,10 +386,11 @@ def analyze_domain(
     )
     dev = deviation_norms(trace, field, summary)
     reports = []
+    radii = {}
     for theorem in theorems:
         for branch in branches:
             try:
-                reports.append(check_stability(theorem, trace, summary, field, spec, dev, params, branch))
+                reports.append(check_stability(theorem, trace, summary, field, spec, dev, params, branch, radii))
             except NotApplicable as exc:
                 reports.append(NotApplicableReport(theorem, branch, str(exc)))
     return DomainAnalysis(

@@ -1,3 +1,5 @@
+import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bubblestab import fem, geometry, identities
+from bubblestab import cli, fem, geometry, identities
 
 
 def disk_exact(nodes, radius=1.0):
@@ -83,6 +85,67 @@ def test_m_is_boundary_node_maximum():
     th0, th1 = _reference_boundary_thetas(mesh.n_angular).T
     grads = [fem._boundary_gradient(mesh, field.u, th) for th in (th0, 0.5 * (th0 + th1))]
     assert field.M == max(float(np.max(np.hypot(g[:, 0], g[:, 1]))) for g in grads)
+
+
+_TWO_LOBE_CONFIG = pathlib.Path(__file__).parents[1] / "configs" / "two_lobe.json"
+_BOUNDARY_DOMAINS = {
+    "disk": geometry.StarDomain.disk(),
+    "ellipse-off-centre": geometry.StarDomain.ellipse(1.5, 1.0, center=(0.3, -0.2)),
+    "two_lobe": cli._domain_from_config(cli.load_config(str(_TWO_LOBE_CONFIG))),
+}
+
+
+def _boundary_cell_refs(mesh, thetas):
+    # the curved cell and the reference point (1 - tau, tau) on its edge (1, 2)
+    # of each boundary parameter, as the boundary gradient reads them
+    wrapped = np.mod(thetas, 2.0 * np.pi)
+    dtheta = 2.0 * np.pi / mesh.n_angular
+    sector = np.minimum((wrapped / dtheta).astype(np.int64), mesh.n_angular - 1)
+    tau = np.clip(wrapped / dtheta - sector, 0.0, 1.0)
+    return mesh.plan.b_tri[sector], np.stack([1.0 - tau, tau], axis=-1)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_DOMAINS))
+def test_boundary_gradient_matches_element_evaluation(name, n):
+    # the two linear forms per boundary cell give grad u_h as the full element
+    # map at each point does: at the sector ends (tau = 0 at the start of
+    # every sector, tau = 1 at the end of the last one, where theta = -1e-300
+    # wraps to 2 pi, and tau within round-off of 1 at the end of the others),
+    # the midsides and random theta
+    mesh = fem.generate_mesh(_BOUNDARY_DOMAINS[name], n, 4 * n)
+    field = fem.solve_torsion(mesh)
+    ends = _reference_boundary_thetas(mesh.n_angular)
+    rng = np.random.default_rng(n)
+    thetas = np.concatenate(
+        [ends[:, 0], np.nextafter(ends[:, 1], 0.0), [-1e-300], ends.mean(axis=1), rng.uniform(-10.0, 10.0, 500)]
+    )
+    els, refs = _boundary_cell_refs(mesh, thetas)
+    assert np.any(refs[:, 1] == 0.0) and np.any(refs[:, 1] == 1.0)
+    got = fem._boundary_gradient(mesh, field.u, thetas)
+    want = fem._eval_in_elements(mesh, field.u, els, refs)[1]
+    assert np.max(np.abs(got - want)) <= 1e-14 * float(np.max(np.hypot(want[:, 0], want[:, 1])))
+
+
+def test_boundary_gradient_rejects_a_folded_boundary_cell():
+    # a copy of the mesh with one curved midside pulled inside its chord by
+    # half the chord's length: det J changes sign along that boundary edge
+    mesh = fem.generate_mesh(geometry.StarDomain.disk(), 16, 64)
+    field = fem.solve_torsion(mesh)
+    cell = mesh.plan.tri_nodes[mesh.plan.b_tri[5]]
+    v1, v2 = mesh.node_xy[cell[1]], mesh.node_xy[cell[2]]
+    mid = 0.5 * (v1 + v2)
+    node_xy = mesh.node_xy.copy()
+    node_xy[cell[4]] = mid - 0.5 * np.hypot(*(v2 - v1)) * mid / np.hypot(*mid)
+    folded = dataclasses.replace(mesh, node_xy=node_xy)
+    th0, th1 = _reference_boundary_thetas(mesh.n_angular)[5]
+    thetas = np.linspace(th0, th1, 9)[:-1]
+    with pytest.raises(fem.MeshError, match="non-positive Jacobian"):
+        fem._eval_in_elements(folded, field.u, *_boundary_cell_refs(folded, thetas))
+    with pytest.raises(fem.MeshError, match="non-positive Jacobian"):
+        fem._boundary_gradient(folded, field.u, thetas)
+    # the other sectors are untouched
+    fem._boundary_gradient(folded, field.u, thetas + (th1 - th0))
 
 
 @pytest.mark.parametrize(

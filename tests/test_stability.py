@@ -144,6 +144,27 @@ def same_report(a, b):
     )
 
 
+def test_analyze_domain_reports_equal_check_stability_alone(cos3_analysis, monkeypatch):
+    # analyze_domain runs rho_bounds once per distinct point, the torsion
+    # minimum and the centre of mass, for its 10 reports; each report is the
+    # one check_stability gives on its own, bit for bit
+    a = cos3_analysis
+    params = stability.StabilityParams(sobolev_c=1.0)
+    for r in a.reports:
+        alone = stability.check_stability(r.theorem, a.trace, a.summary, a.field, a.spectral, a.deviation, params, r.branch)
+        assert same_report(r, alone), (r.theorem, r.branch)
+    calls = []
+
+    def counted(trace, z):
+        calls.append(z)
+        return geometry.rho_bounds(trace, z)
+
+    monkeypatch.setattr(stability, "rho_bounds", counted)
+    kw = dict(n_radial=8, n_angular=32, n_trace=256, theorems=stability.THEOREMS, branches=stability.BRANCHES)
+    assert len(stability.analyze_domain(a.domain, params=params, **kw).reports) == 10
+    assert len(calls) == 2
+
+
 def test_inapplicable_theorem_keeps_the_other_reports():
     # cos3 at t = 0.1 has min H exactly 0, so hk, mean_convex and obvp do not
     # apply; main and main_cm must come out as they do when they run alone
