@@ -335,7 +335,7 @@ def cmd_spectral(cfg: dict, out_dir: str) -> int:
     return 0
 
 
-def cmd_oracles(cfg: dict | None, out_dir: str, fsup_dim: int | None = None) -> int:
+def cmd_oracles(out_dir: str, fsup_dim: int | None = None) -> int:
     if fsup_dim is not None:
         rec = oracles.f_sup(fsup_dim)
         payload = _jsonify(rec)
@@ -389,7 +389,7 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
         raise ConfigError("config key 'mesh.refinement_levels' must be >= 2 for convergence")
     n_r = cfg["mesh"]["n_radial"]
     n_a = cfg["mesh"]["n_angular"]
-    is_disk = domain.cos_coeffs.size == 0 and domain.sin_coeffs.size == 0
+    is_disk = not (np.any(domain.cos_coeffs) or np.any(domain.sin_coeffs))
 
     records = []
     probe_offsets = None
@@ -435,7 +435,8 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "sweep", "spectral", "oracles", "convergence"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "oracles"), help="experiment config (JSON)")
+        if name != "oracles":
+            p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", default=".", help="output directory")
         if name == "oracles":
             p.add_argument("--fsup", action="store_true", help="report only the f supremum")
@@ -449,15 +450,15 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        cfg = load_config(args.config) if args.config else None
+        if args.command == "oracles":
+            return cmd_oracles(args.out, fsup_dim=(args.N or 2) if args.fsup else None)
+        cfg = load_config(args.config)
         if args.command == "verify":
             return cmd_verify(cfg, args.out)
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         if args.command == "spectral":
             return cmd_spectral(cfg, args.out)
-        if args.command == "oracles":
-            return cmd_oracles(cfg, args.out, fsup_dim=(args.N or 2) if args.fsup else None)
         return cmd_convergence(cfg, args.out)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

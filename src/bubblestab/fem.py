@@ -474,19 +474,10 @@ class _Plan:
             arr.setflags(write=False)
 
 
-# plans by mesh topology (n_radial, n_angular), oldest first
-_PLANS: dict[tuple[int, int], _Plan] = {}
-
-
-def _plan(n_radial: int, n_angular: int) -> _Plan:
-    """The plan of the topology (n_radial, n_angular); the eight most
-    recently built topologies are kept."""
-    key = (n_radial, n_angular)
-    if key not in _PLANS:
-        if len(_PLANS) == 8:
-            del _PLANS[next(iter(_PLANS))]
-        _PLANS[key] = _Plan(n_radial, n_angular)
-    return _PLANS[key]
+# the plan of the topology (n_radial, n_angular), kept for the eight most
+# recently used topologies; called positionally, since lru_cache keys a
+# keyword call apart from a positional one
+_plan = functools.lru_cache(maxsize=8)(_Plan)
 
 
 # -- polar FFT preconditioner ------------------------------------------------

@@ -307,39 +307,6 @@ def check_stability(
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class AggregateBall:
-    """Touching radii about one interior minimum of the torsion function."""
-
-    z: np.ndarray
-    rho_i: float
-    rho_e: float
-
-
-def aggregate_report(field: TorsionField, trace: BoundaryTrace) -> list[AggregateBall]:
-    """One (z, rho_i, rho_e) record per torsion minimum.
-
-    Every boundary point lies outside B(z, rho_i) and inside B(z, rho_e) by
-    construction on the trace used here; re-checking on a finer trace bounds
-    the sampling error of the radii.
-    """
-    out = []
-    for z in field.min_points:
-        ri, re_ = rho_bounds(trace, z)
-        out.append(AggregateBall(z=np.array(z, dtype=float), rho_i=ri, rho_e=re_))
-    return out
-
-
-def inclusion_margins(ball: AggregateBall, trace: BoundaryTrace) -> tuple[float, float]:
-    """(inner, outer) slack of the ball radii against a trace.
-
-    inner = min |x - z| - rho_i and outer = rho_e - max |x - z|; both are
-    nonnegative when the radii genuinely pinch the boundary samples.
-    """
-    dist = np.hypot(trace.points[:, 0] - ball.z[0], trace.points[:, 1] - ball.z[1])
-    return float(np.min(dist) - ball.rho_i), float(ball.rho_e - np.max(dist))
-
-
 @dataclasses.dataclass(eq=False)
 class DomainAnalysis:
     """Everything computed for one domain by analyze_domain."""

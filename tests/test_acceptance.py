@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from bubblestab import cli, fem, geometry, identities, oracles, spectral, stability
+from bubblestab import cli, fem, geometry, identities, oracles, spectral
+from test_stability import _assert_min_balls_hold_on_finer_trace
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -172,13 +173,7 @@ def test_c08_stability_sweep(tmp_path):
 
 def test_c09_aggregate_inclusions(sweep_analyses):
     for t, analysis in sweep_analyses:
-        tol = 1e-9 + 2.0 * analysis.field.mesh.h ** 2
-        balls = stability.aggregate_report(analysis.field, analysis.trace)
-        assert balls, t
-        for ball in balls:
-            inner, outer = stability.inclusion_margins(ball, analysis.trace)
-            assert inner >= -tol, (t, inner)
-            assert outer >= -tol, (t, outer)
+        _assert_min_balls_hold_on_finer_trace(analysis.domain, analysis.field, analysis.trace)
 
 
 def test_c10_determinism(tmp_path):

@@ -348,6 +348,24 @@ def test_convergence_disk(tmp_path):
     assert all(o > 2.0 for o in rec["orders"])
 
 
+@pytest.mark.parametrize("center,levels", [([0.0, 0.0], 2), ([0.3, -0.2], 3)])
+def test_convergence_zero_spelled_disk_is_the_disk(tmp_path, center, levels):
+    # the disk is told by its coefficients' values, not their number: spelled
+    # with zeros it gets the disk's nodal errors and orders, byte for byte
+    written = []
+    for tag, cos, sin in (("empty", [], []), ("zeros", [0.0], [0.0, 0.0])):
+        domain = {"cos_coeffs": cos, "sin_coeffs": sin, "center": center}
+        mesh = {"n_radial": 4, "n_angular": 16, "refinement_levels": levels}
+        cfg = write_cfg(tmp_path, {"domain": domain, "mesh": mesh}, name=tag + ".json")
+        out = tmp_path / tag
+        assert cli.main(["convergence", "--config", cfg, "--out", str(out)]) == 0
+        written.append((out / "convergence.json").read_bytes())
+    assert written[0] == written[1]
+    rec = json.loads(written[0])
+    assert all("linf_error" in lev for lev in rec["levels"])
+    assert len(rec["orders"]) == levels - 1
+
+
 def test_convergence_needs_two_levels(tmp_path):
     payload = {"mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 1}}
     cfg = write_cfg(tmp_path, payload)
@@ -376,6 +394,13 @@ def test_oracles_rejects_dimension_without_fsup(tmp_path, capsys, n):
     assert cli.main(["oracles", "--N", n, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "argument --N: only valid with --fsup" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_oracles_takes_no_config(tmp_path, capsys):
+    # no oracle reads a config, so oracles has no --config to validate
+    assert cli.main(["oracles", "--config", str(tmp_path / "x.json"), "--out", str(tmp_path)]) == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

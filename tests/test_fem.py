@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import pathlib
 import tracemalloc
 
@@ -818,8 +819,8 @@ def test_solved_field_keeps_only_what_it_cannot_re_read():
 @pytest.fixture
 def empty_plans(monkeypatch):
     # a private, empty plan cache: these tests neither read nor evict the shared one
-    monkeypatch.setattr(fem, "_PLANS", {})
-    return fem._PLANS
+    monkeypatch.setattr(fem, "_plan", functools.lru_cache(maxsize=8)(fem._Plan))
+    return fem._plan
 
 
 def test_cold_plan_memory_peak_bounded(empty_plans):
@@ -834,7 +835,7 @@ def test_cold_plan_memory_peak_bounded(empty_plans):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert list(empty_plans) == [(32, 128)]
+    assert empty_plans.cache_info().currsize == 1
     assert peak <= 3 * ke_bytes
 
 
@@ -844,7 +845,7 @@ def test_plan_shared_per_topology(empty_plans):
     assert m1.plan is m2.plan
     assert m1.plan.precond is m2.plan.precond
     assert fem.generate_mesh(FOURIER5, 8, 36).plan is not m1.plan
-    assert list(empty_plans) == [(8, 32), (8, 36)]
+    assert empty_plans.cache_info().currsize == 2
 
 
 def _plan_arrays(plan):
@@ -865,7 +866,7 @@ def test_ninth_topology_evicts_oldest(empty_plans):
     first = fem.generate_mesh(disk, 4, 16).plan
     for n_angular in range(20, 52, 4):
         fem.generate_mesh(disk, 4, n_angular)
-    assert len(empty_plans) == 8 and (4, 16) not in empty_plans
+    assert empty_plans.cache_info().currsize == 8
     rebuilt = fem.generate_mesh(FOURIER5, 4, 16).plan
     assert rebuilt is not first
     assert (rebuilt.n_radial, rebuilt.n_angular) == (first.n_radial, first.n_angular)

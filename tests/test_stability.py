@@ -1,10 +1,13 @@
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
-from bubblestab import fem, geometry, identities, stability
+from bubblestab import cli, fem, geometry, identities, stability
 from test_geometry import _reference_touching_radii
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def two_lobe():
@@ -258,16 +261,31 @@ def test_sweep_monotone_degradation(sweep_analyses):
         assert g == pytest.approx(2.0 * t, abs=1e-6)
 
 
+def _assert_min_balls_hold_on_finer_trace(domain, field, trace):
+    # each torsion minimum's (rho_i, rho_e) from rho_bounds on the trace, and
+    # again on a trace 4x finer: the finer samples may move rho_i down and
+    # rho_e up by at most tol = 1e-9 + 2 h^2
+    tol = 1e-9 + 2.0 * field.mesh.h ** 2
+    fine = geometry.boundary_trace(domain, 4 * len(trace.points))
+    assert len(field.min_points) >= 1
+    for z in field.min_points:
+        rho_i, rho_e = geometry.rho_bounds(trace, z)
+        fine_i, fine_e = geometry.rho_bounds(fine, z)
+        assert fine_i >= rho_i - tol, (z, fine_i, rho_i, tol)
+        assert fine_e <= rho_e + tol, (z, fine_e, rho_e, tol)
+
+
 def test_aggregate_inclusions(disk_analysis):
-    balls = stability.aggregate_report(disk_analysis.field, disk_analysis.trace)
-    assert len(balls) == 1
-    inner, outer = stability.inclusion_margins(balls[0], disk_analysis.trace)
-    assert inner >= -1e-12 and outer >= -1e-12
-    fine = geometry.boundary_trace(disk_analysis.domain, 4096)
-    h = disk_analysis.field.mesh.h
-    inner_f, outer_f = stability.inclusion_margins(balls[0], fine)
-    assert inner_f >= -(1e-9 + 2.0 * h * h)
-    assert outer_f >= -(1e-9 + 2.0 * h * h)
+    assert len(disk_analysis.field.min_points) == 1
+    _assert_min_balls_hold_on_finer_trace(disk_analysis.domain, disk_analysis.field, disk_analysis.trace)
+
+
+@pytest.mark.parametrize("n_radial,n_angular", [(16, 64), (32, 128)])
+def test_two_lobe_inclusions_about_both_minima(n_radial, n_angular):
+    dom = cli._domain_from_config(cli.load_config(str(CONFIGS / "two_lobe.json")))
+    field = fem.solve_torsion(fem.generate_mesh(dom, n_radial, n_angular))
+    assert field.min_points.shape == (2, 2)
+    _assert_min_balls_hold_on_finer_trace(dom, field, geometry.boundary_trace(dom, 1024))
 
 
 def test_analyze_domain_deterministic():
