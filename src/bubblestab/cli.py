@@ -115,7 +115,6 @@ _CONFIG = {
         ),
     ),
     "params.x0_policy": ("min_point", (lambda v: v == "min_point", "must be 'min_point'")),
-    "params.n_trace": (1024, (lambda v: _integer(v) and v >= 64, "must be an integer >= 64")),
     "outputs.csv_path": ("sweep.csv", (_nonempty_str, "must be a nonempty string")),
     "outputs.json_path": ("report.json", (_nonempty_str, "must be a nonempty string")),
 }
@@ -193,7 +192,6 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     n_r = cfg["mesh"]["n_radial"]
     n_a = cfg["mesh"]["n_angular"]
     levels = cfg["mesh"]["refinement_levels"]
-    n_trace = cfg["params"]["n_trace"]
 
     worst_finest = 0.0
     # (trace, summary) by trace size: levels whose size agrees share them
@@ -201,7 +199,7 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     for lev in range(levels):
         mesh = fem.generate_mesh(domain, n_r * 2**lev, n_a * 2**lev)
         field = fem.solve_torsion(mesh)
-        size = max(n_trace, 4 * mesh.n_angular)
+        size = stability.trace_samples(mesh.n_angular)
         if size not in geom:
             trace = geometry.boundary_trace(domain, size)
             geom[size] = trace, geometry.geometry_summary(domain, trace)
@@ -244,7 +242,6 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
     theorems = cfg["theorems"]
     n_r = cfg["mesh"]["n_radial"]
     n_a = cfg["mesh"]["n_angular"]
-    n_trace = cfg["params"]["n_trace"]
 
     rows: list[dict] = []
     detail = []
@@ -264,7 +261,6 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
                 domain,
                 n_radial=n_r,
                 n_angular=n_a,
-                n_trace=n_trace,
                 theorems=theorems,
             )
         except Exception as exc:  # per-row failure lands in the error column
@@ -324,7 +320,6 @@ def cmd_spectral(cfg: dict, out_dir: str) -> int:
         domain,
         n_radial=cfg["mesh"]["n_radial"],
         n_angular=cfg["mesh"]["n_angular"],
-        n_trace=cfg["params"]["n_trace"],
         theorems=(),
     ).spectral
     _write_json(_out_path(out_dir, "spectral.json"), est)

@@ -22,6 +22,8 @@ import scipy.linalg
 
 from .geometry import DIM, StarDomain
 
+BASIS_DEGREE = 12  # of spectral_estimate's harmonic polynomial basis
+
 
 def unit_ball_volume(dim: int) -> float:
     """Volume of the unit ball in R^dim; exactly pi at dim = 2."""
@@ -174,26 +176,25 @@ def spectral_estimate(
     domain: StarDomain,
     r_interior: float,
     area: float,
-    degree: int = 12,
     x0=None,
     mu2: float | None = None,
 ) -> SpectralEstimate:
     """Both Galerkin estimates and, when mu2 is given, the lower bound.
 
     The Gram matrices come from exact polar moments of the domain (see
-    harmonic_rayleigh_min), on n > (2 degree + 2) K + 2 degree angles.
+    harmonic_rayleigh_min) at degree BASIS_DEGREE, on n > 26 K + 24 angles.
     """
     x0_arr = np.asarray(domain.center if x0 is None else x0, dtype=float)
     # one pair of Gram matrices serves both constraints
-    a_mat, b_mat, at_x0, means = _harmonic_gram(domain, degree, x0_arr)
-    mu0_upper = _constrained_min(a_mat, b_mat, at_x0, degree)
-    mubar_upper = _constrained_min(a_mat, b_mat, means, degree)
+    a_mat, b_mat, at_x0, means = _harmonic_gram(domain, BASIS_DEGREE, x0_arr)
+    mu0_upper = _constrained_min(a_mat, b_mat, at_x0, BASIS_DEGREE)
+    mubar_upper = _constrained_min(a_mat, b_mat, means, BASIS_DEGREE)
     lower = None if mu2 is None else mu0_lower_bound(r_interior, area, mu2)
     return SpectralEstimate(
         mu0_upper=mu0_upper,
         mubar_upper=mubar_upper,
         mu0_lower=lower,
-        basis_degree=degree,
+        basis_degree=BASIS_DEGREE,
         x0=x0_arr,
         mu2_lower=mu2,
     )

@@ -242,41 +242,51 @@ def assemble_constants(
     return float(c_stab), None, tr
 
 
-def check_stability(
-    theorem: str,
-    trace: BoundaryTrace,
-    summary: GeometrySummary,
-    field: TorsionField,
-    spectral: SpectralEstimate,
-    dev: DeviationNorms,
-    params: StabilityParams = StabilityParams(),
-    branch: str = "high_dim",
-    radii: dict | None = None,
-) -> StabilityReport:
-    """Evaluate one stability inequality on a solved domain.
+def trace_samples(n_angular: int, n_trace: int = 1024) -> int:
+    """Boundary samples for a mesh of n_angular sectors: n_trace, or four per boundary edge if more."""
+    return max(n_trace, 4 * n_angular)
 
-    dev holds the deviation norms of this domain (see deviation_norms).  The
-    variant's point z, deviation and H > 0 hypothesis come from VARIANTS; a
+
+@dataclasses.dataclass(eq=False)
+class DomainAnalysis:
+    """Everything computed for one domain by analyze_domain."""
+
+    domain: StarDomain
+    trace: BoundaryTrace
+    summary: GeometrySummary
+    field: TorsionField
+    spectral: SpectralEstimate
+    grad_bounds: GradientBounds
+    deviation: DeviationNorms
+    params: StabilityParams
+    reports: list[StabilityReport | NotApplicableReport] = dataclasses.field(default_factory=list)
+    # (rho_i, rho_e) by VARIANTS point, filled on first use by check_stability
+    radii: dict[str, tuple[float, float]] = dataclasses.field(default_factory=dict)
+
+
+def check_stability(analysis: DomainAnalysis, theorem: str, branch: str = "high_dim") -> StabilityReport:
+    """Evaluate one stability inequality on an analyzed domain.
+
+    The variant's point z, deviation and H > 0 hypothesis come from VARIANTS; a
     variant whose hypothesis fails raises NotApplicable.  The
     harmonic-Poincare constant defaults to the explicit lower bound
     (conservative: it only weakens the inequality being verified) and falls
     back to the Galerkin upper estimate when no lower bound is available.
-    radii, when given, maps a VARIANTS point to its (rho_i, rho_e) on this
-    trace and is filled on first use: analyze_domain passes one dict to all
-    its reports, so rho_bounds runs once per distinct point.
+    rho_i and rho_e about z come from the analysis's radii memo, which this
+    call fills on first use.
     """
+    summary, spectral, dev = analysis.summary, analysis.spectral, analysis.deviation
     if spectral.mu0_lower is not None:
         mu, mu_source = spectral.mu0_lower, "lower_bound"
     else:
         mu, mu_source = spectral.mu0_upper, "galerkin_upper"
-    c_stab, eps, tr = assemble_constants(theorem, branch, summary, mu, field.M, dev.min_h, params)
+    c_stab, eps, tr = assemble_constants(theorem, branch, summary, mu, analysis.field.M, dev.min_h, analysis.params)
 
     variant = VARIANTS[theorem]
-    z = summary.center_of_mass if variant.point == "center_of_mass" else field.min_points[0]
-    radii = {} if radii is None else radii
-    if variant.point not in radii:
-        radii[variant.point] = rho_bounds(trace, z)
-    rho_i, rho_e = radii[variant.point]
+    z = summary.center_of_mass if variant.point == "center_of_mass" else analysis.field.min_points[0]
+    if variant.point not in analysis.radii:
+        analysis.radii[variant.point] = rho_bounds(analysis.trace, z)
+    rho_i, rho_e = analysis.radii[variant.point]
     gap = rho_e - rho_i
     deviation = getattr(dev, variant.deviation)
     tau = tr["tau"]
@@ -307,20 +317,6 @@ def check_stability(
     )
 
 
-@dataclasses.dataclass(eq=False)
-class DomainAnalysis:
-    """Everything computed for one domain by analyze_domain."""
-
-    domain: StarDomain
-    trace: BoundaryTrace
-    summary: GeometrySummary
-    field: TorsionField
-    spectral: SpectralEstimate
-    grad_bounds: GradientBounds
-    deviation: DeviationNorms
-    reports: list[StabilityReport | NotApplicableReport]
-
-
 def analyze_domain(
     domain: StarDomain,
     n_radial: int = 32,
@@ -332,13 +328,14 @@ def analyze_domain(
 ) -> DomainAnalysis:
     """Full pipeline: mesh, solve, trace, spectral constants, stability checks.
 
-    The deviation norms are computed once and shared by every report, and so
-    are rho_i and rho_e about each distinct point z (see check_stability).
+    The trace has trace_samples(n_angular, n_trace) points.  The deviation
+    norms are computed once and shared by every report, and so are rho_i and
+    rho_e about each distinct point z, through the analysis's radii memo.
     With theorems=() the result carries the spectral constants and no reports.
     A theorem variant that does not apply to the domain gets a
     NotApplicableReport, and the other reports are unaffected.
     """
-    trace = boundary_trace(domain, n_trace)
+    trace = boundary_trace(domain, trace_samples(n_angular, n_trace))
     summary = geometry_summary(domain, trace)
     mesh = generate_mesh(domain, n_radial, n_angular)
     field = solve_torsion(mesh)
@@ -351,22 +348,13 @@ def analyze_domain(
         x0=field.min_points[0],  # z of every min-point variant
         mu2=mu2,
     )
-    dev = deviation_norms(trace, field, summary)
-    reports = []
-    radii = {}
+    analysis = DomainAnalysis(
+        domain, trace, summary, field, spec, gradient_bounds(summary), deviation_norms(trace, field, summary), params
+    )
     for theorem in theorems:
         for branch in branches:
             try:
-                reports.append(check_stability(theorem, trace, summary, field, spec, dev, params, branch, radii))
+                analysis.reports.append(check_stability(analysis, theorem, branch))
             except NotApplicable as exc:
-                reports.append(NotApplicableReport(theorem, branch, str(exc)))
-    return DomainAnalysis(
-        domain=domain,
-        trace=trace,
-        summary=summary,
-        field=field,
-        spectral=spec,
-        grad_bounds=gradient_bounds(summary),
-        deviation=dev,
-        reports=reports,
-    )
+                analysis.reports.append(NotApplicableReport(theorem, branch, str(exc)))
+    return analysis

@@ -15,10 +15,7 @@ from bubblestab import cli, fem, geometry, identities, stability
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
-DISK_SMALL = {
-    "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 2},
-    "params": {"n_trace": 256},
-}
+DISK_SMALL = {"mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 2}}
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -47,7 +44,7 @@ def test_load_config_spelled_out_defaults_equal_empty(tmp_path):
         "domain": {"base_radius": 1.0, "cos_coeffs": [], "sin_coeffs": [], "center": [0.0, 0.0]},
         "mesh": {"n_radial": 32, "n_angular": 128, "refinement_levels": 3},
         "theorems": ["main"],
-        "params": {"x0_policy": "min_point", "n_trace": 1024},
+        "params": {"x0_policy": "min_point"},
         "outputs": {"csv_path": "sweep.csv", "json_path": "report.json"},
     }
     assert cli.load_config(write_cfg(tmp_path, spelled)) == cli.load_config(write_cfg(tmp_path, {}))
@@ -63,7 +60,7 @@ def test_load_config_spelled_out_defaults_equal_empty(tmp_path):
         ({"mesh": {"refinement_levels": 0}}, "mesh.refinement_levels"),
         ({"params": {"x0_policy": "weird"}}, "params.x0_policy"),
         ({"params": {"gamma": 1.5}}, "params.gamma"),
-        ({"params": {"n_trace": 32}}, "params.n_trace"),
+        ({"params": {"n_trace": 256}}, "unknown config keys: params.n_trace"),
         ({"sweep": {"values": []}}, "sweep.values"),
         ({"sweep": {"values": [0.2, 0.1]}}, "sweep.values"),
         ({"sweep": {"values": [0.1], "mode_k": 0}}, "sweep.mode_k"),
@@ -130,7 +127,7 @@ def test_verify_exit_one_on_tight_threshold(tmp_path, monkeypatch):
 
 def test_verify_exit_one_on_solver_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(fem, "_CG_RTOL", 0.0)
-    payload = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 1}, "params": {"n_trace": 256}}
+    payload = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 1}}
     cfg = write_cfg(tmp_path, payload)
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err.startswith("error: conjugate gradients")
@@ -138,7 +135,7 @@ def test_verify_exit_one_on_solver_error(tmp_path, monkeypatch, capsys):
 
 # rho = 1 + 0.45 cos 16 theta folds the curved cells of a 16-sector mesh
 # over (see tests/test_fem.py), so generate_mesh raises MeshError
-FOLDED = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 2}, "params": {"n_trace": 256}}
+FOLDED = {"mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 2}}
 
 
 @pytest.mark.parametrize("command", ["verify", "convergence", "spectral"])
@@ -213,7 +210,6 @@ def test_verify_and_convergence_form_no_min_points(tmp_path, monkeypatch):
 def sweep_payload(values):
     return {
         "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 1},
-        "params": {"n_trace": 256},
         "sweep": {"values": values, "mode_k": 3},
         "theorems": ["main"],
     }
@@ -226,6 +222,20 @@ def test_sweep_forms_no_hessian_samples(tmp_path, monkeypatch):
     payload = dict(sweep_payload([0.02, 0.05]), theorems=list(stability.THEOREMS))
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"_hessian_samples": 0}
+
+
+def test_every_command_sizes_its_trace_by_one_rule(tmp_path, monkeypatch, capsys):
+    # verify per level, sweep per row and spectral once all ask trace_samples
+    calls = count_calls(monkeypatch, {"trace_samples": stability.trace_samples})
+    payload = dict(sweep_payload([0.02, 0.05]), mesh={"n_radial": 4, "n_angular": 16, "refinement_levels": 2})
+    cfg = write_cfg(tmp_path, payload)
+    for command, count in (("verify", 2), ("sweep", 4), ("spectral", 5)):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+        assert calls == {"trace_samples": count}, command
+    # the trace size is not a config key
+    payload["params"] = {"n_trace": 256}
+    assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown config keys: params.n_trace" in capsys.readouterr().err
 
 
 def test_sweep_outputs_and_determinism(tmp_path):
@@ -298,7 +308,6 @@ def test_sweep_keeps_base_modes_above_mode_k(tmp_path):
 def test_spectral_disk(tmp_path):
     payload = {
         "mesh": {"n_radial": 8, "n_angular": 32, "refinement_levels": 1},
-        "params": {"n_trace": 256},
     }
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
@@ -487,7 +496,6 @@ def test_run_paths_import_only_sparse_and_linalg(tmp_path):
     small = {
         "domain": {"base_radius": 1.0, "cos_coeffs": [0.0, 0.1], "sin_coeffs": [0.05], "center": [0.3, 0.2]},
         "mesh": {"n_radial": 4, "n_angular": 16, "refinement_levels": 2},
-        "params": {"n_trace": 256},
     }
     sweep = dict(
         small,

@@ -118,7 +118,7 @@ def test_upper_estimates_scale_like_inverse_length_sq():
 
 def test_spectral_estimate_bracket():
     est = spectral.spectral_estimate(
-        DISK, r_interior=1.0, area=np.pi, degree=8, x0=np.zeros(2), mu2=3.3899618
+        DISK, r_interior=1.0, area=np.pi, x0=np.zeros(2), mu2=3.3899618
     )
     assert est.mu0_lower is not None
     assert est.mu0_lower <= est.mu0_upper
@@ -127,7 +127,7 @@ def test_spectral_estimate_bracket():
 
 
 def test_spectral_estimate_without_mu2():
-    est = spectral.spectral_estimate(DISK, r_interior=1.0, area=np.pi, degree=4)
+    est = spectral.spectral_estimate(DISK, r_interior=1.0, area=np.pi)
     assert est.mu0_lower is None
     assert est.mu2_lower is None
 

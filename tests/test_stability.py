@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bubblestab import cli, fem, geometry, identities, stability
+from bubblestab import cli, fem, geometry, identities, oracles, stability
 from test_geometry import _reference_touching_radii
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -132,12 +132,14 @@ def test_nonpositive_curvature_rejections():
     dev = stability.deviation_norms(trace, field, summary)
     assert dev.min_h < 0.0
     assert dev.hk_deficit is None and dev.obvp_l1 is None
-    spec = stability.spectral_estimate(
-        dom, r_interior=summary.r_interior, area=summary.area, degree=6
+    spec = stability.spectral_estimate(dom, r_interior=summary.r_interior, area=summary.area)
+    analysis = stability.DomainAnalysis(
+        dom, trace, summary, field, spec, oracles.gradient_bounds(summary), dev, stability.StabilityParams()
     )
     for theorem in ("hk", "obvp", "mean_convex"):
-        with pytest.raises(ValueError):
-            stability.check_stability(theorem, trace, summary, field, spec, dev)
+        with pytest.raises(stability.NotApplicable):
+            stability.check_stability(analysis, theorem)
+    assert analysis.radii == {}
 
 
 def same_report(a, b):
@@ -152,9 +154,8 @@ def test_analyze_domain_reports_equal_check_stability_alone(cos3_analysis, monke
     # minimum and the centre of mass, for its 10 reports; each report is the
     # one check_stability gives on its own, bit for bit
     a = cos3_analysis
-    params = stability.StabilityParams(sobolev_c=1.0)
     for r in a.reports:
-        alone = stability.check_stability(r.theorem, a.trace, a.summary, a.field, a.spectral, a.deviation, params, r.branch)
+        alone = stability.check_stability(dataclasses.replace(a, radii={}), r.theorem, r.branch)
         assert same_report(r, alone), (r.theorem, r.branch)
     calls = []
 
@@ -164,8 +165,30 @@ def test_analyze_domain_reports_equal_check_stability_alone(cos3_analysis, monke
 
     monkeypatch.setattr(stability, "rho_bounds", counted)
     kw = dict(n_radial=8, n_angular=32, n_trace=256, theorems=stability.THEOREMS, branches=stability.BRANCHES)
-    assert len(stability.analyze_domain(a.domain, params=params, **kw).reports) == 10
+    assert len(stability.analyze_domain(a.domain, params=a.params, **kw).reports) == 10
     assert len(calls) == 2
+
+
+def test_check_stability_fills_the_memo_on_first_use():
+    # an analysis with no reports has an empty memo; one main_cm check adds
+    # the centre of mass alone, and its report is the one analyze_domain gives
+    dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.05]))
+    kw = dict(n_radial=8, n_angular=32, n_trace=256)
+    bare = stability.analyze_domain(dom, theorems=(), **kw)
+    assert bare.reports == [] and bare.radii == {}
+    report = stability.check_stability(bare, "main_cm")
+    assert list(bare.radii) == ["center_of_mass"]
+    (expected,) = stability.analyze_domain(dom, theorems=("main_cm",), **kw).reports
+    assert same_report(report, expected)
+
+
+def test_trace_size_is_one_rule():
+    # 1,024 samples, or four per boundary edge on a finer mesh
+    a = stability.analyze_domain(geometry.StarDomain.disk(), n_radial=4, n_angular=320, theorems=())
+    assert a.trace.n_samples == 1280
+    assert stability.trace_samples(256) == 1024
+    assert stability.trace_samples(320) == 1280
+    assert stability.trace_samples(16, 256) == 256
 
 
 def test_inapplicable_theorem_keeps_the_other_reports():

@@ -108,6 +108,33 @@ def test_golden_run_reports_each_case_peak_memory(tmp_path):
     assert not any(line.startswith("maxrss_mb.json") for line in lines)
 
 
+def test_golden_run_records_blas_threads(tmp_path, monkeypatch):
+    # the thread settings the cases ran with go to blas_env.json, null when
+    # unset; compare names both runs' values on one line and flags that they
+    # differ, but never compares the file, so the runs still compare equal
+    cases = [case for case in golden.GOLDEN if case[0] == "oracles"]
+    runs = [str(tmp_path / name) for name in ("a", "b")]
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    for run, threads in zip(runs, ("1", "2")):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert golden.run(run, cases) == {"oracles": 0}
+    with open(os.path.join(runs[0], "blas_env.json")) as fh:
+        assert json.load(fh) == {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "1"}
+    report = io.StringIO()
+    assert golden.compare(*runs, file=report)
+    lines = report.getvalue().splitlines()
+    unset = "MKL_NUM_THREADS=unset OMP_NUM_THREADS=unset"
+    assert lines[2] == "blas threads DIFFER: (%s OPENBLAS_NUM_THREADS=1) (%s OPENBLAS_NUM_THREADS=2)" % (unset, unset)
+    assert not any(line.startswith("blas_env.json") for line in lines)
+
+    # a run made before the file existed shows as unrecorded, unflagged
+    os.remove(os.path.join(runs[0], "blas_env.json"))
+    report = io.StringIO()
+    assert golden.compare(*runs, file=report)
+    assert report.getvalue().splitlines()[2] == "blas threads: (unrecorded) (%s OPENBLAS_NUM_THREADS=2)" % unset
+
+
 def test_golden_compare_lists_every_mismatch(tmp_path):
     # seven non-float changes in one file are all named after DIFFER at
     runs = [tmp_path / name for name in ("a", "b")]

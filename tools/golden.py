@@ -15,16 +15,20 @@ has two minima), ``convergence`` on the disk and the ellipse, and
 --src (default: the src directory next to tools/), so the outputs of two
 checkouts can be made with one script.  The exit codes go to
 OUT/exit_codes.json, the wall time of each case, in seconds, to
-OUT/wall_s.json, and the peak resident memory of each case's process, in
-MB, as os.wait4 reports its ru_maxrss, to OUT/maxrss_mb.json.
+OUT/wall_s.json, the peak resident memory of each case's process, in
+MB, as os.wait4 reports its ru_maxrss, to OUT/maxrss_mb.json, and the BLAS
+thread settings the cases ran with (the three variables perfbench/run.py
+pins, null when unset) to OUT/blas_env.json: floats can move with the thread
+count.
 
-``compare`` prints the exit codes, wall times and peak memory of both runs;
-the timings and memory are never compared as files.  Per output file it
-prints whether every non-float field (keys, lengths, strings, integers,
-booleans, nulls) is equal, or else the path of every one that differs, and
-the worst absolute and relative move of its floats, with where it happens,
-and under that one indented line per moved float with its absolute and
-relative move, largest relative move first.  A move is relative to the
+``compare`` prints the exit codes, wall times and peak memory of both runs,
+then both runs' BLAS thread settings on one line, flagged DIFFER when both
+runs recorded them and they differ; these files are never compared as
+outputs.  Per output file it prints whether every non-float field (keys,
+lengths, strings, integers, booleans, nulls) is equal, or else the path of
+every one that differs, and the worst absolute and relative move of its
+floats, with where it happens, and under that one indented line per moved
+float with its absolute and relative move, largest relative move first.  A move is relative to the
 largest magnitude its field takes in either file, a field being a JSON path
 with its list indices dropped (all the rows' z, both coordinates) or a CSV
 column, so a coordinate that is 0 by symmetry, and holds only round-off, is
@@ -68,7 +72,9 @@ GOLDEN = (
     ("oracles_fsup_N8", "oracles --fsup --N 8", None),
 )
 # what run writes next to the cases, not compared as outputs
-_RUN_FILES = ("exit_codes.json", "wall_s.json", "maxrss_mb.json")
+_RUN_FILES = ("exit_codes.json", "wall_s.json", "maxrss_mb.json", "blas_env.json")
+# the BLAS thread variables, as perfbench/run.py pins them
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # relative to a file's largest float magnitude, the size of round-off
 _ROUND_OFF = 1e-12
 
@@ -90,7 +96,8 @@ def run(out: str, cases=GOLDEN, src: str = os.path.join(ROOT, "src")) -> dict:
         # reaped here, so tell Popen the code it can no longer wait for
         codes[case] = proc.returncode = os.waitstatus_to_exitcode(status)
         rss[case] = usage.ru_maxrss / 1024.0     # kB on Linux
-    for name, payload in zip(_RUN_FILES, (codes, wall, rss)):
+    blas = {name: env.get(name) for name in _BLAS_VARS}
+    for name, payload in zip(_RUN_FILES, (codes, wall, rss, blas)):
         with open(os.path.join(out, name), "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=1)
             fh.write("\n")
@@ -202,6 +209,18 @@ def _fmt(values: dict, case: str, spec: str) -> str:
     return spec % values[case] if case in values else "-"
 
 
+def _blas_env(out: str):
+    """The run's blas_env.json, or None for a run made before it was written."""
+    path = os.path.join(out, "blas_env.json")
+    return _load(path) if os.path.exists(path) else None
+
+
+def _fmt_env(env) -> str:
+    if env is None:
+        return "unrecorded"
+    return " ".join("%s=%s" % (k, "unset" if v is None else v) for k, v in sorted(env.items()))
+
+
 def compare(a: str, b: str, file=sys.stdout) -> bool:
     """Print the comparison of runs a and b; True when everything but floats agrees."""
     codes_a, codes_b = _load(os.path.join(a, "exit_codes.json")), _load(os.path.join(b, "exit_codes.json"))
@@ -213,6 +232,9 @@ def compare(a: str, b: str, file=sys.stdout) -> bool:
         times = _fmt(wall_a, case, "%.2f"), _fmt(wall_b, case, "%.2f")
         rss = _fmt(rss_a, case, "%.1f"), _fmt(rss_b, case, "%.1f")
         print("  %-22s %s %s  (%s %s)  (%s %s)" % (case, codes_a.get(case), codes_b.get(case), *times, *rss), file=file)
+    env_a, env_b = _blas_env(a), _blas_env(b)
+    flag = "" if env_a == env_b or None in (env_a, env_b) else " DIFFER"
+    print("blas threads%s: (%s) (%s)" % (flag, _fmt_env(env_a), _fmt_env(env_b)), file=file)
     files_a, files_b = _files(a), _files(b)
     for name in sorted(files_a ^ files_b):
         print("%s: only in %s" % (name, a if name in files_a else b), file=file)
