@@ -194,17 +194,13 @@ def cmd_verify(cfg: dict, out_dir: str) -> int:
     levels = cfg["mesh"]["refinement_levels"]
 
     worst_finest = 0.0
-    # (trace, summary) by trace size: levels whose size agrees share them
-    geom = {}
+    # one Gamma for every level, sampled as the finest mesh asks
+    trace = geometry.boundary_trace(domain, stability.trace_samples(n_a * 2 ** (levels - 1)))
+    summary = geometry.geometry_summary(domain, trace)
     for lev in range(levels):
         mesh = fem.generate_mesh(domain, n_r * 2**lev, n_a * 2**lev)
         field = fem.solve_torsion(mesh)
-        size = stability.trace_samples(mesh.n_angular)
-        if size not in geom:
-            trace = geometry.boundary_trace(domain, size)
-            geom[size] = trace, geometry.geometry_summary(domain, trace)
-        trace, summary = geom[size]
-        u_nu = fem.boundary_normal_derivative(field, trace.thetas)
+        u_nu = fem.boundary_normal_derivative(field, trace.thetas, trace.normals)
         deficit = identities.cs_deficit(field)
         reports = identities.identity_suite(field, trace, summary, u_nu, deficit)
         serrin = identities.serrin_checks(trace, summary, u_nu, deficit)
@@ -251,14 +247,8 @@ def cmd_sweep(cfg: dict, out_dir: str) -> int:
         cos[: base.cos_coeffs.size] = base.cos_coeffs
         cos[mode_k - 1] = t
         try:
-            domain = geometry.StarDomain(
-                base_radius=base.base_radius,
-                cos_coeffs=cos,
-                sin_coeffs=base.sin_coeffs,
-                center=base.center,
-            )
             analysis = stability.analyze_domain(
-                domain,
+                dataclasses.replace(base, cos_coeffs=cos),
                 n_radial=n_r,
                 n_angular=n_a,
                 theorems=theorems,

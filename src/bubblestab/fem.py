@@ -577,7 +577,8 @@ def _pcg(a_mat, b: np.ndarray, precond):
     unpreconditioned relative residual drops to _CG_RTOL.  Raises SolverError
     after 50 sqrt(n) + 10 iterations, and on breakdown, when p.Ap is not
     positive and finite: a_mat is not positive definite, or the recursive
-    residual has shrunk below what p.Ap can represent.
+    residual has shrunk below what p.Ap can represent.  The dot products run
+    in np.einsum, not BLAS, whose rounding depends on the thread count.
     """
     max_iter = int(50 * np.sqrt(b.size)) + 10
     # dnrm2 scales as it sums, so a tiny residual cannot underflow to a
@@ -589,10 +590,10 @@ def _pcg(a_mat, b: np.ndarray, precond):
     r = b.copy()
     rn = bnorm
     p = precond(r)
-    rz = float(r @ p)
+    rz = float(np.einsum("i,i->", r, p))
     for it in range(1, max_iter + 1):
         ap = a_mat @ p
-        pap = float(p @ ap)
+        pap = float(np.einsum("i,i->", p, ap))
         if not 0.0 < pap < np.inf:
             raise SolverError(
                 "conjugate gradients broke down at iteration %d: p.Ap = %r" % (it, pap), residual=rn / bnorm
@@ -604,7 +605,7 @@ def _pcg(a_mat, b: np.ndarray, precond):
         if rn <= _CG_RTOL * bnorm:
             return x, rn / bnorm, it
         z = precond(r)
-        rz_new = float(r @ z)
+        rz_new = float(np.einsum("i,i->", r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolverError(
@@ -888,10 +889,11 @@ def solve_torsion(mesh: TriMesh) -> TorsionField:
     )
 
 
-def boundary_normal_derivative(field: TorsionField, thetas: np.ndarray) -> np.ndarray:
-    """u_nu at arbitrary boundary parameters (analytic outward normals)."""
+def boundary_normal_derivative(field: TorsionField, thetas: np.ndarray, normals=None) -> np.ndarray:
+    """u_nu at boundary parameters thetas: on a trace's grid pass trace.normals,
+    else the outward normals come from StarDomain.normal (the same floats)."""
     g = _boundary_gradient(field.mesh, field.u, thetas)
-    nu = field.mesh.domain.normal(thetas)
+    nu = field.mesh.domain.normal(thetas) if normals is None else normals
     return np.sum(g * nu, axis=1)
 
 

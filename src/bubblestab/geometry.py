@@ -8,6 +8,7 @@ boundary traces carry no finite-difference noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class StarDomain:
 
 @dataclasses.dataclass(frozen=True)
 class BoundaryTrace:
-    """Uniform-in-theta boundary sampling with analytic geometric data.
+    """Uniform-in-theta boundary sampling with analytic geometric data, the
+    one sampled Gamma that every boundary integral reads.
 
     weights are arclength quadrature weights |gamma'(theta_i)| * dtheta
     (the trapezoid rule on a uniform periodic grid, spectrally accurate for
@@ -163,6 +165,12 @@ class BoundaryTrace:
     @property
     def n_samples(self) -> int:
         return self.thetas.size
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """<x - c, nu> = rho^2 / sqrt(rho^2 + rho'^2), c the center: the
+        weights are sqrt(rho^2 + rho'^2) times the theta step.  Read-only."""
+        return _as_readonly(self.radii**2 * (2.0 * np.pi / self.thetas.size) / self.weights)
 
     @property
     def min_curvature(self) -> float:

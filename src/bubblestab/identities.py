@@ -4,9 +4,9 @@ Each identity is reported as (lhs, rhs, residual), with the relative residual
 normalized by max(|lhs|, |rhs|, N |Omega|) so that identities whose sides both
 vanish (disk) stay well-scaled.  Volume integrals are sums over the field's
 weighted Hessian samples (TorsionField.hessian_samples), so the quadrature
-layout stays inside fem; boundary integrals use an analytic trace plus the
-one-sided FE normal derivative u_nu on it, which the caller computes once and
-passes in together with the cs_deficit report.
+layout stays inside fem; boundary integrals read one BoundaryTrace (weights,
+curvatures, support) and the one-sided FE u_nu on it, which the caller
+computes once on the trace's normals and passes in with the cs_deficit report.
 """
 from __future__ import annotations
 
@@ -90,13 +90,6 @@ def unu_recip_h_l1(trace: BoundaryTrace, u_nu: np.ndarray) -> float:
     return float(np.sum(trace.weights * np.abs(u_nu - 1.0 / trace.curvatures)))
 
 
-def _support(trace: BoundaryTrace) -> np.ndarray:
-    """<x - c, nu> = rho^2 / sqrt(rho^2 + rho'^2) on the trace, c the center
-    of the polar graph: the weights are sqrt(rho^2 + rho'^2) times the
-    uniform theta step."""
-    return trace.radii**2 * (2.0 * np.pi / trace.thetas.size) / trace.weights
-
-
 def identity_suite(
     field: TorsionField, trace: BoundaryTrace, summary: GeometrySummary, u_nu: np.ndarray, deficit: DeficitReport
 ) -> list[IdentityReport]:
@@ -112,7 +105,7 @@ def identity_suite(
     area = summary.area
     scale = DIM * area
     r_ref = summary.R_ref
-    x_nu = _support(trace)
+    x_nu = trace.support
     deficit_over = deficit.cs_deficit / (DIM - 1)
 
     reports = [
@@ -174,12 +167,11 @@ def serrin_checks(
     rhs = float(np.sum(w * (1.0 - h_curv * u_nu) * u_nu))
     fund2 = _report("fundamental2", lhs, rhs, scale).residual_rel
 
-    x_nu = _support(trace)
     diff = u_nu - r_ref
     return SerrinChecks(
         unu_recip_h_l1=l1,
         fundamental2_residual_rel=fund2,
-        support_min=float(np.min(x_nu)),
+        support_min=float(np.min(trace.support)),
         unu_minus_r_l1=float(np.sum(w * np.abs(diff))),
         unu_minus_r_l2=float(np.sqrt(np.sum(w * diff * diff))),
         unu_minus_r_max=float(np.max(np.abs(diff))),

@@ -41,7 +41,7 @@ from .geometry import (
     rho_bounds,
 )
 from .identities import heintze_karcher_gap, unu_recip_h_l1
-from .oracles import GradientBounds, c_constant, gradient_bounds
+from .oracles import GradientBounds, gradient_bounds
 from .spectral import SpectralEstimate, mu2_lower_convex, spectral_estimate, unit_ball_volume
 
 
@@ -88,7 +88,7 @@ def deviation_norms(trace: BoundaryTrace, field: TorsionField, summary: Geometry
     hk = obvp = None
     if trace.curvature_positive:
         hk = heintze_karcher_gap(trace, summary.area)
-        obvp = unu_recip_h_l1(trace, boundary_normal_derivative(field, trace.thetas))
+        obvp = unu_recip_h_l1(trace, boundary_normal_derivative(field, trace.thetas, trace.normals))
     return DeviationNorms(
         h0_minus_h_l1=float(np.sum(w * np.abs(diff))),
         h0_minus_h_inf=float(np.max(np.abs(diff))),
@@ -167,9 +167,10 @@ def assemble_constants(
 ):
     """(C, eps, trace) for one theorem variant and branch.
 
-    mu is the harmonic-Poincare constant in use, m_grad the gradient maximum,
-    min_h the minimum boundary mean curvature (mean_convex's constants read
-    it).  Raises NotApplicable when the variant needs min H > 0 and min_h <= 0.
+    mu is the harmonic-Poincare constant in use, m_grad the gradient maximum
+    (main and main_cm read gradient_bounds(summary).upper), min_h the minimum
+    boundary mean curvature (mean_convex's constants read it).  Raises
+    NotApplicable when the variant needs min H > 0 and min_h <= 0.
     eps is None on the low-dimension branch (no smallness condition).
     """
     if theorem not in VARIANTS:
@@ -184,11 +185,11 @@ def assemble_constants(
     r_i = summary.r_interior
     r_e = summary.r_exterior
     a_n = a_constant(DIM)
-    c_n = c_constant(DIM)
+    grad = gradient_bounds(summary)
     omega = unit_ball_volume(DIM)
     tr: dict[str, float] = {
         "a_N": a_n,
-        "c_N": c_n,
+        "c_N": grad.c_n,
         "mu": mu,
         "M": m_grad,
         "area": area,
@@ -204,8 +205,8 @@ def assemble_constants(
         ex = 1.0 / (n + 2.0)
         alpha = _alpha_constant(DIM, cubed=theorem == "mean_convex")
         if theorem in ("main", "main_cm"):
-            k_n = a_n * (n - 1.0) ** ex * c_n
-            c_stab = k_n * d * (d + r_e) / (mu ** (2.0 * ex) * area ** (1.0 / n) * r_e)
+            k_n = a_n * (n - 1.0) ** ex
+            c_stab = k_n * grad.upper / (mu ** (2.0 * ex) * area ** (1.0 / n))
             eps = alpha * mu * mu * r_i ** (n + 2.0)
         elif theorem == "hk":
             k_n = a_n * (n - 1.0) ** ex
@@ -231,7 +232,7 @@ def assemble_constants(
         raise ValueError("low_dim branch requires params.sobolev_c")
     base = 2.0 * omega ** (1.0 / n) * params.sobolev_c * d**GAMMA * (1.0 + mu) / mu
     if theorem in ("main", "main_cm"):
-        c_stab = base * np.sqrt(n - 1.0) * c_n * d * (d + r_e) / (area ** (1.0 / n) * r_e)
+        c_stab = base * np.sqrt(n - 1.0) * grad.upper / area ** (1.0 / n)
     elif theorem == "hk":
         c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n)
     elif theorem == "mean_convex":

@@ -225,17 +225,79 @@ def test_sweep_forms_no_hessian_samples(tmp_path, monkeypatch):
 
 
 def test_every_command_sizes_its_trace_by_one_rule(tmp_path, monkeypatch, capsys):
-    # verify per level, sweep per row and spectral once all ask trace_samples
+    # verify once per run, sweep per row and spectral once all ask trace_samples
     calls = count_calls(monkeypatch, {"trace_samples": stability.trace_samples})
     payload = dict(sweep_payload([0.02, 0.05]), mesh={"n_radial": 4, "n_angular": 16, "refinement_levels": 2})
     cfg = write_cfg(tmp_path, payload)
-    for command, count in (("verify", 2), ("sweep", 4), ("spectral", 5)):
+    for command, count in (("verify", 1), ("sweep", 3), ("spectral", 4)):
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
         assert calls == {"trace_samples": count}, command
     # the trace size is not a config key
     payload["params"] = {"n_trace": 256}
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, payload), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys: params.n_trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", [(8, 32, 2), (4, 128, 3)], ids=["8x32x2", "4x128x3"])
+def test_verify_samples_gamma_once_per_run(tmp_path, monkeypatch, mesh):
+    # one trace and one summary for every level, as many samples as the
+    # finest mesh asks: 2,048 on every level of 4x128 with 3 levels, whose
+    # finest n_angular is 512
+    n_r, n_a, levels = mesh
+    calls = count_calls(
+        monkeypatch, {"boundary_trace": geometry.boundary_trace, "geometry_summary": geometry.geometry_summary}
+    )
+    sizes = []
+    boundary_normal_derivative = fem.boundary_normal_derivative
+
+    def u_nu(field, thetas, normals=None):
+        sizes.append((thetas.size, None if normals is None else normals.shape[0]))
+        return boundary_normal_derivative(field, thetas, normals)
+
+    monkeypatch.setattr(fem, "boundary_normal_derivative", u_nu)
+    cfg = write_cfg(tmp_path, {"mesh": {"n_radial": n_r, "n_angular": n_a, "refinement_levels": levels}})
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"boundary_trace": 1, "geometry_summary": 1}
+    size = stability.trace_samples(n_a * 2 ** (levels - 1))
+    assert sizes == [(size, size)] * levels
+    assert size == (1024 if n_a == 32 else 2048)
+
+
+def test_star_domain_normal_never_called(tmp_path, monkeypatch):
+    # Gamma's normals are the trace's: neither analyze_domain (all theorems on
+    # a mean-convex domain, so obvp reads u_nu) nor verify forms them again
+    calls = []
+    normal = geometry.StarDomain.normal
+
+    def counted(self, theta):
+        calls.append(np.size(theta))
+        return normal(self, theta)
+
+    monkeypatch.setattr(geometry.StarDomain, "normal", counted)
+    analysis = stability.analyze_domain(
+        geometry.StarDomain.ellipse(1.5, 1.0, center=(0.2, -0.1)), n_radial=8, n_angular=32, theorems=stability.THEOREMS
+    )
+    assert analysis.deviation.obvp_l1 is not None
+    cfg = write_cfg(tmp_path, dict(DISK_SMALL, domain={"cos_coeffs": [0.0, 0.1], "center": [0.3, 0.2]}))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == []
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the same bytes with one BLAS thread and with two
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(checkout_env(), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / threads
+        for command, config in (("sweep", "sweep_cos3.json"), ("verify", "disk.json")):
+            argv = [command, "--config", str(CONFIGS / config), "--out", str(out / command)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "bubblestab.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+        runs[threads] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(runs["1"]) == 5  # sweep.csv, report.json and three verify levels
+    assert runs["1"] == runs["2"]
 
 
 def test_sweep_outputs_and_determinism(tmp_path):

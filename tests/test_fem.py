@@ -128,6 +128,17 @@ def test_boundary_gradient_matches_element_evaluation(name, n):
     assert np.max(np.abs(got - want)) <= 1e-14 * float(np.max(np.hypot(want[:, 0], want[:, 1])))
 
 
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_DOMAINS))
+def test_u_nu_on_trace_normals_equals_raw_theta_call(name):
+    # the trace's normals are StarDomain.normal's floats, so u_nu read on them
+    # is bitwise the u_nu of a call with theta alone
+    domain = _BOUNDARY_DOMAINS[name]
+    field = fem.solve_torsion(fem.generate_mesh(domain, 8, 32))
+    trace = geometry.boundary_trace(domain, 1024)
+    got = fem.boundary_normal_derivative(field, trace.thetas, trace.normals)
+    assert np.array_equal(got, fem.boundary_normal_derivative(field, trace.thetas))
+
+
 def test_boundary_gradient_rejects_a_folded_boundary_cell():
     # a copy of the mesh with one curved midside pulled inside its chord by
     # half the chord's length: det J changes sign along that boundary edge

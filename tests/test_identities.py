@@ -127,8 +127,10 @@ def test_report_scale_floor():
 
 def test_support_is_projection_on_the_normal():
     # rho^2 / sqrt(rho^2 + rho'^2) from the trace alone is <x - c, nu>, also
-    # off-centre
+    # off-centre; formed once per trace and read-only
     dom = geometry.StarDomain(1.0, [0.0, 0.1, 0.05], [0.05, 0.0, 0.03], center=(0.3, 0.2))
     tr = geometry.boundary_trace(dom, 512)
     want = np.einsum("ic,ic->i", tr.points - dom.center, tr.normals)
-    assert np.max(np.abs(identities._support(tr) - want)) <= 4 * np.finfo(float).eps * np.max(want)
+    assert np.max(np.abs(tr.support - want)) <= 4 * np.finfo(float).eps * np.max(want)
+    assert tr.support is tr.support
+    assert not tr.support.flags.writeable
