@@ -43,7 +43,7 @@ class DeficitReport:
     p_min_delta: float
 
 
-def _report(name: str, lhs: float, rhs: float, scale: float, applicable: bool = True) -> IdentityReport:
+def _report(name: str, lhs: float, rhs: float, scale: float) -> IdentityReport:
     res = abs(lhs - rhs)
     return IdentityReport(
         name=name,
@@ -51,7 +51,6 @@ def _report(name: str, lhs: float, rhs: float, scale: float, applicable: bool = 
         rhs=rhs,
         residual_abs=res,
         residual_rel=res / max(abs(lhs), abs(rhs), scale),
-        applicable=applicable,
     )
 
 

@@ -13,7 +13,7 @@ VARIANTS is the one table of what each variant reads:
   obvp         torsion minimum  L1 norm of u_nu - 1/H (obvp_l1)        yes
 
 A variant marked H > 0 needs a mean-convex boundary, min H > 0, and is not
-applicable (NotApplicable) where min H <= 0.
+applicable (NotApplicable) where the trace is not curvature_positive.
 
 The high-dimension branch carries tau = 1/(N+2) plus an explicit smallness
 threshold eps on the deviation; when the deviation exceeds eps the trivial
@@ -21,8 +21,9 @@ bound rho_e - rho_i <= diameter is reported as a flagged fallback.  The
 low-dimension branch (tau = 1/2) is reached only from the library, through
 StabilityParams.sobolev_c; the CLI runs high_dim alone until that embedding
 constant is derived rather than set (the ROADMAP item "The paper's planar
-exponent tau = 1/2 with an explicit constant").  All composed factors are
-exposed in constants_trace.
+exponent tau = 1/2 with an explicit constant").  assemble_constants reads
+every input but mu (check_stability's choice) off one DomainAnalysis, and
+exposes all composed factors in constants_trace.
 """
 from __future__ import annotations
 
@@ -124,7 +125,7 @@ class StabilityParams:
 
 
 class NotApplicable(ValueError):
-    """The theorem variant's hypotheses fail on this domain (min H <= 0 where it needs H > 0)."""
+    """The theorem variant needs H > 0 and the trace is not curvature_positive."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,6 +139,17 @@ class NotApplicableReport:
 
 @dataclasses.dataclass(frozen=True)
 class StabilityReport:
+    """rho_e - rho_i <= C * deviation^tau for one theorem and branch, evaluated.
+
+    z is the variant's point, rho_i and rho_e the touching radii about it and
+    gap = rho_e - rho_i; deviation is the variant's DeviationNorms field,
+    c_stab is C and eps the smallness threshold (None on low_dim), with
+    smallness_ok = deviation < eps.  fallback is not smallness_ok, and
+    bound_rhs is then the diameter, else C * deviation^tau; holds is
+    gap <= bound_rhs.  mu_source names the mu used ("lower_bound" or
+    "galerkin_upper"); constants_trace holds every composed factor.
+    """
+
     theorem: str
     branch: str
     tau: float
@@ -154,93 +166,6 @@ class StabilityReport:
     z: np.ndarray
     mu_source: str
     constants_trace: dict[str, float]
-
-
-def assemble_constants(
-    theorem: str,
-    branch: str,
-    summary: GeometrySummary,
-    mu: float,
-    m_grad: float,
-    min_h: float,
-    params: StabilityParams,
-):
-    """(C, eps, trace) for one theorem variant and branch.
-
-    mu is the harmonic-Poincare constant in use, m_grad the gradient maximum
-    (main and main_cm read gradient_bounds(summary).upper), min_h the minimum
-    boundary mean curvature (mean_convex's constants read it).  Raises
-    NotApplicable when the variant needs min H > 0 and min_h <= 0.
-    eps is None on the low-dimension branch (no smallness condition).
-    """
-    if theorem not in VARIANTS:
-        raise ValueError("unknown theorem %r" % theorem)
-    if branch not in BRANCHES:
-        raise ValueError("unknown branch %r" % branch)
-    if VARIANTS[theorem].needs_positive_h and min_h <= 0.0:
-        raise NotApplicable("%s variant needs strictly positive boundary curvature" % theorem)
-    n = float(DIM)
-    area = summary.area
-    d = summary.diameter
-    r_i = summary.r_interior
-    r_e = summary.r_exterior
-    a_n = a_constant(DIM)
-    grad = gradient_bounds(summary)
-    omega = unit_ball_volume(DIM)
-    tr: dict[str, float] = {
-        "a_N": a_n,
-        "c_N": grad.c_n,
-        "mu": mu,
-        "M": m_grad,
-        "area": area,
-        "perimeter": summary.perimeter,
-        "diameter": d,
-        "r_interior": r_i,
-        "r_exterior": r_e,
-        "H0": summary.H0,
-        "min_H": min_h,
-    }
-
-    if branch == "high_dim":
-        ex = 1.0 / (n + 2.0)
-        alpha = _alpha_constant(DIM, cubed=theorem == "mean_convex")
-        if theorem in ("main", "main_cm"):
-            k_n = a_n * (n - 1.0) ** ex
-            c_stab = k_n * grad.upper / (mu ** (2.0 * ex) * area ** (1.0 / n))
-            eps = alpha * mu * mu * r_i ** (n + 2.0)
-        elif theorem == "hk":
-            k_n = a_n * (n - 1.0) ** ex
-            c_stab = k_n * m_grad ** (n * ex) / (mu ** (2.0 * ex) * area ** (1.0 / n))
-            eps = alpha * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
-        elif theorem == "mean_convex":
-            k_n = a_n * (n * (n - 1.0)) ** ex
-            c_stab = k_n * m_grad ** (n * ex) / (
-                mu ** (2.0 * ex) * area ** (1.0 / n - ex) * min_h**ex
-            )
-            eps = alpha * (min_h / area) * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
-        else:  # obvp
-            k_n = a_n * (n - 1.0) ** ex
-            c_stab = k_n * m_grad ** ((n + 1.0) * ex) / (
-                mu ** (2.0 * ex) * area ** (1.0 / n) * r_i**ex
-            )
-            eps = alpha * mu * mu * m_grad * r_i ** (n + 3.0)
-        tr.update({"k_N": k_n, "alpha_N": alpha, "tau": ex})
-        return c_stab, eps, tr
-
-    # low-dimension branch: tau = 1/2, requires the embedding constant
-    if params.sobolev_c is None:
-        raise ValueError("low_dim branch requires params.sobolev_c")
-    base = 2.0 * omega ** (1.0 / n) * params.sobolev_c * d**GAMMA * (1.0 + mu) / mu
-    if theorem in ("main", "main_cm"):
-        c_stab = base * np.sqrt(n - 1.0) * grad.upper / area ** (1.0 / n)
-    elif theorem == "hk":
-        c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n)
-    elif theorem == "mean_convex":
-        c_stab = base * np.sqrt(n * (n - 1.0)) * area ** (0.5 - 1.0 / n) / np.sqrt(min_h)
-    else:  # obvp
-        c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n) * np.sqrt(m_grad / r_i)
-    tr.update({"gamma": GAMMA, "sobolev_c": params.sobolev_c, "tau": 0.5})
-    return float(c_stab), None, tr
 
 
 def trace_samples(n_angular: int, n_trace: int = 1024) -> int:
@@ -265,23 +190,99 @@ class DomainAnalysis:
     radii: dict[str, tuple[float, float]] = dataclasses.field(default_factory=dict)
 
 
+def assemble_constants(analysis: DomainAnalysis, theorem: str, branch: str, mu: float):
+    """(C, eps, trace) for one theorem variant and branch on an analyzed domain.
+
+    mu is the harmonic-Poincare constant in use; every other input comes from
+    the analysis: its summary, grad_bounds.upper (main, main_cm), the gradient
+    maximum field.M, trace.min_curvature (mean_convex) and params.sobolev_c
+    (low_dim).  Raises NotApplicable when the variant needs H > 0 and the
+    trace is not curvature_positive.  eps is None on low_dim (no smallness).
+    """
+    if theorem not in VARIANTS:
+        raise ValueError("unknown theorem %r" % theorem)
+    if branch not in BRANCHES:
+        raise ValueError("unknown branch %r" % branch)
+    trace, summary, grad = analysis.trace, analysis.summary, analysis.grad_bounds
+    if VARIANTS[theorem].needs_positive_h and not trace.curvature_positive:
+        raise NotApplicable("%s variant needs strictly positive boundary curvature" % theorem)
+    n = float(DIM)
+    area = summary.area
+    d = summary.diameter
+    r_i = summary.r_interior
+    a_n = a_constant(DIM)
+    m_grad = analysis.field.M
+    min_h = trace.min_curvature
+    tr: dict[str, float] = {
+        "a_N": a_n,
+        "c_N": grad.c_n,
+        "mu": mu,
+        "M": m_grad,
+        "area": area,
+        "perimeter": summary.perimeter,
+        "diameter": d,
+        "r_interior": r_i,
+        "r_exterior": summary.r_exterior,
+        "H0": summary.H0,
+        "min_H": min_h,
+    }
+
+    if branch == "high_dim":
+        ex = 1.0 / (n + 2.0)
+        alpha = _alpha_constant(DIM, cubed=theorem == "mean_convex")
+        k_n = a_n * (n * (n - 1.0) if theorem == "mean_convex" else n - 1.0) ** ex
+        if theorem in ("main", "main_cm"):
+            c_stab = k_n * grad.upper / (mu ** (2.0 * ex) * area ** (1.0 / n))
+            eps = alpha * mu * mu * r_i ** (n + 2.0)
+        elif theorem == "hk":
+            c_stab = k_n * m_grad ** (n * ex) / (mu ** (2.0 * ex) * area ** (1.0 / n))
+            eps = alpha * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
+        elif theorem == "mean_convex":
+            c_stab = k_n * m_grad ** (n * ex) / (
+                mu ** (2.0 * ex) * area ** (1.0 / n - ex) * min_h**ex
+            )
+            eps = alpha * (min_h / area) * mu * mu * m_grad * m_grad * r_i ** (n + 2.0)
+        else:  # obvp
+            c_stab = k_n * m_grad ** ((n + 1.0) * ex) / (
+                mu ** (2.0 * ex) * area ** (1.0 / n) * r_i**ex
+            )
+            eps = alpha * mu * mu * m_grad * r_i ** (n + 3.0)
+        tr.update({"k_N": k_n, "alpha_N": alpha, "tau": ex})
+        return c_stab, eps, tr
+
+    # low-dimension branch: tau = 1/2, requires the embedding constant
+    sobolev_c = analysis.params.sobolev_c
+    if sobolev_c is None:
+        raise ValueError("low_dim branch requires params.sobolev_c")
+    base = 2.0 * unit_ball_volume(DIM) ** (1.0 / n) * sobolev_c * d**GAMMA * (1.0 + mu) / mu
+    if theorem in ("main", "main_cm"):
+        c_stab = base * np.sqrt(n - 1.0) * grad.upper / area ** (1.0 / n)
+    elif theorem == "hk":
+        c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n)
+    elif theorem == "mean_convex":
+        c_stab = base * np.sqrt(n * (n - 1.0)) * area ** (0.5 - 1.0 / n) / np.sqrt(min_h)
+    else:  # obvp
+        c_stab = base * np.sqrt(n - 1.0) / area ** (1.0 / n) * np.sqrt(m_grad / r_i)
+    tr.update({"gamma": GAMMA, "sobolev_c": sobolev_c, "tau": 0.5})
+    return float(c_stab), None, tr
+
+
 def check_stability(analysis: DomainAnalysis, theorem: str, branch: str = "high_dim") -> StabilityReport:
     """Evaluate one stability inequality on an analyzed domain.
 
     The variant's point z, deviation and H > 0 hypothesis come from VARIANTS; a
-    variant whose hypothesis fails raises NotApplicable.  The
-    harmonic-Poincare constant defaults to the explicit lower bound
-    (conservative: it only weakens the inequality being verified) and falls
-    back to the Galerkin upper estimate when no lower bound is available.
-    rho_i and rho_e about z come from the analysis's radii memo, which this
-    call fills on first use.
+    variant whose hypothesis fails raises NotApplicable.  mu, the one input of
+    assemble_constants chosen here, is the explicit lower bound (conservative:
+    it only weakens the inequality being verified), else the Galerkin upper
+    estimate.  rho_i and rho_e about z come from the analysis's radii memo,
+    which this call fills on first use.
     """
     summary, spectral, dev = analysis.summary, analysis.spectral, analysis.deviation
     if spectral.mu0_lower is not None:
         mu, mu_source = spectral.mu0_lower, "lower_bound"
     else:
         mu, mu_source = spectral.mu0_upper, "galerkin_upper"
-    c_stab, eps, tr = assemble_constants(theorem, branch, summary, mu, analysis.field.M, dev.min_h, analysis.params)
+    c_stab, eps, tr = assemble_constants(analysis, theorem, branch, mu)
 
     variant = VARIANTS[theorem]
     z = summary.center_of_mass if variant.point == "center_of_mass" else analysis.field.min_points[0]
@@ -291,13 +292,8 @@ def check_stability(analysis: DomainAnalysis, theorem: str, branch: str = "high_
     gap = rho_e - rho_i
     deviation = getattr(dev, variant.deviation)
     tau = tr["tau"]
-    smallness_ok = True if eps is None else bool(deviation < eps)
-    if smallness_ok:
-        bound_rhs = c_stab * deviation**tau
-        fallback = False
-    else:
-        bound_rhs = summary.diameter
-        fallback = True
+    smallness_ok = eps is None or bool(deviation < eps)
+    bound_rhs = c_stab * deviation**tau if smallness_ok else summary.diameter
     return StabilityReport(
         theorem=theorem,
         branch=branch,
@@ -311,7 +307,7 @@ def check_stability(analysis: DomainAnalysis, theorem: str, branch: str = "high_
         smallness_ok=smallness_ok,
         bound_rhs=float(bound_rhs),
         holds=bool(gap <= bound_rhs),
-        fallback=fallback,
+        fallback=not smallness_ok,
         z=np.array(z, dtype=float),
         mu_source=mu_source,
         constants_trace=tr,

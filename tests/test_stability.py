@@ -66,40 +66,82 @@ def test_low_dim_branch_has_no_smallness(disk_analysis):
 
 
 def test_low_dim_requires_embedding_constant(disk_analysis):
+    bare = dataclasses.replace(disk_analysis, params=stability.StabilityParams(sobolev_c=None))
     with pytest.raises(ValueError, match="sobolev_c"):
-        stability.assemble_constants(
-            "main",
-            "low_dim",
-            disk_analysis.summary,
-            mu=0.5,
-            m_grad=1.0,
-            min_h=1.0,
-            params=stability.StabilityParams(sobolev_c=None),
-        )
+        stability.assemble_constants(bare, "main", "low_dim", mu=0.5)
 
 
-def test_assemble_constants_validation(disk_analysis):
-    s = disk_analysis.summary
-    with pytest.raises(ValueError):
-        stability.assemble_constants("nope", "high_dim", s, 0.5, 1.0, 1.0, stability.StabilityParams())
-    with pytest.raises(ValueError):
-        stability.assemble_constants("main", "sideways", s, 0.5, 1.0, 1.0, stability.StabilityParams())
-    with pytest.raises(ValueError):
-        stability.assemble_constants(
-            "mean_convex", "high_dim", s, 0.5, 1.0, -0.2, stability.StabilityParams()
-        )
+@pytest.fixture(scope="module")
+def zero_h_analysis():
+    # cos3 at t = 0.1 on 256 samples has sampled min H exactly 0.0
+    dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.1]))
+    return stability.analyze_domain(dom, n_radial=8, n_angular=32, n_trace=256, theorems=())
+
+
+def test_assemble_constants_validation(disk_analysis, zero_h_analysis):
+    with pytest.raises(ValueError, match="unknown theorem"):
+        stability.assemble_constants(disk_analysis, "nope", "high_dim", 0.5)
+    with pytest.raises(ValueError, match="unknown branch"):
+        stability.assemble_constants(disk_analysis, "main", "sideways", 0.5)
+    assert not zero_h_analysis.trace.curvature_positive
+    with pytest.raises(stability.NotApplicable):
+        stability.assemble_constants(zero_h_analysis, "mean_convex", "high_dim", 0.5)
+
+
+def test_only_the_trace_decides_positive_curvature(zero_h_analysis):
+    # a deviation record claiming min H = 1 does not make the H > 0 variants apply
+    a = zero_h_analysis
+    assert a.trace.min_curvature == 0.0 and a.deviation.min_h == 0.0
+    claimed = dataclasses.replace(a, deviation=dataclasses.replace(a.deviation, min_h=1.0))
+    for theorem in ("hk", "mean_convex", "obvp"):
+        with pytest.raises(stability.NotApplicable):
+            stability.assemble_constants(claimed, theorem, "high_dim", a.spectral.mu0_lower)
+    _, _, tr = stability.assemble_constants(claimed, "main", "high_dim", a.spectral.mu0_lower)
+    assert tr["min_H"] == 0.0
 
 
 def test_mu_lower_bound_is_conservative(disk_analysis):
     # a smaller mu must never shrink C nor grow eps: using the lower bound
     # in place of the Galerkin upper estimate only weakens the inequality
-    s = disk_analysis.summary
-    p = stability.StabilityParams()
     for theorem in stability.THEOREMS:
-        c_lo, eps_lo, _ = stability.assemble_constants(theorem, "high_dim", s, 0.5, 1.0, 1.0, p)
-        c_hi, eps_hi, _ = stability.assemble_constants(theorem, "high_dim", s, 4.0, 1.0, 1.0, p)
-        assert c_lo >= c_hi
-        assert eps_lo <= eps_hi
+        for branch in stability.BRANCHES:
+            c_lo, eps_lo, _ = stability.assemble_constants(disk_analysis, theorem, branch, 0.5)
+            c_hi, eps_hi, _ = stability.assemble_constants(disk_analysis, theorem, branch, 4.0)
+            assert c_lo > c_hi, (theorem, branch)
+            if branch == "high_dim":
+                assert eps_lo < eps_hi, theorem
+            else:
+                assert eps_lo is None and eps_hi is None
+
+
+def test_galerkin_upper_mu_on_a_nonconvex_domain():
+    # cos3 at t = 0.2 is not convex, so no Payne-Weinberger lower bound exists
+    # and every report reads the Galerkin upper estimate
+    dom = geometry.StarDomain(1.0, cos_coeffs=np.array([0.0, 0.0, 0.2]))
+    a = stability.analyze_domain(
+        dom,
+        n_radial=8,
+        n_angular=32,
+        n_trace=256,
+        theorems=stability.THEOREMS,
+        params=stability.StabilityParams(sobolev_c=1.0),
+        branches=stability.BRANCHES,
+    )
+    assert a.spectral.mu0_lower is None
+    reports = [r for r in a.reports if isinstance(r, stability.StabilityReport)]
+    assert [(r.theorem, r.branch) for r in reports] == [
+        ("main", "high_dim"), ("main", "low_dim"), ("main_cm", "high_dim"), ("main_cm", "low_dim")
+    ]
+    for r in reports:
+        assert r.mu_source == "galerkin_upper", r.theorem
+        assert r.constants_trace["mu"] == a.spectral.mu0_upper, r.theorem
+
+
+def test_lower_bound_mu_on_the_disk(disk_analysis):
+    assert len(disk_analysis.reports) == len(stability.THEOREMS) * len(stability.BRANCHES)
+    for r in disk_analysis.reports:
+        assert r.mu_source == "lower_bound", (r.theorem, r.branch)
+        assert r.constants_trace["mu"] == disk_analysis.spectral.mu0_lower, (r.theorem, r.branch)
 
 
 def test_every_report_holds(disk_analysis, ellipse_analysis, cos3_analysis):
@@ -240,7 +282,8 @@ def test_min_point_variants_read_the_spectral_x0(disk_analysis, ellipse_analysis
 
 
 def test_analyze_domain_computes_deviation_once(monkeypatch):
-    calls = {"deviation_norms": 0, "boundary_normal_derivative": 0}
+    # and the gradient bound: every report's constants read the analysis's
+    calls = {"deviation_norms": 0, "boundary_normal_derivative": 0, "gradient_bounds": 0}
 
     def counted(name):
         fn = getattr(stability, name)
@@ -263,7 +306,8 @@ def test_analyze_domain_computes_deviation_once(monkeypatch):
         branches=stability.BRANCHES,
     )
     assert len(analysis.reports) == 10
-    assert calls == {"deviation_norms": 1, "boundary_normal_derivative": 1}
+    assert all(isinstance(r, stability.StabilityReport) for r in analysis.reports)
+    assert calls == {"deviation_norms": 1, "boundary_normal_derivative": 1, "gradient_bounds": 1}
 
 
 def test_sweep_uses_convex_lower_bound(sweep_analyses):
